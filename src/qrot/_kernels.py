@@ -1,8 +1,8 @@
-"""Pure numpy implementations of the hot kernels.
+"""Numpy implementations of the hot kernels: the partial Fisher-Yates shuffle
+and the normalized min-sum syndrome decoder.
 
-Used when the compiled extension is unavailable. Both backends implement the
-same normalized min-sum decoder and partial Fisher-Yates shuffle and must
-agree on outputs (see the ``qrot benchmark`` subcommand).
+Callers reach these through the module (``_kernels.bp_decode``) at call time,
+so an instrumenting wrapper set on the module attribute sees every call.
 """
 
 from __future__ import annotations

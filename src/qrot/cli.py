@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: bounds (security-bound breakdown), figures (rate-curve CSV),
-optimize (minimal signal count), simulate (in-process sessions), role
-(one networked session end), benchmark (compiled vs pure kernels).
+optimize (minimal signal count), simulate (in-process sessions) and role
+(one networked session end).
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import time
 
 import numpy as np
 
-from qrot import bounds, commit, protocol, qsim, rates, recon, wire
-from qrot.bitcore import Rng
+from qrot import bounds, protocol, qsim, rates, recon, wire
 from qrot.bounds import BoundsError, ProtocolParams, TABLE1_PARAMS
 
 
@@ -179,10 +178,7 @@ def cmd_role(args) -> int:
     config = _session_config(args)
     model = _model_from(args)
     seed = _seed_of(args)
-    root = Rng.from_int(seed)
-    source_rng = root.spawn(b"source")
-    sender_rng = root.spawn(b"sender")
-    receiver_rng = root.spawn(b"receiver")
+    source_rng, sender_rng, receiver_rng = protocol.session_streams(seed)
     # both ends replay the same source stream and keep only their own half
     alice_view, bob_view = qsim.run_quantum_phase(model, config.params.n0, source_rng)
 
@@ -216,79 +212,6 @@ def cmd_role(args) -> int:
         data = {"c": out.c, "m_c": out.m_c.payload.hex(), "transcript": summary}
         text = f"c={out.c}\nm_c={out.m_c.payload.hex()}"
     _emit(args, data, text + "\n" + "\n".join(summary))
-    return 0
-
-
-def cmd_benchmark(args) -> int:
-    from qrot._kernels import _purecore, HAVE_COMPILED
-
-    backends = {"pure": _purecore}
-    if HAVE_COMPILED:
-        from qrot._kernels import _fastcore
-        backends["compiled"] = _fastcore
-    else:
-        print("compiled backend unavailable; timing the pure backend only",
-              file=sys.stderr)
-
-    rng = Rng.from_int(_seed_of(args))
-    results = {}
-
-    # partial shuffle kernel
-    n = args.size
-    j = np.arange(n, dtype=np.int64) + rng.randbelow_array(n - np.arange(n))
-    outs = {}
-    for name, mod in backends.items():
-        best = math.inf
-        for _ in range(args.trials):
-            perm = np.arange(n, dtype=np.int64)
-            t0 = time.perf_counter()
-            mod.fisher_yates_partial(perm, j)
-            best = min(best, time.perf_counter() - t0)
-        outs[name] = perm
-        results[f"shuffle_{name}_s"] = best
-    if len(outs) == 2 and not np.array_equal(outs["pure"], outs["compiled"]):
-        print("error: backend outputs disagree (shuffle)", file=sys.stderr)
-        return 2
-
-    # belief-propagation kernel, one decode at half the design error rate
-    ir = recon.IrParams(n_raw=n, p_design=0.04, f=1.3, tag_bits=16)
-    code_seed = rng.bytes(32)
-    x = (np.frombuffer(rng.bytes(n), np.uint8) & 1)
-    noise = (rng.uniform(n) < 0.02).astype(np.uint8)
-    y = x ^ noise
-    chk_rows, var_of_edge, var_edges = recon._code_structure(
-        code_seed, n, ir.syndrome_bits)
-    target = recon._syndrome_bits_of(y, code_seed, n, ir.syndrome_bits) ^ \
-        recon._syndrome_bits_of(x, code_seed, n, ir.syndrome_bits)
-    llr0 = math.log((1 - ir.p_design) / ir.p_design)
-    decs = {}
-    for name, mod in backends.items():
-        best = math.inf
-        for _ in range(args.trials):
-            t0 = time.perf_counter()
-            hard, conv, iters = mod.bp_decode(chk_rows, var_of_edge, var_edges,
-                                              target.astype(np.uint8), llr0,
-                                              recon.BP_MAX_ITER, recon.BP_NORM,
-                                              recon.LLR_CLAMP)
-            best = min(best, time.perf_counter() - t0)
-        decs[name] = (hard.copy(), bool(conv), int(iters))
-        results[f"bp_{name}_s"] = best
-        results[f"bp_{name}_converged"] = bool(conv)
-    if len(decs) == 2 and not np.array_equal(decs["pure"][0], decs["compiled"][0]):
-        print("error: backend outputs disagree (bp)", file=sys.stderr)
-        return 2
-
-    if args.json:
-        print(json.dumps(results, sort_keys=True))
-    else:
-        for key in sorted(results):
-            val = results[key]
-            print(f"{key:22s} {val:.6f}" if isinstance(val, float) else
-                  f"{key:22s} {val}")
-        if len(backends) == 2:
-            for kern in ("shuffle", "bp"):
-                ratio = results[f"{kern}_pure_s"] / results[f"{kern}_compiled_s"]
-                print(f"{kern}: compiled is {ratio:.1f}x faster")
     return 0
 
 
@@ -341,11 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--port", type=int, default=7741)
             p.add_argument("--timeout", type=float, default=30.0)
             p.set_defaults(func=cmd_role)
-
-    p = sub.add_parser("benchmark", parents=[common], help="compiled vs pure kernel timings")
-    p.add_argument("--size", type=int, default=1 << 15)
-    p.add_argument("--trials", type=int, default=3)
-    p.set_defaults(func=cmd_benchmark)
 
     return top
 

@@ -228,12 +228,6 @@ class Opening:
         return cls(message, seed)
 
 
-@dataclass(frozen=True)
-class CommitmentRecord:
-    com: BitString
-    opening: Opening
-
-
 def commit(m: BitString, s: BitString, r: Challenge, params: CommitParams,
            hash_id: int = HASH_BLAKE2) -> BitString:
     if m.length != params.n_msg or s.length != params.n_s:

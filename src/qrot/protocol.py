@@ -73,7 +73,7 @@ class Phase(enum.Enum):
 PROTOCOL_VERSION = 1
 
 _BACKEND_CODES = {recon.BACKEND_TRIVIAL: 0, recon.BACKEND_LDPC: 1}
-_BACKEND_NAMES = {v: k for k, v in _BACKEND_CODES.items()}
+_BACKEND_OF_CODE = {v: k for k, v in _BACKEND_CODES.items()}
 
 _CONFIG_STRUCT = struct.Struct(">BBBHHQI8d")
 
@@ -122,7 +122,7 @@ class SessionConfig:
          alpha, d1, d2, p_max, f, p_multi, eps_ir, eps_bind) = _CONFIG_STRUCT.unpack(raw)
         if ver != PROTOCOL_VERSION:
             raise ProtocolError(f"protocol version mismatch: {ver}")
-        if backend not in _BACKEND_NAMES:
+        if backend not in _BACKEND_OF_CODE:
             raise ProtocolError(f"unknown IR backend code {backend}")
         try:
             params = ProtocolParams(n0=n0, alpha=alpha, delta1=d1, delta2=d2,
@@ -131,7 +131,7 @@ class SessionConfig:
         except BoundsError as exc:
             raise ProtocolError(str(exc)) from exc
         return cls(params=params, hash_id=hash_id, k=k, tag_bits=tag_bits,
-                   ir_backend=_BACKEND_NAMES[backend])
+                   ir_backend=_BACKEND_OF_CODE[backend])
 
 
 def declared_payload_sizes(config: SessionConfig) -> dict:
@@ -552,6 +552,12 @@ def _skew_bases(alice: qsim.AliceView, bob: qsim.BobView, model: qsim.SourceMode
     return qsim.BobView(BitString.from_bits(theta_b), BitString.from_bits(x_b))
 
 
+def session_streams(seed: int | Rng) -> tuple[Rng, Rng, Rng]:
+    """Split a session seed into its (source, sender, receiver) streams."""
+    root = Rng.from_int(seed) if isinstance(seed, int) else seed
+    return root.spawn(b"source"), root.spawn(b"sender"), root.spawn(b"receiver")
+
+
 def run_session(config: SessionConfig, model: qsim.SourceModel,
                 seed: int | Rng, *,
                 sender_hooks: CheatHooks | None = None,
@@ -559,10 +565,7 @@ def run_session(config: SessionConfig, model: qsim.SourceModel,
                 force_choice: int | None = None,
                 max_rounds: int = 64) -> SessionResult:
     """Drive both state machines over an in-process framed transport."""
-    root = Rng.from_int(seed) if isinstance(seed, int) else seed
-    source_rng = root.spawn(b"source")
-    sender_rng = root.spawn(b"sender")
-    receiver_rng = root.spawn(b"receiver")
+    source_rng, sender_rng, receiver_rng = session_streams(seed)
 
     alice_view, bob_view = qsim.run_quantum_phase(model, config.params.n0, source_rng)
     rhooks = receiver_hooks or CheatHooks()

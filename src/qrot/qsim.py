@@ -152,11 +152,14 @@ def run_quantum_phase(model: SourceModel, n0: int, rng: Rng,
         coincidence = u[0] >= model.p_loss
         multi = coincidence & (u[1] < model.p_double)
         detected_multi = multi & (u[2] < _DETECT_GIVEN_MULTI)
+        undetected = multi & ~detected_multi
         dark = u[3] < model.p_dark
 
         match = ta == tb
         noise = (rng.uniform(chunk) < model.p_err).astype(np.uint8)
-        xb = np.where(match, xa ^ noise, unif)
+        # an undetected double click reports a uniform bit even in the
+        # matching basis (the SUCCESS_RANDOM rule of `report`)
+        xb = np.where(match & ~undetected, xa ^ noise, unif)
 
         accepted = coincidence & ~detected_multi & ~dark
 
@@ -167,7 +170,7 @@ def run_quantum_phase(model: SourceModel, n0: int, rng: Rng,
         if acc_idx.size > need:
             cut = int(acc_idx[need - 1]) + 1
             coincidence, detected_multi = coincidence[:cut], detected_multi[:cut]
-            dark, multi, accepted = dark[:cut], multi[:cut], accepted[:cut]
+            dark, undetected, accepted = dark[:cut], undetected[:cut], accepted[:cut]
             ta, tb, xa, xb = ta[:cut], tb[:cut], xa[:cut], xb[:cut]
 
         n_tot += int((coincidence & ~dark).sum())
@@ -177,7 +180,7 @@ def run_quantum_phase(model: SourceModel, n0: int, rng: Rng,
         theta_b = np.concatenate([theta_b, tb[accepted]])
         x_a = np.concatenate([x_a, xa[accepted]])
         x_b = np.concatenate([x_b, xb[accepted]])
-        undet = np.concatenate([undet, (multi & ~detected_multi)[accepted]])
+        undet = np.concatenate([undet, undetected[accepted]])
 
     alice = AliceView(BitString.from_bits(theta_a), BitString.from_bits(x_a),
                       n_tot, n_multi)

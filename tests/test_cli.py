@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from qrot._kernels import HAVE_COMPILED
 from qrot.cli import main
 
 
@@ -85,16 +84,3 @@ class TestSimulate:
         da.pop("seconds"), db.pop("seconds")
         assert da == db
 
-
-class TestBenchmark:
-    def test_backends_agree_and_report(self, capsys):
-        code, out, err = _run(capsys, "benchmark", "--size", "4096",
-                              "--trials", "1", "--json")
-        assert code == 0
-        data = json.loads(out)
-        assert data["bp_pure_converged"]
-        assert "shuffle_pure_s" in data
-        if not HAVE_COMPILED:
-            # the fallback note goes to stderr; stdout stays one JSON line
-            assert "compiled backend unavailable" in err
-            assert len(out.splitlines()) == 1

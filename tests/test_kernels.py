@@ -1,112 +1,12 @@
-import importlib.util
 import math
-import os
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from qrot import _kernels, recon
-from qrot._kernels import _purecore
 from qrot.bitcore import Rng
-
-ROOT = Path(__file__).resolve().parent.parent
-FASTCORE = "qrot._kernels._fastcore"
-
-
-def _missing_build_prerequisite():
-    """Name what building the extension needs and this machine lacks, or None."""
-    if not (ROOT / "setup.py").is_file():
-        return "no setup.py next to tests/"
-    cc = (sysconfig.get_config_var("CC") or "").split()
-    if not cc or shutil.which(cc[0]) is None:
-        return "no C compiler"
-    if not os.path.isfile(os.path.join(sysconfig.get_paths()["include"], "Python.h")):
-        return "no Python.h"
-    return None
-
-
-MISSING = _missing_build_prerequisite()
-needs_build = pytest.mark.skipif(
-    MISSING is not None, reason=f"compiled backend unavailable: {MISSING}")
-
-
-def _load_extension(path):
-    """Import the built extension without publishing it to `qrot._kernels`.
-
-    `sys.modules` and the package attribute are restored afterwards, so a
-    later `import qrot._kernels` still selects only what is installed.
-    """
-    saved_module = sys.modules.get(FASTCORE)
-    saved_attr = getattr(_kernels, "_fastcore", None)
-    try:
-        spec = importlib.util.spec_from_file_location(FASTCORE, path)
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-    finally:
-        for table, key, saved in ((sys.modules, FASTCORE, saved_module),
-                                  (vars(_kernels), "_fastcore", saved_attr)):
-            if saved is None:
-                table.pop(key, None)
-            else:
-                table[key] = saved
-    return mod
-
-
-@pytest.fixture(scope="session")
-def fastcore_build(tmp_path_factory):
-    """Build the extension out of tree; return (loaded module or None, build log).
-
-    A failed compile still exits 0 (the extension is optional), so success is
-    judged by the shared object the build leaves behind.
-    """
-    out = tmp_path_factory.mktemp("fastcore_build")
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
-        cwd=ROOT, capture_output=True, text=True)
-    built = sorted((out / "lib").rglob("_fastcore" + sysconfig.get_config_var("EXT_SUFFIX")))
-    return (_load_extension(built[0]) if built else None), proc.stdout + proc.stderr
-
-
-@pytest.fixture(scope="session")
-def fastcore(fastcore_build):
-    mod, log = fastcore_build
-    assert mod is not None, f"build produced no _fastcore extension:\n{log}"
-    return mod
-
-
-def test_selector_exposes_a_backend():
-    assert _kernels.BACKEND_NAME in ("pure", "compiled")
-    assert callable(_kernels.fisher_yates_partial)
-    assert callable(_kernels.bp_decode)
-
-
-@needs_build
-def test_compiled_backend_present(fastcore_build):
-    # the build is expected to produce the extension in this environment
-    mod, log = fastcore_build
-    assert mod is not None, f"build produced no _fastcore extension:\n{log}"
-    assert callable(mod.fisher_yates_partial) and callable(mod.bp_decode)
 
 
 class TestShuffleKernel:
-    @needs_build
-    def test_backends_identical(self, fastcore):
-        rng = Rng.from_int(60)
-        n = 5000
-        j = np.arange(n, dtype=np.int64) + rng.randbelow_array(n - np.arange(n))
-        perms = []
-        for mod in (_purecore, fastcore):
-            perm = np.arange(n, dtype=np.int64)
-            mod.fisher_yates_partial(perm, j)
-            perms.append(perm)
-        assert np.array_equal(perms[0], perms[1])
-
     def test_result_is_permutation(self):
         rng = Rng.from_int(61)
         n = 1000
@@ -128,19 +28,6 @@ class TestBpKernel:
             ^ recon._syndrome_bits_of(x, code_seed, n, ir.syndrome_bits)
         llr0 = math.log((1 - ir.p_design) / ir.p_design)
         return graph, target, llr0, noise
-
-    @needs_build
-    def test_backends_identical(self, fastcore):
-        for seed in range(5):
-            (chk, voe, ve), target, llr0, _ = self._instance(seed)
-            outs = []
-            for mod in (_purecore, fastcore):
-                hard, conv, iters = mod.bp_decode(chk, voe, ve,
-                                                  target.astype(np.uint8), llr0,
-                                                  60, 0.8, 25.0)
-                outs.append((hard.copy(), bool(conv), int(iters)))
-            assert np.array_equal(outs[0][0], outs[1][0])
-            assert outs[0][1:] == outs[1][1:]
 
     def test_finds_error_pattern(self):
         (chk, voe, ve), target, llr0, noise = self._instance(7)

@@ -136,6 +136,25 @@ class TestRunQuantumPhase:
         frac = alice.n_multi / alice.n_tot
         assert frac == pytest.approx(0.0375, abs=0.005)
 
+    def test_undetected_double_error_rate_matches_scalar_twin(self):
+        # matched-basis rounds hiding an undetected double report a uniform
+        # bit in both the runner and the generate_round + report twin
+        model = SourceModel(p_double=0.3)
+        alice, bob = run_quantum_phase(model, 50000, _rng(15),
+                                       adversarial_multi_view=True)
+        rows = (alice.theta.bits() == bob.theta.bits()) & bob.undetected_multi
+        runner = (alice.x.bits() != bob.x.bits())[rows]
+
+        rng, twin = _rng(16), []
+        for _ in range(20000):
+            r = generate_round(model, rng)
+            if (r.bob_pattern == ClickPattern.DOUBLE_SAME_BASIS
+                    and r.alice_basis == r.bob_basis):
+                _, bit = report(r.bob_pattern, r.bob_bit, rng)
+                twin.append(bit != r.alice_bit)
+        sigma = (0.25 / runner.size + 0.25 / len(twin)) ** 0.5
+        assert abs(runner.mean() - np.mean(twin)) < 4 * sigma
+
     def test_deterministic_given_seed(self):
         a1, b1 = run_quantum_phase(SourceModel(p_err=0.02, p_loss=0.3), 3000, _rng(12))
         a2, b2 = run_quantum_phase(SourceModel(p_err=0.02, p_loss=0.3), 3000, _rng(12))
