@@ -14,7 +14,7 @@ _INF = np.inf
 
 def fisher_yates_partial(perm: np.ndarray, j: np.ndarray) -> None:
     """In-place partial Fisher-Yates: swap perm[i] <-> perm[j[i]] for each i."""
-    p = perm
+    p = memoryview(perm)  # element access as Python ints, no numpy scalars
     for i, t in enumerate(j.tolist()):
         p[i], p[t] = p[t], p[i]
 

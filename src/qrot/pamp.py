@@ -1,9 +1,9 @@
 """Privacy amplification with Toeplitz matrices over GF(2).
 
 A seed of N_raw + n - 1 bits defines an n x N_raw Toeplitz matrix T with
-T[i, j] = diag[n - 1 + j - i]; hashing is the GF(2) matrix-vector product.
-Two multiply paths are provided: a windowed integer matmul and a blocked
-FFT convolution. They are exact and interchangeable.
+T[i, j] = diag[n - 1 + j - i]; hashing is the GF(2) matrix-vector product,
+computed exactly on packed bits: each output bit is the parity of the
+popcount of a byte-aligned diagonal window ANDed with the packed input.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ import numpy as np
 
 from qrot import bounds
 from qrot.bitcore import BitString, Rng
-
-_FFT_BLOCK = 1 << 20
-_FFT_MIN = 4096  # below this the windowed product is faster
-
 
 class PampError(ValueError):
     pass
@@ -56,51 +52,27 @@ def sample_seed(rng: Rng, n_in: int, n_out: int) -> ToeplitzSeed:
     return ToeplitzSeed(n_in, n_out, rng.bits(n_in + n_out - 1))
 
 
-def _hash_naive(diag: np.ndarray, x: np.ndarray, n_out: int) -> np.ndarray:
-    """Row i is the dot product of x with diag[n_out-1-i : n_out-1-i+n_in]."""
-    n_in = x.size
-    windows = np.lib.stride_tricks.sliding_window_view(diag, n_in)
-    rows = windows[n_out - 1 - np.arange(n_out)]
-    return (rows.astype(np.int64) @ x.astype(np.int64)) & 1
+def hash_bits(seed: ToeplitzSeed, x: BitString) -> BitString:
+    """T.x over GF(2) as one packed-bit product.
 
-
-def _hash_fft(diag: np.ndarray, x: np.ndarray, n_out: int) -> np.ndarray:
-    """Blocked FFT convolution; integer-exact after rounding, verified."""
-    n_in = x.size
-    acc = np.zeros(n_out, dtype=np.int64)
-    for start in range(0, n_in, _FFT_BLOCK):
-        block = x[start:start + _FFT_BLOCK].astype(np.float64)
-        seg = diag[start:start + block.size + n_out - 1].astype(np.float64)
-        size = 1 << (int(seg.size + block.size - 1).bit_length())
-        conv = np.fft.irfft(np.fft.rfft(seg, size) * np.fft.rfft(block[::-1], size), size)
-        # y_i += sum_j diag[n_out-1+(start+j)-i] x[start+j]; in conv indexing
-        # (seg conv rev(block)) the needed lags sit at block_len-1+n_out-1-i.
-        idx = block.size - 1 + n_out - 1 - np.arange(n_out)
-        vals = conv[idx]
-        rounded = np.rint(vals)
-        if np.max(np.abs(vals - rounded)) > 0.25:
-            raise PampError("FFT convolution lost integer exactness")
-        acc += rounded.astype(np.int64)
-    return (acc & 1).astype(np.int64)
-
-
-def hash_bits(seed: ToeplitzSeed, x: BitString, method: str = "auto") -> BitString:
-    """T.x over GF(2). ``method``: auto, fft or naive; identical outputs."""
+    Row i reads the diagonal window at offset o = n_out - 1 - i. The rows
+    with o = r (mod 8) read byte-aligned windows of diag[r:] packed, so row
+    i is the parity of popcount(window & packed x). One residue class is
+    gathered at a time: the temporaries peak near n_out * n_in / 64 bytes
+    and the work is about n_out * n_in / 8 byte operations. Meant for n_out
+    up to about 1k; larger outputs stay exact but grow slow.
+    """
     if x.length != seed.n_in:
         raise PampError("input length mismatch")
-    if seed.n_out == 0:
-        return BitString.zeros(0)
+    n_out = seed.n_out
     diag = seed.diag.bits()
-    xb = x.bits()
-    if method == "auto":
-        method = "fft" if seed.n_in >= _FFT_MIN else "naive"
-    if method == "naive":
-        out = _hash_naive(diag, xb, seed.n_out)
-    elif method == "fft":
-        out = _hash_fft(diag, xb, seed.n_out)
-    else:
-        raise PampError(f"unknown method {method!r}")
-    return BitString.from_bits(out.astype(np.uint8))
+    xp = np.frombuffer(x.payload, np.uint8)  # packed MSB-first, pad bits zero
+    out = np.zeros(n_out, dtype=np.uint8)
+    for r in range(min(8, n_out)):
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.packbits(diag[r:]), xp.size)[:(n_out - 1 - r) // 8 + 1]
+        out[n_out - 1 - r::-8] = np.bitwise_count(windows & xp).sum(axis=1) & 1
+    return BitString.from_bits(out)
 
 
 def universality_probe(n_in: int, n_out: int, trials: int, rng: Rng) -> float:

@@ -367,16 +367,19 @@ class SenderSession(_Session):
         second, used2 = IndexSet.parse(payload[used:], p.n0)
         if used + used2 != len(payload):
             return self._abort(AbortReason.PROTOCOL_ERROR)
-        in_test = self.test_set.membership_mask()
+        taken = self.test_set.membership_mask()
         if (len(first) != p.n_raw or len(second) != p.n_raw
-                or in_test[first.indices].any() or in_test[second.indices].any()
-                or np.intersect1d(first.indices, second.indices).size):
+                or taken[first.indices].any()):
+            return self._abort(AbortReason.PROTOCOL_ERROR)
+        taken[first.indices] = True  # second must avoid the test set and first
+        if taken[second.indices].any():
             return self._abort(AbortReason.PROTOCOL_ERROR)
 
+        x0, x1 = extract(self.view.x, first), extract(self.view.x, second)
         code_seed = self.rng.bytes(32)
         ir = self.config.ir_params
-        s0 = recon.syn(extract(self.view.x, first), ir, code_seed)
-        s1 = recon.syn(extract(self.view.x, second), ir, code_seed)
+        s0 = recon.syn(x0, ir, code_seed)
+        s1 = recon.syn(x1, ir, code_seed)
         syn_payload = s0.serialize() + s1.serialize()
         if self.hooks.corrupt_syndrome:
             buf = bytearray(syn_payload)
@@ -385,8 +388,7 @@ class SenderSession(_Session):
             syn_payload = bytes(buf)
 
         seed = pamp.sample_seed(self.rng, p.n_raw, p.n)
-        self.output = SenderOutput(pamp.hash_bits(seed, extract(self.view.x, first)),
-                                   pamp.hash_bits(seed, extract(self.view.x, second)))
+        self.output = SenderOutput(pamp.hash_bits(seed, x0), pamp.hash_bits(seed, x1))
         self.phase = Phase.DONE
         return [self._send(Msg.SYNDROMES, syn_payload),
                 self._send(Msg.HASH_SEED, seed.serialize())]

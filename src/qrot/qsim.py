@@ -12,7 +12,6 @@ four-detector model) pass through flagged, for leak-accounting tests only.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,61 +40,6 @@ class SourceModel:
                 raise QsimError(f"{name} outside [0, 1]")
         if self.p_err >= 0.5:
             raise QsimError("channel error rate must be below 1/2")
-
-
-class ClickPattern(enum.Enum):
-    SINGLE = "single"
-    DOUBLE_SAME_BASIS = "double_same_basis"
-    OTHER = "other"
-    NONE = "none"
-
-
-class ReportResult(enum.Enum):
-    SUCCESS = "success"
-    SUCCESS_RANDOM = "success_random"
-    FAILURE = "failure"
-
-
-@dataclass(frozen=True)
-class RoundOutcome:
-    alice_basis: int
-    alice_bit: int
-    alice_multi: bool
-    bob_pattern: ClickPattern
-    bob_basis: int
-    bob_bit: int
-
-
-def generate_round(model: SourceModel, rng: Rng) -> RoundOutcome:
-    """One raw source round; scalar twin of the vectorized phase runner."""
-    u = rng.uniform(4)
-    raw = rng.bytes(4)
-    theta_a, theta_b, x_a, flip_or_uniform = (b & 1 for b in raw)
-    if u[0] < model.p_loss:
-        return RoundOutcome(theta_a, x_a, False, ClickPattern.NONE, theta_b, 0)
-    multi = u[1] < model.p_double
-    alice_multi = multi and u[2] < _DETECT_GIVEN_MULTI
-    if theta_a == theta_b:
-        noise = int(rng.uniform(1)[0] < model.p_err)
-        x_b = x_a ^ noise
-    else:
-        x_b = flip_or_uniform
-    if u[3] < model.p_dark:
-        pattern = ClickPattern.OTHER
-    elif multi and not alice_multi:
-        pattern = ClickPattern.DOUBLE_SAME_BASIS
-    else:
-        pattern = ClickPattern.SINGLE
-    return RoundOutcome(theta_a, x_a, alice_multi, pattern, theta_b, x_b)
-
-
-def report(pattern: ClickPattern, measured_bit: int, rng: Rng) -> tuple[ReportResult, int]:
-    """Receiver's click-pattern reporting rules."""
-    if pattern == ClickPattern.SINGLE:
-        return ReportResult.SUCCESS, measured_bit
-    if pattern == ClickPattern.DOUBLE_SAME_BASIS:
-        return ReportResult.SUCCESS_RANDOM, rng.bytes(1)[0] & 1
-    return ReportResult.FAILURE, 0
 
 
 def multi_photon_estimate(n_tot: int, n_multi: int) -> float:
@@ -158,7 +102,7 @@ def run_quantum_phase(model: SourceModel, n0: int, rng: Rng,
         match = ta == tb
         noise = (rng.uniform(chunk) < model.p_err).astype(np.uint8)
         # an undetected double click reports a uniform bit even in the
-        # matching basis (the SUCCESS_RANDOM rule of `report`)
+        # matching basis: one of the two clicks is reported at random
         xb = np.where(match & ~undetected, xa ^ noise, unif)
 
         accepted = coincidence & ~detected_multi & ~dark

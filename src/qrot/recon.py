@@ -138,18 +138,13 @@ def _code_structure(code_seed: bytes, n_raw: int, ell: int):
     else:
         raise ReconError("could not build a simple parity-check graph")
 
-    dmax = int(row_deg.max())
-    chk_rows = np.full((ell, dmax), e_tot, dtype=np.int64)
-    start = 0
-    for i, d in enumerate(row_deg.tolist()):
-        chk_rows[i, :d] = np.arange(start, start + d)
-        start += d
-
-    var_edges = np.empty((n_raw, 3), dtype=np.int64)
-    fill = np.zeros(n_raw, dtype=np.int64)
-    for e, v in enumerate(var_of_edge.tolist()):
-        var_edges[v, fill[v]] = e
-        fill[v] += 1
+    # check i owns the contiguous edges [start_i, start_i + row_deg[i])
+    cols = np.arange(int(row_deg.max()))
+    start = np.cumsum(row_deg) - row_deg
+    chk_rows = np.where(cols < row_deg[:, None], start[:, None] + cols, e_tot)
+    # every variable has exactly three edges; a stable sort lists them in
+    # ascending edge order
+    var_edges = np.argsort(var_of_edge, kind="stable").reshape(n_raw, 3)
 
     voe_ext = np.concatenate([var_of_edge, [n_raw]])
     return chk_rows, voe_ext, var_edges

@@ -246,13 +246,17 @@ def test_criterion_8_scheme_property_suites():
     p_u = 2.0 ** -n_out
     assert freq <= p_u + 3.0 * (p_u / probes) ** 0.5
 
-    # both multiply paths agree on 10^4 random instances
+    # the hash equals the explicit Toeplitz matrix product on 10^4 random
+    # instances, T[i, j] = diag[n - 1 + j - i]
     for _ in range(10_000):
         n_in = 1 + int(rng.randbelow_array(np.array([512]))[0])
         n_o = 1 + int(rng.randbelow_array(np.array([n_in]))[0])
         seed = pamp.sample_seed(rng, n_in, n_o)
         x = rng.bits(n_in)
-        assert pamp.hash_bits(seed, x, "fft") == pamp.hash_bits(seed, x, "naive")
+        T = seed.diag.bits()[n_o - 1 + np.arange(n_in)[None, :]
+                             - np.arange(n_o)[:, None]].astype(np.int64)
+        assert pamp.hash_bits(seed, x).bits().tolist() == \
+            ((T @ x.bits().astype(np.int64)) % 2).tolist()
     budget.check()
 
 

@@ -1,12 +1,39 @@
 import math
 
 import numpy as np
+import pytest
 
 from qrot import _kernels, recon
 from qrot.bitcore import Rng
 
 
+def _shuffle_reference(perm, j):
+    """Plain scalar partial Fisher-Yates over a Python list."""
+    out = perm.tolist()
+    for i, t in enumerate(j.tolist()):
+        out[i], out[t] = out[t], out[i]
+    return out
+
+
 class TestShuffleKernel:
+    @pytest.mark.parametrize("n, size, start", [
+        (1000, 1000, "identity"),   # full shuffle
+        (1000, 37, "identity"),     # partial shuffle
+        (1000, 600, "scrambled"),   # non-identity starting permutation
+        (1, 1, "identity"),
+    ])
+    def test_matches_scalar_reference(self, n, size, start):
+        rng = Rng.from_int(62 + n + size)
+        perm = np.arange(n, dtype=np.int64)
+        if start == "scrambled":
+            perm = (perm * 7919 + 13) % n * 3
+        j = np.arange(size, dtype=np.int64) + rng.randbelow_array(n - np.arange(size))
+        j[::5] = np.arange(0, size, 5)  # j[i] == i: a swap with itself
+        expect = _shuffle_reference(perm, j)
+        before = perm
+        assert _kernels.fisher_yates_partial(perm, j) is None
+        assert perm is before and perm.tolist() == expect
+
     def test_result_is_permutation(self):
         rng = Rng.from_int(61)
         n = 1000

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrot import pamp
 from qrot.bitcore import BitString, Rng
 from qrot.bounds import ProtocolParams
 from qrot.pamp import (PampError, ToeplitzSeed, hash_bits, output_length,
@@ -31,6 +30,14 @@ class TestSeed:
             ToeplitzSeed.parse(raw[:-1])
 
 
+def _explicit_product(seed: ToeplitzSeed, x: BitString) -> list:
+    """T @ x % 2 with T written out entry by entry: the reference product."""
+    i = np.arange(seed.n_out)[:, None]
+    j = np.arange(seed.n_in)[None, :]
+    T = seed.diag.bits()[seed.n_out - 1 + j - i].astype(np.int64)  # T[i, j]
+    return ((T @ x.bits().astype(np.int64)) % 2).tolist()
+
+
 class TestHashExhaustive:
     def test_matches_explicit_matrix_everywhere(self):
         # every input and every diagonal at N=6, n=3
@@ -44,26 +51,32 @@ class TestHashExhaustive:
             for xv in range(2 ** n_in):
                 x = BitString.from_int(xv, n_in)
                 expect = (T @ x.bits()) % 2
-                assert hash_bits(seed, x, "naive").bits().tolist() == expect.tolist()
-            # fft path spot check per diagonal
-            x = BitString.from_int(d % (2 ** n_in), n_in)
-            assert hash_bits(seed, x, "fft") == hash_bits(seed, x, "naive")
+                assert hash_bits(seed, x).bits().tolist() == expect.tolist()
+
+    def test_every_small_shape(self):
+        # every n_in, n_out in 1..24 crosses each residue of the offset
+        # mod 8 and each position of the input's last packed byte
+        rng = _rng(8)
+        for n_in, n_out in itertools.product(range(1, 25), repeat=2):
+            seed = sample_seed(rng, n_in, n_out)
+            x = rng.bits(n_in)
+            assert hash_bits(seed, x).bits().tolist() == _explicit_product(seed, x)
 
 
 class TestHashPaths:
     @given(st.integers(1, 300), st.integers(1, 48), st.integers(0, 2 ** 32))
     @settings(max_examples=150, deadline=None)
-    def test_fft_equals_naive(self, n_in, n_out, seed_val):
+    def test_matches_explicit_matrix(self, n_in, n_out, seed_val):
         rng = Rng.from_int(seed_val)
         seed = sample_seed(rng, n_in, min(n_out, n_in))
         x = rng.bits(n_in)
-        assert hash_bits(seed, x, "fft") == hash_bits(seed, x, "naive")
+        assert hash_bits(seed, x).bits().tolist() == _explicit_product(seed, x)
 
     def test_large_block_equality(self):
         rng = _rng(2)
         seed = sample_seed(rng, 1 << 16, 64)
         x = rng.bits(1 << 16)
-        assert hash_bits(seed, x, "fft") == hash_bits(seed, x, "naive")
+        assert hash_bits(seed, x).bits().tolist() == _explicit_product(seed, x)
 
     @given(st.integers(0, 2 ** 32))
     @settings(max_examples=80, deadline=None)
@@ -76,10 +89,6 @@ class TestHashPaths:
     def test_length_mismatch(self):
         with pytest.raises(PampError):
             hash_bits(sample_seed(_rng(3), 10, 4), BitString.zeros(9))
-
-    def test_unknown_method(self):
-        with pytest.raises(PampError):
-            hash_bits(sample_seed(_rng(4), 10, 4), BitString.zeros(10), "magic")
 
     def test_zero_output(self):
         seed = ToeplitzSeed(5, 0, BitString.zeros(4))

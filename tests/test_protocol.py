@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 
 from qrot import protocol, qsim, recon, wire
-from qrot.bitcore import Rng
+from qrot.bitcore import BitString, IndexSet, Rng
 from qrot.protocol import (AbortReason, CheatHooks, Msg, SessionConfig,
                            declared_payload_sizes, desk_config, run_session)
 
@@ -163,6 +163,57 @@ class TestPhaseOrderSafety:
             assert fresh.output is None
 
 
+def _sender_at_sep(seed):
+    """An honest sender waiting for SEP, and the receiver's honest SEP payload."""
+    source, s_rng, r_rng = protocol.session_streams(seed)
+    av, bv = qsim.run_quantum_phase(NOISELESS, SMALL.params.n0, source)
+    sender = protocol.SenderSession(SMALL, av, s_rng)
+    receiver = protocol.ReceiverSession(SMALL, bv, r_rng)
+    pending = sender.start()
+    while True:
+        for out in receiver.on_frame(pending.pop(0)):
+            if out.type_code == Msg.SEP:
+                return sender, out.payload
+            pending.extend(sender.on_frame(out))
+
+
+def _with_member(s: IndexSet, value: int) -> IndexSet:
+    """``s`` with its first index replaced by ``value``; same size."""
+    return IndexSet(np.concatenate([[value], s.indices[1:]]), s.universe)
+
+
+class TestSepDisjointness:
+    SEED = 40
+
+    def _split(self, payload):
+        first, used = IndexSet.parse(payload, SMALL.params.n0)
+        second, _ = IndexSet.parse(payload[used:], SMALL.params.n0)
+        return first, second
+
+    def test_honest_pair_accepted(self):
+        sender, payload = _sender_at_sep(self.SEED)
+        sender.on_frame(wire.Frame(Msg.SEP, payload))
+        assert sender.phase == protocol.Phase.DONE
+
+    @pytest.mark.parametrize("overlap", ["first_second", "first_test",
+                                         "second_test"])
+    def test_overlapping_sets_abort(self, overlap):
+        sender, payload = _sender_at_sep(self.SEED)
+        first, second = self._split(payload)
+        tested = int(sender.test_set.indices[0])
+        if overlap == "first_second":
+            second = _with_member(second, int(first.indices[0]))
+        elif overlap == "first_test":
+            first = _with_member(first, tested)
+        else:
+            second = _with_member(second, tested)
+        assert len(first) == len(second) == SMALL.params.n_raw
+        out = sender.on_frame(wire.Frame(Msg.SEP,
+                                         first.serialize() + second.serialize()))
+        assert sender.abort_reason == AbortReason.PROTOCOL_ERROR
+        assert out[0].type_code == Msg.ABORT and sender.output is None
+
+
 class TestLeakLedger:
     def test_transcript_matches_declared_sizes(self):
         res = run_session(SMALL, NOISELESS, 20)
@@ -187,6 +238,57 @@ class TestLeakLedger:
         seen = [(e.type_code, e.length, e.digest)
                 for e in res.receiver_transcript.entries if e.direction == "recv"]
         assert sent == seen
+
+
+# Seeded desk-LDPC sessions at SourceModel(p_err=0.01): seed -> (choice bit,
+# m0, m1, blake2b-64 digest of every frame payload in session order).
+# Frame i has type code i + 1 and length _GOLDEN_LENGTHS[i].
+_GOLDEN_LENGTHS = [83, 24, 11, 458756, 65540, 49156, 6148, 184816, 1900, 2898]
+_GOLDEN_SENDER_DIRS = ["send", "recv"] * 4 + ["send", "send"]
+_GOLDEN_LDPC = {
+    1: (0, 36112, 43187,
+        ["52e0096a44f411e4", "f3d40a398a067c2a", "74157271ff0cbbe4",
+         "d5385bd30c9447de", "5908f531d522f984", "3be7741dd4fcb536",
+         "3aa6d1589ad141d8", "93b73b045e6486a6", "965fde87118d4834",
+         "ad2e7b6a39f81169"]),
+    2: (0, 58375, 52446,
+        ["52e0096a44f411e4", "f3d40a398a067c2a", "f8249173d83f7d14",
+         "eae9bd990c5a6981", "a3f531f4825835b2", "16276af149761663",
+         "c4e3aab6df4d7989", "372a6ea88a612b7c", "b8420089763dd519",
+         "291c14b84c341ea0"]),
+    3: (1, 8785, 34203,
+        ["52e0096a44f411e4", "f3d40a398a067c2a", "9317b493e92a32a6",
+         "af58596941a3b222", "75a15906a9c56100", "257d6da0c94c07b7",
+         "ec79de50eeeacf0c", "1720e6ecc9f8a5eb", "92cbf4a306af0df5",
+         "c852871f46bedf84"]),
+}
+
+
+class TestGoldenSessions:
+    """Seeded sessions stay byte-for-byte identical: outputs and every
+    frame either party recorded."""
+
+    @pytest.mark.parametrize("seed", sorted(_GOLDEN_LDPC))
+    def test_ldpc_session_pinned(self, seed):
+        c, m0, m1, digests = _GOLDEN_LDPC[seed]
+        cfg = desk_config(ir_backend=recon.BACKEND_LDPC)
+        res = run_session(cfg, qsim.SourceModel(p_err=0.01), seed)
+        assert res.success
+        out = res.output
+        assert out.receiver.c == c
+        assert out.sender.m0 == BitString.from_int(m0, 16)
+        assert out.sender.m1 == BitString.from_int(m1, 16)
+        assert out.receiver.m_c == (out.sender.m0, out.sender.m1)[c]
+
+        frames = [(i + 1, n, d) for i, (n, d)
+                  in enumerate(zip(_GOLDEN_LENGTHS, digests))]
+        flip = {"send": "recv", "recv": "send"}
+        assert [(e.direction, e.type_code, e.length, e.digest)
+                for e in res.sender_transcript.entries] == \
+            [(d,) + f for d, f in zip(_GOLDEN_SENDER_DIRS, frames)]
+        assert [(e.direction, e.type_code, e.length, e.digest)
+                for e in res.receiver_transcript.entries] == \
+            [(flip[d],) + f for d, f in zip(_GOLDEN_SENDER_DIRS, frames)]
 
 
 class TestIndependenceShadow:

@@ -1,10 +1,72 @@
+import enum
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from qrot.bitcore import Rng
-from qrot.qsim import (ClickPattern, QsimError, ReportResult, SourceModel,
-                       generate_round, multi_photon_estimate, report,
-                       run_quantum_phase)
+from qrot.qsim import (_DETECT_GIVEN_MULTI, QsimError, SourceModel,
+                       multi_photon_estimate, run_quantum_phase)
+
+
+# ---------------------------------------------------------------------------
+# scalar twin of run_quantum_phase, one raw round at a time: the reference
+# the vectorized runner is checked against
+# ---------------------------------------------------------------------------
+
+class ClickPattern(enum.Enum):
+    SINGLE = "single"
+    DOUBLE_SAME_BASIS = "double_same_basis"
+    OTHER = "other"
+    NONE = "none"
+
+
+class ReportResult(enum.Enum):
+    SUCCESS = "success"
+    SUCCESS_RANDOM = "success_random"
+    FAILURE = "failure"
+
+
+@dataclass(frozen=True)
+class RoundOutcome:
+    alice_basis: int
+    alice_bit: int
+    alice_multi: bool
+    bob_pattern: ClickPattern
+    bob_basis: int
+    bob_bit: int
+
+
+def generate_round(model: SourceModel, rng: Rng) -> RoundOutcome:
+    """One raw source round; scalar twin of the vectorized phase runner."""
+    u = rng.uniform(4)
+    raw = rng.bytes(4)
+    theta_a, theta_b, x_a, flip_or_uniform = (b & 1 for b in raw)
+    if u[0] < model.p_loss:
+        return RoundOutcome(theta_a, x_a, False, ClickPattern.NONE, theta_b, 0)
+    multi = u[1] < model.p_double
+    alice_multi = multi and u[2] < _DETECT_GIVEN_MULTI
+    if theta_a == theta_b:
+        noise = int(rng.uniform(1)[0] < model.p_err)
+        x_b = x_a ^ noise
+    else:
+        x_b = flip_or_uniform
+    if u[3] < model.p_dark:
+        pattern = ClickPattern.OTHER
+    elif multi and not alice_multi:
+        pattern = ClickPattern.DOUBLE_SAME_BASIS
+    else:
+        pattern = ClickPattern.SINGLE
+    return RoundOutcome(theta_a, x_a, alice_multi, pattern, theta_b, x_b)
+
+
+def report(pattern: ClickPattern, measured_bit: int, rng: Rng) -> tuple[ReportResult, int]:
+    """Receiver's click-pattern reporting rules."""
+    if pattern == ClickPattern.SINGLE:
+        return ReportResult.SUCCESS, measured_bit
+    if pattern == ClickPattern.DOUBLE_SAME_BASIS:
+        return ReportResult.SUCCESS_RANDOM, rng.bytes(1)[0] & 1
+    return ReportResult.FAILURE, 0
 
 
 def _rng(i=0):
