@@ -125,16 +125,17 @@ def cmd_optimize(args) -> int:
 
 
 def _session_config(args) -> protocol.SessionConfig:
-    if args.preset != "desk":
-        print("error: only the desk preset is provided", file=sys.stderr)
-        raise SystemExit(2)
     backend = args.ir_backend
     if backend == "auto":
         backend = recon.BACKEND_TRIVIAL if args.p_err == 0.0 else recon.BACKEND_LDPC
     else:
         backend = {"trivial": recon.BACKEND_TRIVIAL,
                    "ldpc": recon.BACKEND_LDPC}[backend]
-    return protocol.desk_config(n0=args.n0, n=args.n, ir_backend=backend)
+    try:
+        return protocol.desk_config(n0=args.n0, n=args.n, ir_backend=backend)
+    except (protocol.ProtocolError, BoundsError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def cmd_simulate(args) -> int:
@@ -177,23 +178,19 @@ def cmd_simulate(args) -> int:
 def cmd_role(args) -> int:
     config = _session_config(args)
     model = _model_from(args)
-    seed = _seed_of(args)
-    source_rng, sender_rng, receiver_rng = protocol.session_streams(seed)
-    # both ends replay the same source stream and keep only their own half
-    alice_view, bob_view = qsim.run_quantum_phase(model, config.params.n0, source_rng)
-
+    # both ends replay the same source stream and keep only their own party
+    sender, receiver = protocol.parties(config, model, _seed_of(args))
+    actor = sender if args.role == "sender" else receiver
     try:
         if args.role == "sender":
             conn = wire.listen_one(args.host, args.port, timeout=args.timeout)
-            actor = protocol.SenderSession(config, alice_view, sender_rng)
         else:
             conn = wire.connect(args.host, args.port, timeout=args.timeout)
-            actor = protocol.ReceiverSession(config, bob_view, receiver_rng)
     except (OSError, wire.WireError, wire.Timeout) as exc:
         print(f"connection failed: {exc}", file=sys.stderr)
         return 3
 
-    protocol.drive(actor, conn, timeout=args.timeout)
+    protocol.drive((actor, conn), timeout=args.timeout)
     conn.close()
 
     summary = [f"{e.direction} 0x{e.type_code:02x} {e.length}B"
@@ -249,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("simulate", "role"):
         p = sub.add_parser(name, parents=[common])
-        p.add_argument("--preset", default="desk")
         p.add_argument("--n0", type=int, default=1 << 16)
         p.add_argument("--n", type=int, default=16)
         p.add_argument("--ir-backend", choices=("auto", "trivial", "ldpc"),

@@ -93,6 +93,10 @@ class SessionConfig:
             raise ProtocolError(f"unknown hash id {self.hash_id}")
         if self.ir_backend not in _BACKEND_CODES:
             raise ProtocolError(f"unknown IR backend {self.ir_backend}")
+        for msg, size in declared_payload_sizes(self).items():
+            if size > wire.MAX_FRAME:
+                raise ProtocolError(f"{msg.name} payload is {size} B, over the "
+                                    f"{wire.MAX_FRAME} B frame limit")
 
     @property
     def commit_params(self) -> commit.CommitParams:
@@ -168,7 +172,6 @@ class TranscriptEntry:
 @dataclass
 class SessionTranscript:
     entries: list = field(default_factory=list)
-    abort_reason: AbortReason | None = None
 
     def record(self, direction: str, frame: Frame) -> None:
         dig = hashlib.blake2b(frame.payload, digest_size=8).hexdigest()
@@ -246,35 +249,34 @@ class _Session:
         self.transcript.record("send", frame)
         return frame
 
-    def _abort(self, reason: AbortReason) -> list[Frame]:
+    def start(self) -> list[Frame]:
+        """Frames this end sends before it receives any; only the sender opens."""
+        return []
+
+    def _end(self, reason: AbortReason) -> None:
         self.phase = Phase.ABORTED
         self.abort_reason = reason
-        self.transcript.abort_reason = reason
-        return [self._send(Msg.ABORT, bytes([reason]))]
 
-    def transport_abort(self) -> None:
-        if not self.finished:
-            self.phase = Phase.ABORTED
-            self.abort_reason = AbortReason.TRANSPORT
-            self.transcript.abort_reason = AbortReason.TRANSPORT
+    def _abort(self, reason: AbortReason) -> list[Frame]:
+        self._end(reason)
+        return [self._send(Msg.ABORT, bytes([reason]))]
 
     def on_frame(self, frame: Frame) -> list[Frame]:
         if self.finished:
             return []
         self.transcript.record("recv", frame)
         if frame.type_code == Msg.ABORT:
-            self.phase = Phase.ABORTED
-            reason = AbortReason(frame.payload[0]) if frame.payload else \
-                AbortReason.PROTOCOL_ERROR
-            self.abort_reason = reason
-            self.transcript.abort_reason = reason
+            try:
+                self._end(AbortReason(frame.payload[0]))
+            except (IndexError, ValueError):  # no reason byte, or an unknown one
+                self._end(AbortReason.PROTOCOL_ERROR)
             return []
         try:
             handler = self._handlers().get((self.phase, frame.type_code))
             if handler is None:
                 return self._abort(AbortReason.PROTOCOL_ERROR)
             return handler(frame.payload)
-        except (ProtocolError, ValueError, struct.error):
+        except (ValueError, struct.error):
             return self._abort(AbortReason.PROTOCOL_ERROR)
 
     def _handlers(self) -> dict:
@@ -554,82 +556,77 @@ def _skew_bases(alice: qsim.AliceView, bob: qsim.BobView, model: qsim.SourceMode
     return qsim.BobView(BitString.from_bits(theta_b), BitString.from_bits(x_b))
 
 
-def session_streams(seed: int | Rng) -> tuple[Rng, Rng, Rng]:
-    """Split a session seed into its (source, sender, receiver) streams."""
+def parties(config: SessionConfig, model: qsim.SourceModel, seed: int | Rng, *,
+            sender_hooks: CheatHooks | None = None,
+            receiver_hooks: CheatHooks | None = None,
+            force_choice: int | None = None) -> tuple[SenderSession, ReceiverSession]:
+    """Both ends of one session, ready to drive.
+
+    The seed splits into (source, sender, receiver) streams; the quantum phase
+    runs on the source stream, so two processes that share a seed replay the
+    same photon record and each keeps its own half.
+    """
     root = Rng.from_int(seed) if isinstance(seed, int) else seed
-    return root.spawn(b"source"), root.spawn(b"sender"), root.spawn(b"receiver")
+    source_rng, sender_rng, receiver_rng = \
+        root.spawn(b"source"), root.spawn(b"sender"), root.spawn(b"receiver")
+    alice_view, bob_view = qsim.run_quantum_phase(model, config.params.n0, source_rng)
+    rhooks = receiver_hooks or CheatHooks()
+    if rhooks.basis_match_prob is not None:
+        bob_view = _skew_bases(alice_view, bob_view, model,
+                               rhooks.basis_match_prob, receiver_rng)
+    return (SenderSession(config, alice_view, sender_rng, hooks=sender_hooks),
+            ReceiverSession(config, bob_view, receiver_rng, hooks=rhooks,
+                            force_choice=force_choice))
+
+
+def drive(*ends: tuple[_Session, wire.Connection],
+          timeout: float = wire.DEFAULT_TIMEOUT) -> None:
+    """Run state machines over open connections until each one has ended.
+
+    ``ends`` are (actor, connection) pairs. Every end first sends its opening
+    frames; each pass then hands at most one received frame to every
+    unfinished end. A pass in which no end receives a frame within
+    ``timeout``, or any wire fault, ends every unfinished actor with TRANSPORT.
+    """
+    try:
+        for actor, conn in ends:
+            for frame in actor.start():
+                conn.send(frame)
+        progressed = True
+        while progressed:
+            progressed = False
+            for actor, conn in ends:
+                if actor.finished:
+                    continue
+                try:
+                    frame = conn.recv(timeout=timeout)
+                except wire.Timeout:
+                    continue
+                progressed = True
+                for out in actor.on_frame(frame):
+                    conn.send(out)
+    except wire.WireError:
+        pass  # a broken link is a TRANSPORT end for everyone still running
+    for actor, _ in ends:
+        if not actor.finished:
+            actor._end(AbortReason.TRANSPORT)
 
 
 def run_session(config: SessionConfig, model: qsim.SourceModel,
                 seed: int | Rng, *,
                 sender_hooks: CheatHooks | None = None,
                 receiver_hooks: CheatHooks | None = None,
-                force_choice: int | None = None,
-                max_rounds: int = 64) -> SessionResult:
+                force_choice: int | None = None) -> SessionResult:
     """Drive both state machines over an in-process framed transport."""
-    source_rng, sender_rng, receiver_rng = session_streams(seed)
-
-    alice_view, bob_view = qsim.run_quantum_phase(model, config.params.n0, source_rng)
-    rhooks = receiver_hooks or CheatHooks()
-    if rhooks.basis_match_prob is not None:
-        bob_view = _skew_bases(alice_view, bob_view, model,
-                               rhooks.basis_match_prob, receiver_rng)
-
-    sender = SenderSession(config, alice_view, sender_rng, hooks=sender_hooks)
-    receiver = ReceiverSession(config, bob_view, receiver_rng, hooks=rhooks,
+    sender, receiver = parties(config, model, seed, sender_hooks=sender_hooks,
+                               receiver_hooks=receiver_hooks,
                                force_choice=force_choice)
-
     conn_a, conn_b = wire.queue_pair()
-    try:
-        for frame in sender.start():
-            conn_a.send(frame)
-        for _ in range(max_rounds):
-            progressed = False
-            for actor, conn in ((receiver, conn_b), (sender, conn_a)):
-                while True:
-                    try:
-                        frame = conn.recv(timeout=0)
-                    except wire.Timeout:
-                        break
-                    progressed = True
-                    for out in actor.on_frame(frame):
-                        conn.send(out)
-            if sender.finished and receiver.finished:
-                break
-            if not progressed:
-                sender.transport_abort()
-                receiver.transport_abort()
-                break
-        else:
-            sender.transport_abort()
-            receiver.transport_abort()
-    except wire.WireError:
-        sender.transport_abort()
-        receiver.transport_abort()
-
+    drive((sender, conn_a), (receiver, conn_b), timeout=0)
     reason = sender.abort_reason or receiver.abort_reason
-    output = None
-    if reason is None and sender.output is not None and receiver.output is not None:
-        output = RotOutput(sender.output, receiver.output)
-    elif reason is None:
-        reason = AbortReason.TRANSPORT
+    output = RotOutput(sender.output, receiver.output) if reason is None else None
     return SessionResult(output, reason, sender.transcript, receiver.transcript,
                          qber_estimate=sender.qber_estimate)
-
-
-def drive(actor: _Session, conn: wire.Connection,
-          timeout: float = wire.DEFAULT_TIMEOUT) -> None:
-    """Run one state machine over an already-open connection until it ends."""
-    try:
-        if isinstance(actor, SenderSession):
-            for frame in actor.start():
-                conn.send(frame)
-        while not actor.finished:
-            frame = conn.recv(timeout=timeout)
-            for out in actor.on_frame(frame):
-                conn.send(out)
-    except (wire.Timeout, wire.WireError):
-        actor.transport_abort()
 
 
 def desk_config(n0: int = 1 << 16, n: int = 16, tag_bits: int = 16, k: int = 16,

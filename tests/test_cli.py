@@ -84,3 +84,11 @@ class TestSimulate:
         da.pop("seconds"), db.pop("seconds")
         assert da == db
 
+    def test_unsendable_config_is_an_error(self, capsys):
+        # 10^7 signals make a 70 MB COMMITMENTS frame; no session may start
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n0", "10000000"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("error: COMMITMENTS payload is 70000004 B")
+        assert out.out == ""

@@ -7,8 +7,10 @@ import scipy.stats
 
 from qrot import protocol, qsim, recon, wire
 from qrot.bitcore import BitString, IndexSet, Rng
+from qrot.bounds import TABLE1_PARAMS
 from qrot.protocol import (AbortReason, CheatHooks, Msg, SessionConfig,
-                           declared_payload_sizes, desk_config, run_session)
+                           declared_payload_sizes, desk_config, drive, parties,
+                           run_session)
 
 SMALL = desk_config(n0=8192)
 NOISELESS = qsim.SourceModel()
@@ -29,6 +31,12 @@ class TestSessionConfig:
         cfg = desk_config(ir_backend=recon.BACKEND_LDPC)
         assert cfg.ir_params.n_raw == cfg.params.n_raw
         assert cfg.ir_params.p_design == pytest.approx(0.04)
+
+    def test_unsendable_frame_rejected_at_construction(self):
+        # Table 1's COMMITMENTS message does not fit one wire frame
+        with pytest.raises(protocol.ProtocolError,
+                           match=r"COMMITMENTS payload is 76180004 B"):
+            SessionConfig(TABLE1_PARAMS, ir_backend=recon.BACKEND_LDPC)
 
 
 class TestHonestSession:
@@ -97,35 +105,52 @@ class TestAbortPaths:
         assert res.abort_reason == AbortReason.TEST_FAILED
 
     def test_config_mismatch_aborts_in_handshake(self):
-        root = Rng.from_int(11)
-        av, bv = qsim.run_quantum_phase(NOISELESS, SMALL.params.n0,
-                                        root.spawn(b"source"))
-        sender = protocol.SenderSession(SMALL, av, root.spawn(b"s"))
-        other = desk_config(n0=8192, n=8)
-        receiver = protocol.ReceiverSession(other, bv, root.spawn(b"r"))
+        sender, _ = parties(SMALL, NOISELESS, 11)
+        _, receiver = parties(desk_config(n0=8192, n=8), NOISELESS, 11)
         hello = sender.start()[0]
         out = receiver.on_frame(hello)
         assert out[0].type_code == Msg.ABORT
         assert receiver.abort_reason == AbortReason.PROTOCOL_ERROR
 
 
+class TestDriver:
+    @pytest.mark.parametrize("role", [0, 1])
+    def test_lone_end_times_out_as_transport(self, role):
+        actor = parties(SMALL, NOISELESS, 15)[role]
+        conn, _ = wire.queue_pair()
+        drive((actor, conn), timeout=0)
+        assert actor.abort_reason == AbortReason.TRANSPORT
+        assert actor.phase == protocol.Phase.ABORTED
+
+    def test_corrupted_frame_is_transport_not_raised(self):
+        sender, receiver = parties(SMALL, NOISELESS, 16)
+        conn_a, conn_b = wire.queue_pair()
+        raw = bytearray(wire.Frame(Msg.HELLO, SMALL.serialize()).encode(0))
+        raw[-1] ^= 0xFF  # checksum no longer matches
+        conn_a.inject_raw(bytes(raw))
+        drive((sender, conn_a), (receiver, conn_b), timeout=0)
+        assert receiver.abort_reason == AbortReason.TRANSPORT
+        assert sender.abort_reason == AbortReason.TRANSPORT
+        assert sender.output is None and receiver.output is None
+
+    @pytest.mark.parametrize("payload", [b"", b"\x99"])
+    def test_unreadable_abort_is_protocol_error(self, payload):
+        _, receiver = parties(SMALL, NOISELESS, 17)
+        assert receiver.on_frame(wire.Frame(Msg.ABORT, payload)) == []
+        assert receiver.abort_reason == AbortReason.PROTOCOL_ERROR
+
+
 class TestPhaseOrderSafety:
     def test_out_of_phase_messages_abort(self):
-        root = Rng.from_int(12)
-        av, _ = qsim.run_quantum_phase(NOISELESS, SMALL.params.n0,
-                                       root.spawn(b"source"))
         for stray in (Msg.OPENINGS, Msg.SEP, Msg.COMMITMENTS):
-            sender = protocol.SenderSession(SMALL, av, root.spawn(b"s"))
+            sender, _ = parties(SMALL, NOISELESS, 12)
             sender.start()
             out = sender.on_frame(wire.Frame(stray, b"\x00" * 8))
             assert sender.abort_reason == AbortReason.PROTOCOL_ERROR
             assert out[0].type_code == Msg.ABORT
 
     def test_garbage_payload_aborts_not_raises(self):
-        root = Rng.from_int(13)
-        _, bv = qsim.run_quantum_phase(NOISELESS, SMALL.params.n0,
-                                       root.spawn(b"source"))
-        receiver = protocol.ReceiverSession(SMALL, bv, root.spawn(b"r"))
+        _, receiver = parties(SMALL, NOISELESS, 13)
         out = receiver.on_frame(wire.Frame(Msg.HELLO, b"\xff" * 13))
         assert receiver.abort_reason == AbortReason.PROTOCOL_ERROR
         assert out[0].type_code == Msg.ABORT
@@ -133,11 +158,7 @@ class TestPhaseOrderSafety:
     def test_fuzzed_replays_never_complete_wrong(self):
         # collect one honest receiver-to-sender frame sequence, then replay
         # it in shuffled orders against fresh senders
-        root = Rng.from_int(14)
-        av, bv = qsim.run_quantum_phase(NOISELESS, SMALL.params.n0,
-                                        root.spawn(b"source"))
-        sender = protocol.SenderSession(SMALL, av, root.spawn(b"s"))
-        receiver = protocol.ReceiverSession(SMALL, bv, root.spawn(b"r"))
+        sender, receiver = parties(SMALL, NOISELESS, 14)
         collected = []
         pending = sender.start()
         while pending:
@@ -155,7 +176,7 @@ class TestPhaseOrderSafety:
             if np.array_equal(order, np.arange(len(collected))):
                 continue
             tried += 1
-            fresh = protocol.SenderSession(SMALL, av, root.spawn(b"s2"))
+            fresh, _ = parties(SMALL, NOISELESS, 14)
             fresh.start()
             for i in order:
                 fresh.on_frame(collected[int(i)])
@@ -165,10 +186,7 @@ class TestPhaseOrderSafety:
 
 def _sender_at_sep(seed):
     """An honest sender waiting for SEP, and the receiver's honest SEP payload."""
-    source, s_rng, r_rng = protocol.session_streams(seed)
-    av, bv = qsim.run_quantum_phase(NOISELESS, SMALL.params.n0, source)
-    sender = protocol.SenderSession(SMALL, av, s_rng)
-    receiver = protocol.ReceiverSession(SMALL, bv, r_rng)
+    sender, receiver = parties(SMALL, NOISELESS, seed)
     pending = sender.start()
     while True:
         for out in receiver.on_frame(pending.pop(0)):
@@ -318,13 +336,7 @@ class TestSocketEquivalence:
         base = run_session(cfg, NOISELESS, 33)
         assert base.success
 
-        root = Rng.from_int(33)
-        source = root.spawn(b"source")
-        s_rng = root.spawn(b"sender")
-        r_rng = root.spawn(b"receiver")
-        av, bv = qsim.run_quantum_phase(NOISELESS, cfg.params.n0, source)
-        sender = protocol.SenderSession(cfg, av, s_rng)
-        receiver = protocol.ReceiverSession(cfg, bv, r_rng)
+        sender, receiver = parties(cfg, NOISELESS, 33)
 
         import socket as socketlib
         srv = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_STREAM)
@@ -337,12 +349,12 @@ class TestSocketEquivalence:
         def serve():
             sock, _ = srv.accept()
             holder["conn"] = wire.SocketConnection(sock)
-            protocol.drive(sender, holder["conn"], timeout=10)
+            drive((sender, holder["conn"]), timeout=10)
 
         t = threading.Thread(target=serve)
         t.start()
         conn = wire.connect("127.0.0.1", port)
-        protocol.drive(receiver, conn, timeout=10)
+        drive((receiver, conn), timeout=10)
         t.join()
         conn.close()
         holder["conn"].close()
