@@ -1,5 +1,6 @@
 """Numpy implementations of the hot kernels: the partial Fisher-Yates shuffle
-and the normalized min-sum syndrome decoder.
+(whole-array passes, no loop over the swaps; its result is that of the
+sequential swaps) and the normalized min-sum syndrome decoder.
 
 Callers reach these through the module (``_kernels.bp_decode``) at call time,
 so an instrumenting wrapper set on the module attribute sees every call.
@@ -13,10 +14,72 @@ _INF = np.inf
 
 
 def fisher_yates_partial(perm: np.ndarray, j: np.ndarray) -> None:
-    """In-place partial Fisher-Yates: swap perm[i] <-> perm[j[i]] for each i."""
-    p = memoryview(perm)  # element access as Python ints, no numpy scalars
-    for i, t in enumerate(j.tolist()):
-        p[i], p[t] = p[t], p[i]
+    """In-place partial Fisher-Yates: swap perm[i] <-> perm[j[i]] for i = 0, 1, ...
+
+    Requires i <= j[i] < len(perm) for every i and raises ValueError
+    otherwise. The result equals that of the sequential swaps, computed
+    without a loop over i. No step after i touches slot i, and no step
+    before i touches slot j[i] other than by aiming at it, so:
+
+    - step i takes from slot j[i] what the last earlier step aiming at j[i]
+      carried there, or that slot's original value;
+    - step i carries away what slot i held: what the last earlier step
+      aiming at i carried there, and so on back to an original value.
+
+    One sort of (target, step) keys finds those earlier steps, and pointer
+    jumping follows the carry chains back to their origin.
+    """
+    k, n = j.size, perm.size
+    if k == 0:
+        return
+    idx = np.int32 if n < 2 ** 31 else np.int64
+    steps = np.arange(k, dtype=idx)
+    if np.any(j < steps) or j.max() >= n:
+        raise ValueError("fisher_yates_partial needs i <= j[i] < len(perm)")
+
+    shift = max(k - 1, 1).bit_length()
+    key = j.astype(np.int64) << shift | steps
+    key.sort()
+    # sorted position p: step[p] aims at slot tgt[p]; the steps aiming at
+    # one slot sit together, in step order
+    tgt = (key >> shift).astype(idx)
+    step = (key & ((1 << shift) - 1)).astype(idx)
+    del key
+    same = tgt[1:] == tgt[:-1]
+    # before[p]: the previous step aiming at slot tgt[p], or -1 (arithmetic
+    # rather than np.where, which is slow on an irregular mask)
+    before = np.empty(k, dtype=idx)
+    before[0] = -1
+    before[1:] = (step[:-1] + 1) * same - 1
+    last = np.append(~same, True)  # step[p] is the last to aim at tgt[p]
+    del same
+
+    # origin[s] starts as the last step before s that aimed at slot s, whose
+    # carried value slot s holds when step s takes it, or as s itself when
+    # there is none. (A step aiming at its own slot points at itself: what it
+    # carries is never read, since no later step aims at that slot.) Pointer
+    # jumping then moves origin[s] back along the chain to the step whose
+    # slot still held its original value.
+    origin = steps.copy()
+    at = np.flatnonzero(last & (tgt < k))
+    origin[tgt[at]] = step[at]
+    del at
+    live = np.flatnonzero(origin != steps)
+    while live.size:
+        up = origin[live]
+        top = origin[up]
+        origin[live] = top
+        live = live[top != up]
+
+    # vals[:k]: what step i carries away; vals[k + p]: slot tgt[p]'s original
+    vals = np.concatenate([perm[origin], perm[tgt]])
+    del origin
+    # landed[p], what step[p] takes: vals[before[p]], or vals[k + p] when no
+    # earlier step aimed at tgt[p]
+    landed = vals[before + (before < 0) * (k + 1 + steps)]
+    high = np.flatnonzero(last & (tgt >= k))
+    perm[tgt[high]] = vals[step[high]]
+    perm[step] = landed
 
 
 def bp_decode(chk_rows: np.ndarray, var_of_edge: np.ndarray, var_edges: np.ndarray,

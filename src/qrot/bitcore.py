@@ -254,23 +254,32 @@ class Rng:
         return np.frombuffer(self.bytes(4 * n), dtype=">u4").astype(np.uint32)
 
     def randbelow_array(self, bounds: np.ndarray) -> np.ndarray:
-        """One uniform integer in [0, bounds[i]) per entry, by rejection."""
-        bounds = np.asarray(bounds, dtype=np.uint64)
-        if np.any(bounds == 0):
-            raise BitcoreError("zero bound")
-        out = np.empty(bounds.size, dtype=np.int64)
-        pending = np.arange(bounds.size)
+        """One uniform integer in [0, bounds[i]) per entry, by rejection.
+
+        Bounds must lie in [1, 2**32]. Each try takes one 32-bit word and
+        keeps it when it is below the largest multiple of the bound that fits
+        in 32 bits; a bound of 2**32 keeps every word as it is.
+        """
+        bounds = np.asarray(bounds, dtype=np.int64)
+        if bounds.size and (bounds.min() < 1 or bounds.max() > 1 << 32):
+            raise BitcoreError("bound outside [1, 2**32]")
+        b = bounds.astype(np.uint32)  # 2**32 wraps to 0
+        whole = np.flatnonzero(b == 0)
+        b[whole] = 1  # keeps every word; the raw word is put back below
+        # word < (2**32 // b) * b  <=>  word <= 0xFFFFFFFF - 2**32 % b
+        top = ~((np.uint32(0) - b) % b)
+        words = self.words32(b.size)
+        ok = words <= top
+        out = (words % b).astype(np.int64)
+        out[whole] = words[whole]
+        pending = np.flatnonzero(~ok)
         while pending.size:
-            b = bounds[pending]
-            words = self.words32(pending.size).astype(np.uint64)
-            limit = (np.uint64(1 << 32) // b) * b
-            ok = words < limit
-            out[pending[ok]] = (words[ok] % b[ok]).astype(np.int64)
+            words = self.words32(pending.size)
+            ok = words <= top[pending]
+            hit = pending[ok]
+            out[hit] = words[ok] % b[hit]
             pending = pending[~ok]
         return out
-
-    def randbelow(self, bound: int) -> int:
-        return int(self.randbelow_array(np.array([bound]))[0])
 
     def uniform(self, n: int) -> np.ndarray:
         """n floats uniform in [0, 1) with 32-bit resolution."""

@@ -109,45 +109,54 @@ def _code_structure(code_seed: bytes, n_raw: int, ell: int):
     """Edge arrays for a seeded (3, ~3n/ell)-regular code.
 
     Returns (chk_rows (m,dmax) padded with E, var_of_edge (E+1,),
-    var_edges (n,3)). Duplicate variable-check incidences are repaired by
+    var_edges (n,3)). Each check owns a contiguous run of edges, and edge e
+    meets variable perm[e] // 3, where perm is a seeded shuffle of the 3n
+    variable sockets. Duplicate variable-check incidences are repaired by
     swapping sockets so every edge is distinct in GF(2).
     """
     rng = Rng(hashlib.blake2b(b"ldpc" + code_seed, digest_size=32).digest())
     e_tot = 3 * n_raw
-    var_of_edge = np.repeat(np.arange(n_raw, dtype=np.int64), 3)
     perm = np.arange(e_tot, dtype=np.int64)
     j = np.arange(e_tot, dtype=np.int64) + rng.randbelow_array(e_tot - np.arange(e_tot))
     _kernels.fisher_yates_partial(perm, j)
-    var_of_edge = var_of_edge[perm]
+    del j
 
     base, extra = divmod(e_tot, ell)
     row_deg = np.full(ell, base, dtype=np.int64)
     row_deg[:extra] += 1
-    row_of_edge = np.repeat(np.arange(ell, dtype=np.int64), row_deg)
-
-    # repair duplicate (variable, check) incidences
-    for _ in range(64):
-        key = row_of_edge * n_raw + var_of_edge
-        order = np.argsort(key, kind="stable")
-        dup_pos = order[1:][np.diff(key[order]) == 0]
-        if dup_pos.size == 0:
-            break
-        swap_with = rng.randbelow_array(np.full(dup_pos.size, e_tot))
-        for a, b in zip(dup_pos.tolist(), swap_with.tolist()):
-            var_of_edge[a], var_of_edge[b] = var_of_edge[b], var_of_edge[a]
-    else:
-        raise ReconError("could not build a simple parity-check graph")
-
-    # check i owns the contiguous edges [start_i, start_i + row_deg[i])
+    # check i owns the contiguous edges [start_i, start_i + row_deg[i]); rows
+    # differ in degree by at most one, so no row has two padding slots
     cols = np.arange(int(row_deg.max()))
     start = np.cumsum(row_deg) - row_deg
     chk_rows = np.where(cols < row_deg[:, None], start[:, None] + cols, e_tot)
-    # every variable has exactly three edges; a stable sort lists them in
-    # ascending edge order
-    var_edges = np.argsort(var_of_edge, kind="stable").reshape(n_raw, 3)
+    var_of_edge = np.append(perm // 3, n_raw)
 
-    voe_ext = np.concatenate([var_of_edge, [n_raw]])
-    return chk_rows, voe_ext, var_edges
+    # repair duplicate (variable, check) incidences: an edge whose variable
+    # already sits earlier in its row is swapped with a random edge, taking
+    # duplicates in (row, variable, edge) order
+    slots = np.ascontiguousarray(chk_rows.T)  # slots[c]: column c of every row
+    for _ in range(64):
+        slot_vars = var_of_edge[slots]
+        dup = np.zeros(slots.shape, dtype=bool)
+        for c in range(1, len(slots)):
+            dup[c] = (slot_vars[:c] == slot_vars[c]).any(axis=0)
+        _, rows = np.nonzero(dup)
+        if rows.size == 0:
+            break
+        dup_edges = slots[dup]
+        dup_pos = dup_edges[np.lexsort((dup_edges, slot_vars[dup], rows))]
+        swap_with = rng.randbelow_array(np.full(dup_pos.size, e_tot))
+        for a, b in zip(dup_pos.tolist(), swap_with.tolist()):
+            perm[a], perm[b] = perm[b], perm[a]
+        var_of_edge[:e_tot] = perm // 3
+    else:
+        raise ReconError("could not build a simple parity-check graph")
+
+    # variable v owns sockets 3v..3v+2; their edges, ascending
+    socket_edge = np.empty(e_tot, dtype=np.int64)
+    socket_edge[perm] = np.arange(e_tot)
+    var_edges = np.sort(socket_edge.reshape(n_raw, 3), axis=1)
+    return chk_rows, var_of_edge, var_edges
 
 
 def _syndrome_bits_of(x_bits: np.ndarray, code_seed: bytes, n_raw: int,

@@ -125,6 +125,32 @@ class TestRelativeHamming:
         assert relative_hamming(x ^ y) == relative_hamming(y ^ x)
 
 
+def _randbelow_reference(rng, bounds):
+    """Rejection sampling in uint64: keep a word below (2**32 // b) * b."""
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    out = np.empty(bounds.size, dtype=np.int64)
+    pending = np.arange(bounds.size)
+    while pending.size:
+        b = bounds[pending]
+        words = rng.words32(pending.size).astype(np.uint64)
+        ok = words < (np.uint64(1 << 32) // b) * b
+        out[pending[ok]] = (words[ok] % b[ok]).astype(np.int64)
+        pending = pending[~ok]
+    return out
+
+
+class _ScriptedRng(Rng):
+    """An Rng whose 32-bit words come from a list."""
+
+    def __init__(self, words):
+        super().__init__(bytes(32))
+        self.script = list(words)
+
+    def words32(self, n):
+        out, self.script = self.script[:n], self.script[n:]
+        return np.array(out, dtype=np.uint32)
+
+
 class TestRng:
     def test_deterministic(self):
         a, b = Rng.from_int(7), Rng.from_int(7)
@@ -145,6 +171,33 @@ class TestRng:
         for _ in range(50):
             vals = rng.randbelow_array(bounds)
             assert np.all(vals >= 0) and np.all(vals < bounds)
+
+    @pytest.mark.parametrize("bound", [1, 2, 2 ** 31 + 5, 2 ** 32 - 1, 2 ** 32])
+    def test_randbelow_matches_uint64_reference(self, bound):
+        bounds = np.array([bound, 3, bound, 2 ** 31 + 5] * 500)
+        fast, slow = Rng.from_int(11), Rng.from_int(11)
+        expect = _randbelow_reference(slow, bounds)
+        assert np.array_equal(fast.randbelow_array(bounds), expect)
+        assert fast.position == slow.position
+
+    @pytest.mark.parametrize("bound", [1, 3, 5, 1000, 2 ** 31 + 5, 2 ** 32 - 1, 2 ** 32])
+    def test_randbelow_words_at_the_rejection_limit(self, bound):
+        limit = (1 << 32) // bound * bound
+        words = [w % (1 << 32) for w in (limit - 1, limit, limit + 1, 0)]
+        fast, slow = _ScriptedRng(words * 2), _ScriptedRng(words * 2)
+        for _ in range(len(words)):
+            assert fast.randbelow_array([bound]) == _randbelow_reference(slow, [bound])
+            assert len(fast.script) == len(slow.script)
+
+    def test_randbelow_full_range_is_raw_word(self):
+        a, b = Rng.from_int(12), Rng.from_int(12)
+        got = a.randbelow_array(np.full(64, 2 ** 32))
+        assert np.array_equal(got, b.words32(64))
+
+    @pytest.mark.parametrize("bound", [0, -1, 2 ** 32 + 1, 2 ** 40])
+    def test_randbelow_bound_out_of_range(self, bound):
+        with pytest.raises(BitcoreError):
+            Rng.from_int(13).randbelow_array(np.array([5, bound]))
 
     def test_uniform_range(self):
         u = Rng.from_int(2).uniform(10000)

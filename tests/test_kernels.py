@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrot import _kernels, recon
 from qrot.bitcore import Rng
@@ -33,6 +35,37 @@ class TestShuffleKernel:
         before = perm
         assert _kernels.fisher_yates_partial(perm, j) is None
         assert perm is before and perm.tolist() == expect
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_reference_property(self, data):
+        n = data.draw(st.integers(1, 300))
+        size = data.draw(st.integers(0, n))
+        perm = np.array(data.draw(st.permutations(range(n))), dtype=np.int64) * 5 - 7
+        rng = Rng.from_int(data.draw(st.integers(0, 2 ** 32)))
+        j = np.arange(size, dtype=np.int64) + rng.randbelow_array(n - np.arange(size))
+        if size:
+            # many steps aiming at one slot make long carry chains
+            hot = data.draw(st.integers(size - 1, n - 1))
+            j[data.draw(st.lists(st.integers(0, size - 1), max_size=size))] = hot
+            # swaps with themselves
+            mine = data.draw(st.lists(st.integers(0, size - 1), max_size=size))
+            j[mine] = mine
+        expect = _shuffle_reference(perm, j)
+        _kernels.fisher_yates_partial(perm, j)
+        assert perm.tolist() == expect
+
+    @pytest.mark.parametrize("n, j", [
+        (5, [0, 0]),           # j[1] < 1
+        (5, [1, 5]),           # j[1] == len(perm)
+        (2, [0, 1, 2]),        # more steps than slots
+        (5, [-1]),
+    ])
+    def test_precondition_checked(self, n, j):
+        perm = np.arange(n, dtype=np.int64)
+        with pytest.raises(ValueError):
+            _kernels.fisher_yates_partial(perm, np.array(j, dtype=np.int64))
+        assert perm.tolist() == list(range(n))
 
     def test_result_is_permutation(self):
         rng = Rng.from_int(61)
