@@ -1,6 +1,9 @@
 """Numpy implementations of the hot kernels: the partial Fisher-Yates shuffle
 (whole-array passes, no loop over the swaps; its result is that of the
-sequential swaps) and the normalized min-sum syndrome decoder.
+sequential swaps) and the normalized min-sum syndrome decoder (messages in a
+check-slot-major (dmax, m) array, so each check-side step is an elementwise
+pass over dmax contiguous rows; its output is that of the edge-indexed
+decoder, bit for bit).
 
 Callers reach these through the module (``_kernels.bp_decode``) at call time,
 so an instrumenting wrapper set on the module attribute sees every call.
@@ -92,48 +95,78 @@ def bp_decode(chk_rows: np.ndarray, var_of_edge: np.ndarray, var_edges: np.ndarr
     var_edges: (N, 3) edge ids per variable (every variable has degree 3).
     synd: (m,) target syndrome bits.
     Returns (error_pattern, converged, iterations_used).
+
+    Messages live in a check-slot-major (dmax, m) array: slot (c, i) is
+    column c of check i, so each check update is a pass over dmax contiguous
+    rows. ``chk_rows.T`` is read once to map slots to variables; it is a free
+    view when ``chk_rows`` is column-major, as ``recon._code_structure``
+    returns it. The check update keeps running minima ``min1 <= min2`` of
+    the magnitudes and sends ``norm * min2`` to a slot whose magnitude equals
+    ``min1``, else ``norm * min1``. That is exact on ties, where ``min2 ==
+    min1``. The sign is the XOR of the check's negative inputs, its syndrome
+    bit and the slot's own sign; setting it after the product ``norm * min``
+    gives the same number as multiplying by the +-1 factors first. A
+    variable's total is ``llr0 + ((c0 + c1) + c2)`` over its edges in
+    ascending order, the order of ``sum(axis=1)``. So every message and
+    decision is that of the plain edge-indexed decoder, bit for bit.
     """
     m, dmax = chk_rows.shape
     n = var_edges.shape[0]
     e_tot = var_of_edge.size - 1
+    synd = synd.astype(bool)
+    if not synd.any():
+        return np.zeros(n, dtype=np.uint8), True, 0
 
-    synd_sign = 1.0 - 2.0 * synd.astype(np.float64)
-    rows = np.arange(m)
-    cols = np.arange(dmax)
+    slot_edge = chk_rows.T.ravel()
+    var_of_slot = var_of_edge[slot_edge].reshape(dmax, m)
+    slot_of_edge = np.empty(e_tot + 1, dtype=np.intp)
+    slot_of_edge[slot_edge] = np.arange(dmax * m)
+    var_slots = slot_of_edge[var_edges]  # (n, 3) slots of each variable
+    pad = np.flatnonzero(slot_edge == e_tot)
+    del slot_edge, slot_of_edge
 
-    v2c = np.full(e_tot + 1, min(llr0, clamp), dtype=np.float64)
-    v2c[e_tot] = _INF
-    c2v = np.zeros(e_tot + 1, dtype=np.float64)
+    # padding slots carry an infinite magnitude, so they never set a minimum
+    # or a sign; their outgoing message is never read
+    v2c = np.full((dmax, m), min(llr0, clamp))
+    v2c.ravel()[pad] = _INF
+    neg = np.empty((dmax, m), dtype=bool)
+    mag = np.empty((dmax, m))
+    min1, min2, tmp = np.empty(m), np.empty(m), np.empty(m)
+    tot = np.zeros(n + 1)  # tot[n] = 0 for padding: never a 1 in the parity
+    inc = np.empty((n, 3))
+    at_slot = np.empty((dmax, m))
+    for it in range(1, max_iter + 1):
+        # check update: the sign sent out of a slot is the XOR of its own
+        # sign, every sign in its check and the check's syndrome bit
+        np.less(v2c, 0.0, out=neg)
+        neg ^= np.bitwise_xor.reduce(neg, axis=0) ^ synd
+        np.abs(v2c, out=mag)
+        min1[:] = mag[0]
+        min2.fill(_INF)
+        for row in mag[1:]:
+            np.maximum(min1, row, out=tmp)
+            np.minimum(min2, tmp, out=min2)
+            np.minimum(min1, row, out=min1)
+        c2v = np.where(mag == min1, norm * min2, norm * min1)
+        # negate by setting the sign bit (every magnitude is >= +0), built in
+        # the spent magnitude buffer
+        sign_bits = mag.view(np.uint64)
+        np.left_shift(neg, np.uint64(63), out=sign_bits)
+        c2v_bits = c2v.view(np.uint64)
+        c2v_bits |= sign_bits
 
-    hard = np.zeros(n + 1, dtype=np.uint8)
-    flat_var = var_edges.ravel()
-
-    for it in range(max_iter + 1):
-        parity = np.bitwise_xor.reduce(hard[var_of_edge[chk_rows]], axis=1)
-        if np.array_equal(parity, synd):
-            return hard[:n].copy(), True, it
+        # variable update, then the hard decision's syndrome
+        # (every index is in range; mode="clip" lets take write into out)
+        np.take(c2v, var_slots, out=inc, mode="clip")
+        tot[:n] = llr0 + ((inc[:, 0] + inc[:, 1]) + inc[:, 2])
+        np.take(tot, var_of_slot, out=at_slot, mode="clip")
+        np.less(at_slot, 0.0, out=neg)
+        if np.array_equal(np.bitwise_xor.reduce(neg, axis=0), synd):
+            return (tot[:n] < 0.0).astype(np.uint8), True, it
         if it == max_iter:
             break
+        np.subtract(at_slot, c2v, out=v2c)
+        np.clip(v2c, -clamp, clamp, out=v2c)
+        v2c.ravel()[pad] = _INF
 
-        # check node update (two-minimum trick)
-        msgs = v2c[chk_rows]
-        sgn = np.where(msgs < 0.0, -1.0, 1.0)
-        row_sign = synd_sign * sgn.prod(axis=1)
-        mag = np.abs(msgs)
-        i1 = np.argmin(mag, axis=1)
-        min1 = mag[rows, i1]
-        mag[rows, i1] = _INF
-        min2 = mag.min(axis=1)
-        out_mag = np.where(cols[None, :] == i1[:, None], min2[:, None], min1[:, None])
-        vals = norm * row_sign[:, None] * sgn * out_mag
-        c2v[chk_rows.ravel()] = vals.ravel()
-        c2v[e_tot] = 0.0
-
-        # variable node update
-        inc = c2v[var_edges]
-        tot = llr0 + inc.sum(axis=1)
-        v2c[flat_var] = np.clip(tot[:, None] - inc, -clamp, clamp).ravel()
-        v2c[e_tot] = _INF
-        hard[:n] = tot < 0.0
-
-    return hard[:n].copy(), False, max_iter
+    return (tot[:n] < 0.0).astype(np.uint8), False, max_iter

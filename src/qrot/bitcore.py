@@ -193,13 +193,6 @@ class IndexSet:
         return cls(arr, universe), end
 
 
-def relative_hamming(x: BitString) -> float:
-    """Fraction of set bits; the normalized Hamming weight."""
-    if x.length == 0:
-        raise BitcoreError("relative Hamming weight of the empty string")
-    return x.popcount() / x.length
-
-
 def extract(x: BitString, s: IndexSet) -> BitString:
     """Restriction of ``x`` to the positions in ``s``, in ascending order."""
     if s.universe > x.length or (len(s) and s.indices[-1] >= x.length):

@@ -86,6 +86,8 @@ class Syndrome:
         code_seed = raw[:32]
         ell = struct.unpack(">I", raw[32:36])[0]
         syn_end = 36 + (ell + 7) // 8
+        if len(raw) < syn_end + 2:
+            raise ReconError("truncated syndrome record")
         tau = struct.unpack(">H", raw[syn_end:syn_end + 2])[0]
         end = syn_end + 2 + (tau + 7) // 8
         if len(raw) < end:
@@ -109,10 +111,12 @@ def _code_structure(code_seed: bytes, n_raw: int, ell: int):
     """Edge arrays for a seeded (3, ~3n/ell)-regular code.
 
     Returns (chk_rows (m,dmax) padded with E, var_of_edge (E+1,),
-    var_edges (n,3)). Each check owns a contiguous run of edges, and edge e
-    meets variable perm[e] // 3, where perm is a seeded shuffle of the 3n
-    variable sockets. Duplicate variable-check incidences are repaired by
-    swapping sockets so every edge is distinct in GF(2).
+    var_edges (n,3)). chk_rows is column-major: ``chk_rows.T`` is a
+    C-ordered (dmax, m) view whose row c holds column c of every check.
+    Each check owns a contiguous run of edges, and edge e meets variable
+    perm[e] // 3, where perm is a seeded shuffle of the 3n variable sockets.
+    Duplicate variable-check incidences are repaired by swapping sockets so
+    every edge is distinct in GF(2).
     """
     rng = Rng(hashlib.blake2b(b"ldpc" + code_seed, digest_size=32).digest())
     e_tot = 3 * n_raw
@@ -125,16 +129,16 @@ def _code_structure(code_seed: bytes, n_raw: int, ell: int):
     row_deg = np.full(ell, base, dtype=np.int64)
     row_deg[:extra] += 1
     # check i owns the contiguous edges [start_i, start_i + row_deg[i]); rows
-    # differ in degree by at most one, so no row has two padding slots
-    cols = np.arange(int(row_deg.max()))
+    # differ in degree by at most one, so no row has two padding slots.
+    # slots[c, i] is column c of check i's row: chk_rows is its transpose
+    cols = np.arange(int(row_deg.max()))[:, None]
     start = np.cumsum(row_deg) - row_deg
-    chk_rows = np.where(cols < row_deg[:, None], start[:, None] + cols, e_tot)
+    slots = np.where(cols < row_deg, start + cols, e_tot)
     var_of_edge = np.append(perm // 3, n_raw)
 
     # repair duplicate (variable, check) incidences: an edge whose variable
     # already sits earlier in its row is swapped with a random edge, taking
     # duplicates in (row, variable, edge) order
-    slots = np.ascontiguousarray(chk_rows.T)  # slots[c]: column c of every row
     for _ in range(64):
         slot_vars = var_of_edge[slots]
         dup = np.zeros(slots.shape, dtype=bool)
@@ -156,14 +160,15 @@ def _code_structure(code_seed: bytes, n_raw: int, ell: int):
     socket_edge = np.empty(e_tot, dtype=np.int64)
     socket_edge[perm] = np.arange(e_tot)
     var_edges = np.sort(socket_edge.reshape(n_raw, 3), axis=1)
-    return chk_rows, var_of_edge, var_edges
+    return slots.T, var_of_edge, var_edges
 
 
 def _syndrome_bits_of(x_bits: np.ndarray, code_seed: bytes, n_raw: int,
                       ell: int) -> np.ndarray:
     chk_rows, var_of_edge, _ = _code_structure(code_seed, n_raw, ell)
-    ext = np.concatenate([x_bits.astype(np.uint8), [0]])
-    return np.bitwise_xor.reduce(ext[var_of_edge[chk_rows]], axis=1)
+    ext = np.append(x_bits.astype(np.uint8), np.uint8(0))  # variable n: padding
+    # XOR down the dmax contiguous rows of the (dmax, m) slot array
+    return np.bitwise_xor.reduce(ext[var_of_edge[chk_rows.T]], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +213,3 @@ def dec(s: Syndrome, y: BitString, params: IrParams) -> BitString | None:
         candidate = BitString.from_bits(y_bits ^ err)
 
     return candidate if _tag(candidate, params.tag_bits) == s.tag else None
-
-
-def epsilon_ir(params: IrParams) -> float:
-    """Wrong-accept probability bound: a tag collision."""
-    return 2.0 ** (-params.tag_bits)

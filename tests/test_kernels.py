@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from qrot import _kernels, recon
 from qrot.bitcore import Rng
+from qrot.protocol import desk_config
+
+_DESK = desk_config(ir_backend=recon.BACKEND_LDPC).ir_params
 
 
 def _shuffle_reference(perm, j):
@@ -15,6 +18,69 @@ def _shuffle_reference(perm, j):
     for i, t in enumerate(j.tolist()):
         out[i], out[t] = out[t], out[i]
     return out
+
+
+def _bp_decode_reference(chk_rows, var_of_edge, var_edges, synd, llr0,
+                         max_iter, norm, clamp):
+    """The edge-indexed decoder: padded (m, dmax) gathers of the messages,
+    argmin for the two minima, a product of signs and a scatter back."""
+    m, dmax = chk_rows.shape
+    n = var_edges.shape[0]
+    e_tot = var_of_edge.size - 1
+
+    synd_sign = 1.0 - 2.0 * synd.astype(np.float64)
+    rows = np.arange(m)
+    cols = np.arange(dmax)
+
+    v2c = np.full(e_tot + 1, min(llr0, clamp), dtype=np.float64)
+    v2c[e_tot] = np.inf
+    c2v = np.zeros(e_tot + 1, dtype=np.float64)
+
+    hard = np.zeros(n + 1, dtype=np.uint8)
+    flat_var = var_edges.ravel()
+
+    for it in range(max_iter + 1):
+        parity = np.bitwise_xor.reduce(hard[var_of_edge[chk_rows]], axis=1)
+        if np.array_equal(parity, synd):
+            return hard[:n].copy(), True, it
+        if it == max_iter:
+            break
+
+        msgs = v2c[chk_rows]
+        sgn = np.where(msgs < 0.0, -1.0, 1.0)
+        row_sign = synd_sign * sgn.prod(axis=1)
+        mag = np.abs(msgs)
+        i1 = np.argmin(mag, axis=1)
+        min1 = mag[rows, i1]
+        mag[rows, i1] = np.inf
+        min2 = mag.min(axis=1)
+        out_mag = np.where(cols[None, :] == i1[:, None], min2[:, None], min1[:, None])
+        vals = norm * row_sign[:, None] * sgn * out_mag
+        c2v[chk_rows.ravel()] = vals.ravel()
+        c2v[e_tot] = 0.0
+
+        inc = c2v[var_edges]
+        tot = llr0 + inc.sum(axis=1)
+        v2c[flat_var] = np.clip(tot[:, None] - inc, -clamp, clamp).ravel()
+        v2c[e_tot] = np.inf
+        hard[:n] = tot < 0.0
+
+    return hard[:n].copy(), False, max_iter
+
+
+def _noisy_target(graph, n, rng, p):
+    """Syndrome of a random flip pattern at rate p: the decoder's target."""
+    chk_rows, var_of_edge, _ = graph
+    flips = np.append(rng.uniform(n) < p, False).astype(np.uint8)
+    return np.bitwise_xor.reduce(flips[var_of_edge[chk_rows]], axis=1)
+
+
+def _assert_same_decode(graph, synd, llr0, max_iter=60, norm=0.8, clamp=25.0):
+    got = _kernels.bp_decode(*graph, synd, llr0, max_iter, norm, clamp)
+    want = _bp_decode_reference(*graph, synd, llr0, max_iter, norm, clamp)
+    assert got[0].dtype == want[0].dtype == np.uint8
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+    return got
 
 
 class TestShuffleKernel:
@@ -101,3 +167,78 @@ class TestBpKernel:
         hard, conv, iters = _kernels.bp_decode(chk, voe, ve, zero, llr0,
                                                60, 0.8, 25.0)
         assert conv and iters == 0 and hard.sum() == 0
+
+    @pytest.mark.parametrize("n, padded", [(30, True), (97, True),
+                                           (256, False), (1000, True),
+                                           (3000, True)])
+    def test_matches_reference_on_small_graphs(self, n, padded):
+        # a padded graph has rows of degree base and base + 1, so only some
+        # rows end in a padding slot; at n = 256 every row has degree 8
+        ir = recon.IrParams(n_raw=n, p_design=0.05, f=1.3)
+        ell = ir.syndrome_bits
+        assert bool(3 * n % ell) == padded
+        llr0 = math.log((1 - ir.p_design) / ir.p_design)
+        rng = Rng.from_int(70 + n)
+        for k, p in enumerate([0.0, 0.02, 0.05, 0.08, 0.15]):
+            graph = recon._code_structure(bytes([n % 256, k]) * 16, n, ell)
+            _assert_same_decode(graph, _noisy_target(graph, n, rng, p), llr0)
+
+    def test_matches_reference_on_desk_graph(self):
+        n, ell = _DESK.n_raw, _DESK.syndrome_bits
+        llr0 = math.log((1 - _DESK.p_design) / _DESK.p_design)
+        rng = Rng.from_int(71)
+        graph = recon._code_structure(b"\x08" * 32, n, ell)
+        results = [_assert_same_decode(graph, _noisy_target(graph, n, rng, p),
+                                       llr0)
+                   for p in [0.0, 0.01, 0.02, 0.03, 0.04, 0.045]]
+        # converged in 0 and in several iterations, and ran out at max_iter
+        assert results[0][1:] == (True, 0)
+        assert any(conv and iters > 3 for _, conv, iters in results)
+        assert (False, 60) in [r[1:] for r in results]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_property(self, data):
+        # arbitrary row degrees (2 or more, not just base and base + 1),
+        # padding at any column, duplicate incidences allowed, either
+        # memory order of chk_rows, and any iteration budget
+        rng = Rng.from_int(data.draw(st.integers(0, 2 ** 32)))
+        n = data.draw(st.integers(2, 120))
+        e_tot = 3 * n
+        m = data.draw(st.integers(1, e_tot // 2))
+        cuts = np.sort(rng.randbelow_array(np.full(m - 1, e_tot - 2 * m + 1)))
+        row_deg = np.diff(np.concatenate([[0], cuts, [e_tot - 2 * m]])) + 2
+        dmax = int(row_deg.max()) + data.draw(st.integers(0, 2))
+        chk_rows = np.full((m, dmax), e_tot, dtype=np.int64)
+        start = np.cumsum(row_deg) - row_deg
+        for i in range(m):
+            at = np.argsort(rng.uniform(dmax))[:row_deg[i]]
+            chk_rows[i, np.sort(at)] = start[i] + np.arange(row_deg[i])
+        if data.draw(st.booleans()):
+            chk_rows = np.asfortranarray(chk_rows)
+        var_of_edge = np.append(np.argsort(rng.uniform(e_tot)) // 3, n)
+        var_edges = np.argsort(var_of_edge[:-1], kind="stable").reshape(n, 3)
+        graph = (chk_rows, var_of_edge, var_edges)
+
+        p = data.draw(st.sampled_from([0.0, 0.03, 0.1, 0.3]))
+        llr0 = data.draw(st.sampled_from([0.5, 3.0, 30.0]))
+        max_iter = data.draw(st.integers(0, 25))
+        _assert_same_decode(graph, _noisy_target(graph, n, rng, p), llr0,
+                            max_iter=max_iter,
+                            norm=data.draw(st.sampled_from([0.75, 0.8, 1.0])))
+
+
+class TestSyndromeBits:
+    @pytest.mark.parametrize("n, ell", [(30, 11), (97, 40), (1000, 337),
+                                        (_DESK.n_raw, _DESK.syndrome_bits)])
+    def test_matches_row_reduction(self, n, ell):
+        # the syndrome as an XOR along each padded (m, dmax) row
+        rng = Rng.from_int(72 + n)
+        code_seed = rng.bytes(32)
+        chk_rows, var_of_edge, _ = recon._code_structure(code_seed, n, ell)
+        for _ in range(3):
+            x = np.frombuffer(rng.bytes(n), np.uint8) & 1
+            ext = np.concatenate([x, [0]]).astype(np.uint8)
+            want = np.bitwise_xor.reduce(ext[var_of_edge[chk_rows]], axis=1)
+            got = recon._syndrome_bits_of(x, code_seed, n, ell)
+            assert got.dtype == np.uint8 and np.array_equal(got, want)

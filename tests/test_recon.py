@@ -8,12 +8,17 @@ from qrot import recon
 from qrot.bitcore import BitString, Rng
 from qrot.protocol import desk_config
 from qrot.recon import (BACKEND_LDPC, BACKEND_TRIVIAL, IrParams, ReconError,
-                        Syndrome, dec, epsilon_ir, syn)
+                        Syndrome, dec, syn)
 
 N = 4096
 IR = IrParams(n_raw=N, p_design=0.05, f=1.3, tag_bits=32)
 _DESK = desk_config(ir_backend=BACKEND_LDPC).ir_params
 DESK_N, DESK_ELL = _DESK.n_raw, _DESK.syndrome_bits  # 23101, 7277
+
+
+def epsilon_ir(params):
+    """Wrong-accept probability bound: a tag collision."""
+    return 2.0 ** (-params.tag_bits)
 
 
 def _code_structure_reference(code_seed, n_raw, ell):
@@ -104,6 +109,21 @@ class TestWireForm:
         raw = syn(x, IR, rng.bytes(32)).serialize()
         with pytest.raises(ReconError):
             Syndrome.parse(raw[:-3])
+
+    @pytest.mark.parametrize("cut", [0, 1])
+    def test_cut_in_tag_length_rejected(self, cut):
+        # 32-byte seed, an 8-bit syndrome of one byte, then 0 or 1 of the
+        # two tag-length bytes
+        raw = bytes(32) + b"\x00\x00\x00\x08" + b"\x01" + b"\x00" * cut
+        with pytest.raises(ReconError):
+            Syndrome.parse(raw)
+
+    def test_every_prefix_rejected(self):
+        x, _, rng = _pair(3)
+        raw = syn(x, IR, rng.bytes(32)).serialize()
+        for k in range(len(raw)):
+            with pytest.raises(ReconError):
+                Syndrome.parse(raw[:k])
 
 
 class TestDecode:
