@@ -85,46 +85,39 @@ def fisher_yates_partial(perm: np.ndarray, j: np.ndarray) -> None:
     perm[step] = landed
 
 
-def bp_decode(chk_rows: np.ndarray, var_of_edge: np.ndarray, var_edges: np.ndarray,
-              synd: np.ndarray, llr0: float, max_iter: int, norm: float,
+def bp_decode(var_of_slot: np.ndarray, var_slots: np.ndarray, synd: np.ndarray,
+              llr0: float, max_iter: int, norm: float,
               clamp: float) -> tuple[np.ndarray, bool, int]:
-    """Normalized min-sum syndrome decoding on a (3, d_c)-regular-ish code.
+    """Normalized min-sum syndrome decoding on a code whose variables all
+    have degree 3.
 
-    chk_rows: (m, dmax) edge ids per check, padded with E (the sentinel edge).
-    var_of_edge: (E+1,) variable id per edge, sentinel maps to variable N.
-    var_edges: (N, 3) edge ids per variable (every variable has degree 3).
+    var_of_slot: (dmax, m) variable in slot (c, i), column c of check i;
+    N in a padding slot.
+    var_slots: (N, 3) flat slot indices (c * m + i) of each variable, in
+    ascending edge order.
     synd: (m,) target syndrome bits.
     Returns (error_pattern, converged, iterations_used).
 
-    Messages live in a check-slot-major (dmax, m) array: slot (c, i) is
-    column c of check i, so each check update is a pass over dmax contiguous
-    rows. ``chk_rows.T`` is read once to map slots to variables; it is a free
-    view when ``chk_rows`` is column-major, as ``recon._code_structure``
-    returns it. The check update keeps running minima ``min1 <= min2`` of
-    the magnitudes and sends ``norm * min2`` to a slot whose magnitude equals
+    This is the layout ``recon._code_structure`` returns. Messages live in a
+    (dmax, m) array, so each check update is a pass over dmax contiguous
+    rows. The check update keeps running minima ``min1 <= min2`` of the
+    magnitudes and sends ``norm * min2`` to a slot whose magnitude equals
     ``min1``, else ``norm * min1``. That is exact on ties, where ``min2 ==
     min1``. The sign is the XOR of the check's negative inputs, its syndrome
     bit and the slot's own sign; setting it after the product ``norm * min``
     gives the same number as multiplying by the +-1 factors first. A
-    variable's total is ``llr0 + ((c0 + c1) + c2)`` over its edges in
-    ascending order, the order of ``sum(axis=1)``. So every message and
-    decision is that of the plain edge-indexed decoder, bit for bit.
+    variable's total is ``llr0 + ((c0 + c1) + c2)`` over its slots in
+    ascending edge order, the order of ``sum(axis=1)`` over its edges. So
+    every message and decision is that of the plain edge-indexed decoder,
+    bit for bit.
     """
-    m, dmax = chk_rows.shape
-    n = var_edges.shape[0]
-    e_tot = var_of_edge.size - 1
+    dmax, m = var_of_slot.shape
+    n = var_slots.shape[0]
     synd = synd.astype(bool)
     if not synd.any():
         return np.zeros(n, dtype=np.uint8), True, 0
 
-    slot_edge = chk_rows.T.ravel()
-    var_of_slot = var_of_edge[slot_edge].reshape(dmax, m)
-    slot_of_edge = np.empty(e_tot + 1, dtype=np.intp)
-    slot_of_edge[slot_edge] = np.arange(dmax * m)
-    var_slots = slot_of_edge[var_edges]  # (n, 3) slots of each variable
-    pad = np.flatnonzero(slot_edge == e_tot)
-    del slot_edge, slot_of_edge
-
+    pad = np.flatnonzero(var_of_slot.ravel() == n)
     # padding slots carry an infinite magnitude, so they never set a minimum
     # or a sign; their outgoing message is never read
     v2c = np.full((dmax, m), min(llr0, clamp))

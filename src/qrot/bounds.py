@@ -41,34 +41,6 @@ def binary_kl(q: float, p: float) -> float:
     return q * math.log(q / p) + (1.0 - q) * math.log((1.0 - q) / (1.0 - p))
 
 
-def hoeffding_a(n: float, alpha: float, delta: float) -> float:
-    """Sampled subset vs whole set, sampling without replacement."""
-    _check_hoeffding(alpha, delta)
-    return 2.0 * math.exp(-2.0 * alpha * n * delta * delta)
-
-
-def hoeffding_b(n: float, alpha: float, delta: float) -> float:
-    """Sampled subset vs its complement."""
-    _check_hoeffding(alpha, delta)
-    return 2.0 * math.exp(-2.0 * alpha * (1.0 - alpha) ** 2 * n * delta * delta)
-
-
-def hoeffding_c(n: float, alpha: float, delta: float, n0: float) -> float:
-    """Subset vs complement when only n0 or more of the sample is kept."""
-    _check_hoeffding(alpha, delta)
-    if n0 < 1:
-        raise BoundsError("kept sample size must be at least 1")
-    return 2.0 * (math.exp(-0.5 * alpha * (1.0 - alpha) ** 2 * n * delta * delta)
-                  + math.exp(-0.5 * n0 * delta * delta))
-
-
-def _check_hoeffding(alpha: float, delta: float) -> None:
-    if not 0.0 < alpha < 0.5:
-        raise BoundsError("test ratio must be in (0, 1/2)")
-    if delta <= 0.0:
-        raise BoundsError("tolerance must be positive")
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     """Full protocol parameter record with derived block sizes.
@@ -89,6 +61,12 @@ class ProtocolParams:
     eps_bind: float = 2.0 ** -32
 
     def __post_init__(self):
+        # one call per field, no iterator: the optimizer builds one per probe
+        fin = math.isfinite
+        if not (fin(self.alpha) and fin(self.delta1) and fin(self.delta2)
+                and fin(self.p_max) and fin(self.f) and fin(self.p_multi)
+                and fin(self.eps_ir) and fin(self.eps_bind)):
+            raise BoundsError("parameters must be finite")
         if not 0.0 < self.alpha < 1.0:
             raise BoundsError("test ratio must be in (0, 1)")
         if self.delta1 < 0.0 or self.delta2 < 0.0 or self.delta2 >= 0.5:
@@ -118,18 +96,25 @@ class ProtocolParams:
         return replace(self, n=n)
 
 
+def rate_bracket(p_max: float, f: float, delta1: float = 0.0,
+                 delta2: float = 0.0) -> float:
+    """Per-raw-bit entropy budget after the reconciliation leak and the
+    tolerances; -inf where the effective error rate reaches 1/2."""
+    q = (p_max + delta1) / (0.5 - delta2)
+    if q >= 0.5:
+        return -math.inf
+    return (0.5 - 2.0 * delta2 / (1.0 - 2.0 * delta2) - binary_entropy(q)
+            - f * binary_entropy(p_max + delta1))
+
+
 def entropy_rate_bracket(params: ProtocolParams, experimental: bool) -> float:
-    """Per-bit min-entropy budget after reconciliation leak and tolerances.
+    """``rate_bracket`` at the parameter point.
 
     The experimental variant additionally charges the multi-photon leak.
     """
-    q = (params.p_max + params.delta1) / (0.5 - params.delta2)
-    if q >= 0.5:
+    bracket = rate_bracket(params.p_max, params.f, params.delta1, params.delta2)
+    if bracket == -math.inf:
         raise BoundsError("rate bracket undefined: effective error rate >= 1/2")
-    bracket = (0.5
-               - 2.0 * params.delta2 / (1.0 - 2.0 * params.delta2)
-               - binary_entropy(q)
-               - params.f * binary_entropy(params.p_max + params.delta1))
     if experimental:
         bracket -= params.p_multi / (0.5 - params.delta2)
     return bracket

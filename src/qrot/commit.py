@@ -3,7 +3,7 @@
 Construction: the verifier sends a random challenge r1; a basis of message-
 length many linearly independent vectors is derived from r1; the committer
 publishes H(seed) xor the basis combination selected by the message bits.
-Opening is the pair (message, seed) and verification recomputes the
+An opening is the pair (message, seed) and verification recomputes the
 commitment.
 
 The hash is pluggable: a BLAKE2 instantiation for general use, a fixed-key
@@ -141,11 +141,6 @@ def _blake2_expand(data: bytes, out_bytes: int) -> bytes:
     return b"".join(chunks)[:out_bytes]
 
 
-def owf_expand(hash_id: int, data: bytes, out_bits: int) -> BitString:
-    arr = np.frombuffer(data, dtype=np.uint8).reshape(1, -1)
-    return BitString(owf_expand_batch(hash_id, arr, out_bits)[0], out_bits)
-
-
 # ---------------------------------------------------------------------------
 # challenge and basis derivation
 # ---------------------------------------------------------------------------
@@ -205,57 +200,6 @@ def _reduce_and_insert(vec: int, pivots: list[int]) -> bool:
     pivots.append(vec)
     pivots.sort(reverse=True)
     return True
-
-
-# ---------------------------------------------------------------------------
-# commit / open / verify
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Opening:
-    message: BitString
-    seed: BitString
-
-    def serialize(self) -> bytes:
-        return self.message.serialize() + self.seed.serialize()
-
-    @classmethod
-    def parse(cls, raw: bytes) -> "Opening":
-        message, used = BitString.parse(raw)
-        seed, used2 = BitString.parse(raw[used:])
-        if used + used2 != len(raw):
-            raise CommitError("trailing bytes in opening")
-        return cls(message, seed)
-
-
-def commit(m: BitString, s: BitString, r: Challenge, params: CommitParams,
-           hash_id: int = HASH_BLAKE2) -> BitString:
-    if m.length != params.n_msg or s.length != params.n_s:
-        raise CommitError("message or seed length mismatch")
-    basis = derive_basis(r, params.n_msg)
-    com = owf_expand(hash_id, s.payload, params.n_c)
-    for i, bit in enumerate(m.bits()):
-        if bit:
-            com = com ^ basis[i]
-    return com
-
-
-def open_commitment(m: BitString, s: BitString, params: CommitParams) -> Opening:
-    if m.length != params.n_msg or s.length != params.n_s:
-        raise CommitError("message or seed length mismatch")
-    return Opening(m, s)
-
-
-def verify(com: BitString, opening: Opening, r: Challenge, params: CommitParams,
-           hash_id: int = HASH_BLAKE2) -> BitString | None:
-    """Recompute the commitment; returns the message, or None on reject."""
-    try:
-        if opening.message.length != params.n_msg or opening.seed.length != params.n_s:
-            return None
-        expected = commit(opening.message, opening.seed, r, params, hash_id)
-    except (CommitError, ValueError):
-        return None
-    return opening.message if expected == com else None
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,11 @@ popcount of a byte-aligned diagonal window ANDed with the packed input.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from qrot import bounds
 from qrot.bitcore import BitString, Rng
 
 class PampError(ValueError):
@@ -73,42 +71,3 @@ def hash_bits(seed: ToeplitzSeed, x: BitString) -> BitString:
             np.packbits(diag[r:]), xp.size)[:(n_out - 1 - r) // 8 + 1]
         out[n_out - 1 - r::-8] = np.bitwise_count(windows & xp).sum(axis=1) & 1
     return BitString.from_bits(out)
-
-
-def universality_probe(n_in: int, n_out: int, trials: int, rng: Rng) -> float:
-    """Empirical collision frequency of random distinct inputs under random
-    seeds; 2-universality promises at most 2^-n_out."""
-    if n_in > 24:
-        raise PampError("probe limited to small inputs")
-    collisions = 0
-    chunk = 4096
-    done = 0
-    nbits = n_in + n_out - 1
-    while done < trials:
-        t = min(chunk, trials - done)
-        diag = (np.frombuffer(rng.bytes(t * nbits), np.uint8) & 1).reshape(t, nbits)
-        x = (np.frombuffer(rng.bytes(t * n_in), np.uint8) & 1).reshape(t, n_in)
-        y = (np.frombuffer(rng.bytes(t * n_in), np.uint8) & 1).reshape(t, n_in)
-        same = np.all(x == y, axis=1)
-        if same.any():  # resample collided inputs by flipping one bit
-            y[same, 0] ^= 1
-        # batch windowed product
-        windows = np.stack([
-            diag[:, n_out - 1 - i: n_out - 1 - i + n_in] for i in range(n_out)
-        ], axis=1)
-        hx = (windows @ x[:, :, None].astype(np.int64)) & 1
-        hy = (windows @ y[:, :, None].astype(np.int64)) & 1
-        collisions += int(np.all(hx == hy, axis=(1, 2)).sum())
-        done += t
-    return collisions / trials
-
-
-def output_length(params: bounds.ProtocolParams, multi_photon: bool,
-                  budget: float) -> int:
-    """Largest output size whose leftover-hash term stays within ``budget``."""
-    if budget <= 0.0:
-        raise PampError("budget must be positive")
-    bracket = bounds.entropy_rate_bracket(params, multi_photon)
-    # 0.5 * 2^((n - N_raw*bracket)/2) <= budget
-    n_max = math.floor(params.n_raw * bracket + 2.0 * math.log2(2.0 * budget))
-    return max(0, min(n_max, params.n_raw - 1))

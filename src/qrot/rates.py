@@ -1,8 +1,7 @@
 """Key-rate and resource analysis.
 
 Largest secure output length, critical error rate, critical signal count with
-tolerance optimization, OT throughput, and deterministic CSV emission for the
-rate curves.
+tolerance optimization, and deterministic CSV emission for the rate curves.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ import math
 from dataclasses import dataclass, replace
 
 from qrot import bounds
-from qrot.bounds import BoundsError, ProtocolParams, binary_entropy
+from qrot.bounds import BoundsError, ProtocolParams
 
 
 class RatesError(ValueError):
@@ -59,37 +58,26 @@ def key_rate(params: ProtocolParams, eps_target: float, experimental: bool = Fal
     return n_max(params, eps_target, experimental, asymptotic) / params.n0
 
 
-def asymptotic_bracket(p_max: float, f: float, alpha: float = 0.0,
-                       delta1: float = 0.0, delta2: float = 0.0) -> float:
-    """Per-raw-bit entropy budget in the large-N0 limit."""
-    q = (p_max + delta1) / (0.5 - delta2)
-    if q >= 0.5:
-        return -math.inf
-    return (0.5 - 2.0 * delta2 / (1.0 - 2.0 * delta2) - binary_entropy(q)
-            - f * binary_entropy(p_max + delta1))
-
-
 def asymptotic_key_rate(p_max: float, f: float, alpha: float = 0.0,
                         delta1: float = 0.0, delta2: float = 0.0) -> float:
     """n_max / N0 in the large-N0 limit: the raw fraction times the bracket."""
-    bracket = asymptotic_bracket(p_max, f, alpha, delta1, delta2)
+    bracket = bounds.rate_bracket(p_max, f, delta1, delta2)
     return max(0.0, (0.5 - delta2) * (1.0 - alpha) * bracket)
 
 
-def p_crit(f: float, alpha: float = 0.0, delta1: float = 0.0,
-           delta2: float = 0.0) -> float:
+def p_crit(f: float) -> float:
     """Error rate at which the asymptotic key rate hits zero (bisection)."""
     if f < 1.0:
         raise RatesError("IR efficiency below the Shannon limit")
-    lo, hi = 0.0, 0.25 - delta1 - 1e-9
+    lo, hi = 0.0, 0.25 - 1e-9
 
     def g(p: float) -> float:
-        return asymptotic_bracket(p, f, alpha, delta1, delta2)
+        return bounds.rate_bracket(p, f)
 
     if g(lo) <= 0.0:
         return 0.0
     while g(hi) > 0.0:
-        hi = min(0.5 - delta2 - delta1 - 1e-9, hi * 1.5)
+        hi = min(0.5 - 1e-9, hi * 1.5)
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if g(mid) > 0.0:
@@ -210,15 +198,6 @@ def n_crit(eps_target: float, p_max: float, f: float, p_multi: float,
                        eps_ir=eps_ir, eps_bind=eps_bind)
     achieved = bounds.eps_max(p, experimental).eps_max
     return OptimizeResult(n0, a, d1, d2, achieved, n_target, True)
-
-
-def ot_rate(r_c: float, n_crit_signals: int) -> float:
-    """Potential OT instances per second from the coincidence rate."""
-    if n_crit_signals <= 0:
-        raise RatesError("critical signal count must be positive")
-    if r_c < 0:
-        raise RatesError("coincidence rate must be non-negative")
-    return r_c / n_crit_signals
 
 
 # ---------------------------------------------------------------------------

@@ -108,15 +108,17 @@ def _tag(x: BitString, tag_bits: int) -> BitString:
 
 @lru_cache(maxsize=8)
 def _code_structure(code_seed: bytes, n_raw: int, ell: int):
-    """Edge arrays for a seeded (3, ~3n/ell)-regular code.
+    """Check-slot-major arrays of a seeded (3, ~3n/ell)-regular code.
 
-    Returns (chk_rows (m,dmax) padded with E, var_of_edge (E+1,),
-    var_edges (n,3)). chk_rows is column-major: ``chk_rows.T`` is a
-    C-ordered (dmax, m) view whose row c holds column c of every check.
-    Each check owns a contiguous run of edges, and edge e meets variable
-    perm[e] // 3, where perm is a seeded shuffle of the 3n variable sockets.
-    Duplicate variable-check incidences are repaired by swapping sockets so
-    every edge is distinct in GF(2).
+    Returns (var_of_slot (dmax, m), var_slots (n, 3)). Slot (c, i) is column
+    c of check i, and var_of_slot[c, i] is the variable it meets, or n for
+    a padding slot. var_slots[v] holds the flat indices (c * m + i) of
+    variable v's three slots, in ascending edge order.
+
+    Edges are numbered check by check: check i owns a contiguous run of
+    edges, and edge e meets variable perm[e] // 3, where perm is a seeded
+    shuffle of the 3n variable sockets. Duplicate variable-check incidences
+    are repaired by swapping sockets so every edge is distinct in GF(2).
     """
     rng = Rng(hashlib.blake2b(b"ldpc" + code_seed, digest_size=32).digest())
     e_tot = 3 * n_raw
@@ -130,45 +132,46 @@ def _code_structure(code_seed: bytes, n_raw: int, ell: int):
     row_deg[:extra] += 1
     # check i owns the contiguous edges [start_i, start_i + row_deg[i]); rows
     # differ in degree by at most one, so no row has two padding slots.
-    # slots[c, i] is column c of check i's row: chk_rows is its transpose
+    # slots[c, i] is the edge in slot (c, i), or e_tot for padding
     cols = np.arange(int(row_deg.max()))[:, None]
     start = np.cumsum(row_deg) - row_deg
     slots = np.where(cols < row_deg, start + cols, e_tot)
-    var_of_edge = np.append(perm // 3, n_raw)
 
     # repair duplicate (variable, check) incidences: an edge whose variable
     # already sits earlier in its row is swapped with a random edge, taking
     # duplicates in (row, variable, edge) order
     for _ in range(64):
-        slot_vars = var_of_edge[slots]
+        var_of_slot = np.append(perm // 3, n_raw)[slots]
         dup = np.zeros(slots.shape, dtype=bool)
         for c in range(1, len(slots)):
-            dup[c] = (slot_vars[:c] == slot_vars[c]).any(axis=0)
+            dup[c] = (var_of_slot[:c] == var_of_slot[c]).any(axis=0)
         _, rows = np.nonzero(dup)
         if rows.size == 0:
             break
         dup_edges = slots[dup]
-        dup_pos = dup_edges[np.lexsort((dup_edges, slot_vars[dup], rows))]
+        dup_pos = dup_edges[np.lexsort((dup_edges, var_of_slot[dup], rows))]
         swap_with = rng.randbelow_array(np.full(dup_pos.size, e_tot))
         for a, b in zip(dup_pos.tolist(), swap_with.tolist()):
             perm[a], perm[b] = perm[b], perm[a]
-        var_of_edge[:e_tot] = perm // 3
     else:
         raise ReconError("could not build a simple parity-check graph")
 
-    # variable v owns sockets 3v..3v+2; their edges, ascending
+    # variable v owns sockets 3v..3v+2; their edges ascending, then the
+    # slots of those edges
     socket_edge = np.empty(e_tot, dtype=np.int64)
     socket_edge[perm] = np.arange(e_tot)
-    var_edges = np.sort(socket_edge.reshape(n_raw, 3), axis=1)
-    return slots.T, var_of_edge, var_edges
+    slot_of_edge = np.empty(e_tot + 1, dtype=np.int64)
+    slot_of_edge[slots.ravel()] = np.arange(slots.size)
+    var_slots = slot_of_edge[np.sort(socket_edge.reshape(n_raw, 3), axis=1)]
+    return var_of_slot, var_slots
 
 
 def _syndrome_bits_of(x_bits: np.ndarray, code_seed: bytes, n_raw: int,
                       ell: int) -> np.ndarray:
-    chk_rows, var_of_edge, _ = _code_structure(code_seed, n_raw, ell)
+    var_of_slot, _ = _code_structure(code_seed, n_raw, ell)
     ext = np.append(x_bits.astype(np.uint8), np.uint8(0))  # variable n: padding
     # XOR down the dmax contiguous rows of the (dmax, m) slot array
-    return np.bitwise_xor.reduce(ext[var_of_edge[chk_rows.T]], axis=0)
+    return np.bitwise_xor.reduce(ext[var_of_slot], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +205,11 @@ def dec(s: Syndrome, y: BitString, params: IrParams) -> BitString | None:
         y_bits = y.bits()
         target = _syndrome_bits_of(y_bits, s.code_seed, params.n_raw,
                                    params.syndrome_bits) ^ s.syn.bits()
-        chk_rows, var_of_edge, var_edges = _code_structure(
+        var_of_slot, var_slots = _code_structure(
             s.code_seed, params.n_raw, params.syndrome_bits)
         llr0 = math.log((1.0 - params.p_design) / params.p_design)
         err, converged, _ = _kernels.bp_decode(
-            chk_rows, var_of_edge, var_edges, target.astype(np.uint8),
+            var_of_slot, var_slots, target.astype(np.uint8),
             llr0, BP_MAX_ITER, BP_NORM, LLR_CLAMP)
         if not converged:
             return None

@@ -18,6 +18,7 @@ from qrot import bounds, commit, pamp, protocol, qsim, rates, recon
 from qrot.bitcore import BitString, Rng
 from qrot.bounds import TABLE1_PARAMS, ProtocolParams
 from qrot.protocol import AbortReason, CheatHooks, desk_config, run_session
+from test_pamp import universality_probe
 
 
 class _Budget:
@@ -241,8 +242,7 @@ def test_criterion_8_scheme_property_suites():
 
     # hashing 2-universality: empirical collision rate within 3 sigma of 2^-n
     n_out, probes = 16, 200_000
-    freq = pamp.universality_probe(n_in=20, n_out=n_out, trials=probes,
-                                   rng=rng)
+    freq = universality_probe(n_in=20, n_out=n_out, trials=probes, rng=rng)
     p_u = 2.0 ** -n_out
     assert freq <= p_u + 3.0 * (p_u / probes) ** 0.5
 

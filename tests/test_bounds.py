@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,7 @@ from hypothesis import strategies as st
 from qrot import bounds
 from qrot.bounds import (BoundsError, ProtocolParams, TABLE1_PARAMS,
                          binary_entropy, binary_kl, entropy_rate_bracket,
-                         eps_correctness, eps_max, hoeffding_a, hoeffding_b,
-                         hoeffding_c)
+                         eps_correctness, eps_max)
 
 
 class TestEntropy:
@@ -42,26 +42,6 @@ class TestKl:
             binary_kl(0.2, 0.0)
 
 
-class TestHoeffding:
-    def test_shrinks_with_n(self):
-        assert hoeffding_a(1e6, 0.3, 0.01) < hoeffding_a(1e4, 0.3, 0.01)
-        assert hoeffding_b(1e6, 0.3, 0.01) < hoeffding_b(1e4, 0.3, 0.01)
-        assert hoeffding_c(1e6, 0.3, 0.01, 1e5) < hoeffding_c(1e4, 0.3, 0.01, 1e3)
-
-    def test_values(self):
-        # direct exponent evaluation
-        assert hoeffding_a(1e4, 0.25, 0.02) == pytest.approx(
-            2 * math.exp(-2 * 0.25 * 1e4 * 4e-4), rel=1e-12)
-        assert hoeffding_b(1e4, 0.25, 0.02) == pytest.approx(
-            2 * math.exp(-2 * 0.25 * 0.5625 * 1e4 * 4e-4), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(BoundsError):
-            hoeffding_a(1e4, 0.6, 0.02)
-        with pytest.raises(BoundsError):
-            hoeffding_c(1e4, 0.25, 0.02, 0)
-
-
 class TestParams:
     def test_table1_derived_sizes(self):
         p = TABLE1_PARAMS
@@ -84,6 +64,13 @@ class TestParams:
         with pytest.raises(BoundsError):
             ProtocolParams(n0=100, alpha=0.3, delta1=0.01, delta2=0.01,
                            p_max=0.01, n=1, f=0.9)
+
+    @pytest.mark.parametrize("field", ["alpha", "delta1", "delta2", "p_max",
+                                       "f", "p_multi", "eps_ir", "eps_bind"])
+    def test_non_finite_rejected(self, field):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(BoundsError, match="finite"):
+                replace(TABLE1_PARAMS, **{field: value})
 
 
 class TestBracket:

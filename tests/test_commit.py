@@ -1,14 +1,62 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from qrot import commit
 from qrot.bitcore import BitString, Rng
 from qrot.commit import (HASH_AES128, HASH_BLAKE2, HASH_TOY16, Challenge,
-                         CommitError, CommitParams, Opening, commit_batch,
-                         derive_basis, owf_expand, sample_challenge,
-                         verify, verify_batch)
+                         CommitError, CommitParams, commit_batch,
+                         derive_basis, sample_challenge, verify_batch)
 
 PARAMS = CommitParams(k=32, n_msg=2)
+
+
+# The scalar commitment path: one message at a time, the oracle for the
+# batch path the protocol uses.
+
+def owf_expand(hash_id, data, out_bits):
+    arr = np.frombuffer(data, dtype=np.uint8).reshape(1, -1)
+    return BitString(commit.owf_expand_batch(hash_id, arr, out_bits)[0], out_bits)
+
+
+@dataclass(frozen=True)
+class Opening:
+    message: BitString
+    seed: BitString
+
+    def serialize(self):
+        return self.message.serialize() + self.seed.serialize()
+
+    @classmethod
+    def parse(cls, raw):
+        message, used = BitString.parse(raw)
+        seed, used2 = BitString.parse(raw[used:])
+        if used + used2 != len(raw):
+            raise CommitError("trailing bytes in opening")
+        return cls(message, seed)
+
+
+def commit_one(m, s, r, params, hash_id=HASH_BLAKE2):
+    if m.length != params.n_msg or s.length != params.n_s:
+        raise CommitError("message or seed length mismatch")
+    basis = derive_basis(r, params.n_msg)
+    com = owf_expand(hash_id, s.payload, params.n_c)
+    for i, bit in enumerate(m.bits()):
+        if bit:
+            com = com ^ basis[i]
+    return com
+
+
+def verify(com, opening, r, params, hash_id=HASH_BLAKE2):
+    """Recompute the commitment; returns the message, or None on reject."""
+    try:
+        if opening.message.length != params.n_msg or opening.seed.length != params.n_s:
+            return None
+        expected = commit_one(opening.message, opening.seed, r, params, hash_id)
+    except (CommitError, ValueError):
+        return None
+    return opening.message if expected == com else None
 
 
 def _rng(i=0):
@@ -78,21 +126,21 @@ class TestCommitVerify:
         rng = _rng()
         r = sample_challenge(rng, PARAMS)
         m, s = rng.bits(2), rng.bits(PARAMS.n_s)
-        com = commit.commit(m, s, r, PARAMS)
+        com = commit_one(m, s, r, PARAMS)
         assert verify(com, Opening(m, s), r, PARAMS) == m
 
     def test_wrong_seed_rejected(self):
         rng = _rng(1)
         r = sample_challenge(rng, PARAMS)
         m, s = rng.bits(2), rng.bits(PARAMS.n_s)
-        com = commit.commit(m, s, r, PARAMS)
+        com = commit_one(m, s, r, PARAMS)
         assert verify(com, Opening(m, rng.bits(PARAMS.n_s)), r, PARAMS) is None
 
     def test_wrong_message_rejected(self):
         rng = _rng(2)
         r = sample_challenge(rng, PARAMS)
         m, s = BitString.from_bits([0, 1]), rng.bits(PARAMS.n_s)
-        com = commit.commit(m, s, r, PARAMS)
+        com = commit_one(m, s, r, PARAMS)
         assert verify(com, Opening(BitString.from_bits([1, 1]), s), r, PARAMS) is None
 
     def test_verify_never_raises_on_garbage(self):
@@ -106,7 +154,7 @@ class TestCommitVerify:
         rng = _rng(4)
         r = sample_challenge(rng, PARAMS)
         s = rng.bits(PARAMS.n_s)
-        com = commit.commit(BitString.zeros(2), s, r, PARAMS)
+        com = commit_one(BitString.zeros(2), s, r, PARAMS)
         assert com == owf_expand(HASH_BLAKE2, s.payload, PARAMS.n_c)
 
     def test_opening_wire_round_trip(self):
@@ -124,9 +172,9 @@ class TestBatch:
                               np.uint8).reshape(n, PARAMS.seed_bytes)
         coms = commit_batch(msgs, seeds, r, PARAMS, HASH_AES128)
         for i in range(n):
-            single = commit.commit(BitString.from_bits(msgs[i]),
-                                   BitString(seeds[i], PARAMS.n_s), r, PARAMS,
-                                   HASH_AES128)
+            single = commit_one(BitString.from_bits(msgs[i]),
+                                BitString(seeds[i], PARAMS.n_s), r, PARAMS,
+                                HASH_AES128)
             assert BitString(coms[i], PARAMS.n_c) == single
 
     def test_verify_batch_flags_tampering(self):

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrot import _kernels, recon
 from qrot.bitcore import Rng
 from qrot.protocol import desk_config
+from test_recon import edge_form
 
 _DESK = desk_config(ir_backend=recon.BACKEND_LDPC).ir_params
 
@@ -68,19 +69,41 @@ def _bp_decode_reference(chk_rows, var_of_edge, var_edges, synd, llr0,
     return hard[:n].copy(), False, max_iter
 
 
+def _slot_form(chk_rows, var_of_edge, var_edges):
+    """(var_of_slot, var_slots) of an edge-indexed graph: slot (c, i) is
+    column c of check i."""
+    m, dmax = chk_rows.shape
+    slot_of_edge = np.empty(var_of_edge.size, dtype=np.intp)
+    slot_of_edge[chk_rows.T.ravel()] = np.arange(dmax * m)
+    return var_of_edge[chk_rows.T], slot_of_edge[var_edges]
+
+
 def _noisy_target(graph, n, rng, p):
     """Syndrome of a random flip pattern at rate p: the decoder's target."""
-    chk_rows, var_of_edge, _ = graph
+    chk_rows, var_of_edge, _ = edge_form(*graph)
     flips = np.append(rng.uniform(n) < p, False).astype(np.uint8)
     return np.bitwise_xor.reduce(flips[var_of_edge[chk_rows]], axis=1)
 
 
 def _assert_same_decode(graph, synd, llr0, max_iter=60, norm=0.8, clamp=25.0):
     got = _kernels.bp_decode(*graph, synd, llr0, max_iter, norm, clamp)
-    want = _bp_decode_reference(*graph, synd, llr0, max_iter, norm, clamp)
+    want = _bp_decode_reference(*edge_form(*graph), synd, llr0, max_iter,
+                                norm, clamp)
     assert got[0].dtype == want[0].dtype == np.uint8
     assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
     return got
+
+
+@st.composite
+def _random_decodes(draw):
+    """(seed, n, m, extra padding columns, Fortran order, flip rate, llr0,
+    max_iter, norm) of a random decode."""
+    seed = draw(st.integers(0, 2 ** 32))
+    n = draw(st.integers(2, 120))
+    return (seed, n, draw(st.integers(1, 3 * n // 2)), draw(st.integers(0, 2)),
+            draw(st.booleans()), draw(st.sampled_from([0.0, 0.03, 0.1, 0.3])),
+            draw(st.sampled_from([0.5, 3.0, 30.0])), draw(st.integers(0, 25)),
+            draw(st.sampled_from([0.75, 0.8, 1.0])))
 
 
 class TestShuffleKernel:
@@ -156,15 +179,15 @@ class TestBpKernel:
         return graph, target, llr0, noise
 
     def test_finds_error_pattern(self):
-        (chk, voe, ve), target, llr0, noise = self._instance(7)
-        hard, conv, _ = _kernels.bp_decode(chk, voe, ve, target.astype(np.uint8),
+        graph, target, llr0, noise = self._instance(7)
+        hard, conv, _ = _kernels.bp_decode(*graph, target.astype(np.uint8),
                                            llr0, 60, 0.8, 25.0)
         assert conv and np.array_equal(hard, noise)
 
     def test_zero_syndrome_instant(self):
-        (chk, voe, ve), _, llr0, _ = self._instance(8, p=0.0)
-        zero = np.zeros(chk.shape[0], np.uint8)
-        hard, conv, iters = _kernels.bp_decode(chk, voe, ve, zero, llr0,
+        graph, _, llr0, _ = self._instance(8, p=0.0)
+        zero = np.zeros(graph[0].shape[1], np.uint8)
+        hard, conv, iters = _kernels.bp_decode(*graph, zero, llr0,
                                                60, 0.8, 25.0)
         assert conv and iters == 0 and hard.sum() == 0
 
@@ -196,36 +219,34 @@ class TestBpKernel:
         assert any(conv and iters > 3 for _, conv, iters in results)
         assert (False, 60) in [r[1:] for r in results]
 
-    @given(st.data())
+    @given(_random_decodes())
+    # llr0 = 0.3 is not dyadic, so the variable sums round: summing them as
+    # llr0 + (c0 + (c1 + c2)) instead converges in 6 iterations, not 5
+    @example((41811, 19, 17, 1, False, 0.1, 0.3, 25, 1.0))
     @settings(max_examples=60, deadline=None)
-    def test_matches_reference_property(self, data):
+    def test_matches_reference_property(self, case):
         # arbitrary row degrees (2 or more, not just base and base + 1),
         # padding at any column, duplicate incidences allowed, either
-        # memory order of chk_rows, and any iteration budget
-        rng = Rng.from_int(data.draw(st.integers(0, 2 ** 32)))
-        n = data.draw(st.integers(2, 120))
+        # memory order of var_of_slot, and any iteration budget
+        seed, n, m, extra, fortran, p, llr0, max_iter, norm = case
+        rng = Rng.from_int(seed)
         e_tot = 3 * n
-        m = data.draw(st.integers(1, e_tot // 2))
         cuts = np.sort(rng.randbelow_array(np.full(m - 1, e_tot - 2 * m + 1)))
         row_deg = np.diff(np.concatenate([[0], cuts, [e_tot - 2 * m]])) + 2
-        dmax = int(row_deg.max()) + data.draw(st.integers(0, 2))
+        dmax = int(row_deg.max()) + extra
         chk_rows = np.full((m, dmax), e_tot, dtype=np.int64)
         start = np.cumsum(row_deg) - row_deg
         for i in range(m):
             at = np.argsort(rng.uniform(dmax))[:row_deg[i]]
             chk_rows[i, np.sort(at)] = start[i] + np.arange(row_deg[i])
-        if data.draw(st.booleans()):
-            chk_rows = np.asfortranarray(chk_rows)
         var_of_edge = np.append(np.argsort(rng.uniform(e_tot)) // 3, n)
         var_edges = np.argsort(var_of_edge[:-1], kind="stable").reshape(n, 3)
-        graph = (chk_rows, var_of_edge, var_edges)
-
-        p = data.draw(st.sampled_from([0.0, 0.03, 0.1, 0.3]))
-        llr0 = data.draw(st.sampled_from([0.5, 3.0, 30.0]))
-        max_iter = data.draw(st.integers(0, 25))
+        var_of_slot, var_slots = _slot_form(chk_rows, var_of_edge, var_edges)
+        if fortran:
+            var_of_slot = np.asfortranarray(var_of_slot)
+        graph = (var_of_slot, var_slots)
         _assert_same_decode(graph, _noisy_target(graph, n, rng, p), llr0,
-                            max_iter=max_iter,
-                            norm=data.draw(st.sampled_from([0.75, 0.8, 1.0])))
+                            max_iter=max_iter, norm=norm)
 
 
 class TestSyndromeBits:
@@ -235,7 +256,7 @@ class TestSyndromeBits:
         # the syndrome as an XOR along each padded (m, dmax) row
         rng = Rng.from_int(72 + n)
         code_seed = rng.bytes(32)
-        chk_rows, var_of_edge, _ = recon._code_structure(code_seed, n, ell)
+        chk_rows, var_of_edge, _ = edge_form(*recon._code_structure(code_seed, n, ell))
         for _ in range(3):
             x = np.frombuffer(rng.bytes(n), np.uint8) & 1
             ext = np.concatenate([x, [0]]).astype(np.uint8)

@@ -155,6 +155,16 @@ class TestPhaseOrderSafety:
         assert receiver.abort_reason == AbortReason.PROTOCOL_ERROR
         assert out[0].type_code == Msg.ABORT
 
+    def test_infinite_f_in_hello_aborts_not_raises(self):
+        cfg = desk_config(n0=8192, ir_backend=recon.BACKEND_LDPC)
+        fields = list(protocol._CONFIG_STRUCT.unpack(cfg.serialize()))
+        fields[11] = float("inf")  # f, the IR efficiency
+        _, receiver = parties(cfg, NOISELESS, 18)
+        out = receiver.on_frame(
+            wire.Frame(Msg.HELLO, protocol._CONFIG_STRUCT.pack(*fields)))
+        assert receiver.abort_reason == AbortReason.PROTOCOL_ERROR
+        assert out[0].type_code == Msg.ABORT
+
     def test_fuzzed_replays_never_complete_wrong(self):
         # collect one honest receiver-to-sender frame sequence, then replay
         # it in shuffled orders against fresh senders

@@ -5,7 +5,7 @@ import pytest
 from qrot import bounds, rates
 from qrot.bounds import ProtocolParams, binary_entropy
 from qrot.rates import (RatesError, asymptotic_key_rate, emit_figure, key_rate,
-                        n_crit, n_max, ot_rate, p_crit)
+                        n_crit, n_max, p_crit)
 
 
 def _params(n0, p_max=0.01, f=1.2, alpha=0.3, d1=0.009, d2=0.003):
@@ -99,19 +99,6 @@ class TestOptimizer:
     def test_infeasible_p_max(self):
         res = n_crit(1e-7, 0.05, 1.0, 0.0, 128, grid=(3, 3, 3))
         assert not res.feasible and res.n_crit == 0
-
-
-class TestOtRate:
-    def test_ratio(self):
-        assert ot_rate(2450, 24500) == pytest.approx(0.1)
-        assert ot_rate(0, 100) == 0.0
-        assert ot_rate(2 * 2450, 24500) == pytest.approx(2 * ot_rate(2450, 24500))
-
-    def test_errors(self):
-        with pytest.raises(RatesError):
-            ot_rate(100, 0)
-        with pytest.raises(RatesError):
-            ot_rate(-1, 100)
 
 
 class TestFigures:

@@ -58,6 +58,19 @@ def _code_structure_reference(code_seed, n_raw, ell):
     return chk_rows, np.concatenate([var_of_edge, [n_raw]]), var_edges
 
 
+def edge_form(var_of_slot, var_slots):
+    """(chk_rows, var_of_edge, var_edges) of a check-slot-major graph:
+    edges numbered check by check along each row of chk_rows (m, dmax),
+    padding slots as edge E and variable n as its variable."""
+    n = var_slots.shape[0]
+    real = var_of_slot.T != n
+    e_tot = int(real.sum())
+    chk_rows = np.full(real.shape, e_tot, dtype=np.int64)
+    chk_rows[real] = np.arange(e_tot)
+    var_of_edge = np.append(var_of_slot.T[real], n)
+    return chk_rows, var_of_edge, chk_rows.T.ravel()[var_slots]
+
+
 def _graph_digest(graph):
     h = hashlib.blake2b(digest_size=16)
     for a in graph:
@@ -194,18 +207,19 @@ class TestDecode:
 
 class TestGraph:
     def test_column_weight_three(self):
-        _, voe, var_edges = recon._code_structure(b"\x04" * 32, 512,
-                                                  IrParams(n_raw=512, p_design=0.05,
-                                                           f=1.3).syndrome_bits)
-        counts = np.bincount(voe[:-1], minlength=512)
-        assert np.all(counts == 3)
-        assert var_edges.shape == (512, 3)
+        var_of_slot, var_slots = recon._code_structure(
+            b"\x04" * 32, 512, IrParams(n_raw=512, p_design=0.05, f=1.3).syndrome_bits)
+        counts = np.bincount(var_of_slot.ravel(), minlength=513)
+        assert np.all(counts[:512] == 3)
+        assert var_slots.shape == (512, 3)
+        assert np.array_equal(var_of_slot.ravel()[var_slots],
+                              np.repeat(np.arange(512), 3).reshape(512, 3))
 
     def test_no_duplicate_incidences(self):
         ell = IrParams(n_raw=512, p_design=0.05, f=1.3).syndrome_bits
-        chk_rows, voe, _ = recon._code_structure(b"\x05" * 32, 512, ell)
-        for row in chk_rows:
-            vars_in_row = voe[row[row < voe.size - 1]]
+        var_of_slot, _ = recon._code_structure(b"\x05" * 32, 512, ell)
+        for check in var_of_slot.T:
+            vars_in_row = check[check < 512]
             assert len(set(vars_in_row.tolist())) == vars_in_row.size
 
     @pytest.mark.parametrize("n", [30, 97, 256, 1000, 3000])
@@ -213,16 +227,17 @@ class TestGraph:
         ell = IrParams(n_raw=n, p_design=0.05, f=1.3).syndrome_bits
         for k in range(4):
             seed = bytes([n % 256, k]) * 16
-            assert _graph_digest(recon._code_structure(seed, n, ell)) == \
+            assert _graph_digest(edge_form(*recon._code_structure(seed, n, ell))) == \
                 _graph_digest(_code_structure_reference(seed, n, ell))
 
     def test_matches_reference_builder_at_desk_point(self):
         seed = b"\x06" * 32
-        assert _graph_digest(recon._code_structure(seed, DESK_N, DESK_ELL)) == \
+        graph = edge_form(*recon._code_structure(seed, DESK_N, DESK_ELL))
+        assert _graph_digest(graph) == \
             _graph_digest(_code_structure_reference(seed, DESK_N, DESK_ELL))
 
     def test_desk_graph_pinned(self):
         # The seeded ensemble itself: changing the draws or the repair order
         # changes every desk-LDPC session, so this digest moves only on purpose.
-        graph = recon._code_structure(b"\x07" * 32, DESK_N, DESK_ELL)
+        graph = edge_form(*recon._code_structure(b"\x07" * 32, DESK_N, DESK_ELL))
         assert _graph_digest(graph) == "df56087f53d68fb222712452a1c572b1"
