@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -51,13 +50,6 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 def _model_from(args) -> qsim.SourceModel:
     return qsim.SourceModel(p_err=args.p_err, p_double=args.p_double,
                             p_loss=args.p_loss, p_dark=args.p_dark)
-
-
-def _seed_of(args) -> int:
-    env = os.environ.get("QROT_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
 
 
 def _emit(args, data: dict, text: str) -> None:
@@ -141,7 +133,6 @@ def _session_config(args) -> protocol.SessionConfig:
 def cmd_simulate(args) -> int:
     config = _session_config(args)
     model = _model_from(args)
-    seed = _seed_of(args)
     successes = 0
     aborts: dict[str, int] = {}
     c_counts = [0, 0]
@@ -149,7 +140,7 @@ def cmd_simulate(args) -> int:
     qbers = []
     t0 = time.time()
     for i in range(args.sessions):
-        res = protocol.run_session(config, model, seed + i)
+        res = protocol.run_session(config, model, args.seed + i)
         if res.qber_estimate is not None:
             qbers.append(res.qber_estimate)
         if res.success:
@@ -179,7 +170,7 @@ def cmd_role(args) -> int:
     config = _session_config(args)
     model = _model_from(args)
     # both ends replay the same source stream and keep only their own party
-    sender, receiver = protocol.parties(config, model, _seed_of(args))
+    sender, receiver = protocol.parties(config, model, args.seed)
     actor = sender if args.role == "sender" else receiver
     try:
         if args.role == "sender":

@@ -183,7 +183,7 @@ class SessionTranscript:
 
 
 # ---------------------------------------------------------------------------
-# outputs and fault-injection hooks
+# outputs
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -210,32 +210,14 @@ class RotOutput:
         return self.receiver.m_c == chosen
 
 
-@dataclass(frozen=True)
-class CheatHooks:
-    """Fault injections replacing one party's honest program.
-
-    flip_rate: receiver commits to outcome bits flipped at this rate.
-    basis_match_prob: receiver's bases regenerated to match the sender's
-        with this probability (skew; honest physics gives 1/2).
-    corrupt_syndrome: sender flips tag bytes in the syndrome message.
-    early_message: receiver sends a separation message before committing.
-    """
-
-    flip_rate: float = 0.0
-    basis_match_prob: float | None = None
-    corrupt_syndrome: bool = False
-    early_message: bool = False
-
-
 # ---------------------------------------------------------------------------
 # shared machinery
 # ---------------------------------------------------------------------------
 
 class _Session:
-    def __init__(self, config: SessionConfig, rng: Rng, hooks: CheatHooks):
+    def __init__(self, config: SessionConfig, rng: Rng):
         self.config = config
         self.rng = rng
-        self.hooks = hooks
         self.phase = Phase.HELLO
         self.transcript = SessionTranscript()
         self.abort_reason: AbortReason | None = None
@@ -288,9 +270,8 @@ class _Session:
 # ---------------------------------------------------------------------------
 
 class SenderSession(_Session):
-    def __init__(self, config: SessionConfig, view: qsim.AliceView, rng: Rng,
-                 hooks: CheatHooks | None = None):
-        super().__init__(config, rng, hooks or CheatHooks())
+    def __init__(self, config: SessionConfig, view: qsim.AliceView, rng: Rng):
+        super().__init__(config, rng)
         if view.theta.length != config.params.n0:
             raise ProtocolError("quantum-phase view does not match N0")
         self.view = view
@@ -382,17 +363,10 @@ class SenderSession(_Session):
         ir = self.config.ir_params
         s0 = recon.syn(x0, ir, code_seed)
         s1 = recon.syn(x1, ir, code_seed)
-        syn_payload = s0.serialize() + s1.serialize()
-        if self.hooks.corrupt_syndrome:
-            buf = bytearray(syn_payload)
-            buf[len(s0.serialize()) - 1] ^= 0xFF  # first record's tag
-            buf[-1] ^= 0xFF                       # second record's tag
-            syn_payload = bytes(buf)
-
         seed = pamp.sample_seed(self.rng, p.n_raw, p.n)
         self.output = SenderOutput(pamp.hash_bits(seed, x0), pamp.hash_bits(seed, x1))
         self.phase = Phase.DONE
-        return [self._send(Msg.SYNDROMES, syn_payload),
+        return [self._send(Msg.SYNDROMES, s0.serialize() + s1.serialize()),
                 self._send(Msg.HASH_SEED, seed.serialize())]
 
 
@@ -401,13 +375,11 @@ class SenderSession(_Session):
 # ---------------------------------------------------------------------------
 
 class ReceiverSession(_Session):
-    def __init__(self, config: SessionConfig, view: qsim.BobView, rng: Rng,
-                 hooks: CheatHooks | None = None, force_choice: int | None = None):
-        super().__init__(config, rng, hooks or CheatHooks())
+    def __init__(self, config: SessionConfig, view: qsim.BobView, rng: Rng):
+        super().__init__(config, rng)
         if view.theta.length != config.params.n0:
             raise ProtocolError("quantum-phase view does not match N0")
         self.view = view
-        self.force_choice = force_choice
         self.challenge: commit.Challenge | None = None
         self.msgs: np.ndarray | None = None
         self.seeds: np.ndarray | None = None
@@ -443,10 +415,7 @@ class ReceiverSession(_Session):
             return self._abort(AbortReason.PROTOCOL_ERROR)
         self.challenge = commit.Challenge(r1)
 
-        x = self.view.x.bits().copy()
-        if self.hooks.flip_rate > 0.0:
-            x ^= (self.rng.uniform(p.n0) < self.hooks.flip_rate).astype(np.uint8)
-        self.msgs = np.stack([self.view.theta.bits(), x], axis=1)
+        self.msgs = np.stack([self.view.theta.bits(), self.view.x.bits()], axis=1)
         seeds = np.frombuffer(self.rng.bytes(p.n0 * cp.seed_bytes),
                               np.uint8).reshape(p.n0, cp.seed_bytes).copy()
         if cp.n_s % 8:
@@ -455,12 +424,8 @@ class ReceiverSession(_Session):
         coms = commit.commit_batch(self.msgs, seeds, self.challenge, cp,
                                    self.config.hash_id)
         self.phase = Phase.TEST
-        out = []
-        if self.hooks.early_message:
-            out.append(self._send(Msg.SEP, b""))
-        out.append(self._send(Msg.COMMITMENTS,
-                              struct.pack(">I", p.n0) + coms.tobytes()))
-        return out
+        return [self._send(Msg.COMMITMENTS,
+                           struct.pack(">I", p.n0) + coms.tobytes())]
 
     def _on_test_set(self, payload: bytes) -> list[Frame]:
         p = self.config.params
@@ -489,8 +454,7 @@ class ReceiverSession(_Session):
         if matching.size < p.n_raw or differing.size < p.n_raw:
             return self._abort(AbortReason.INSUFFICIENT_BASES)
 
-        self.choice = self.force_choice if self.force_choice is not None \
-            else self.rng.bytes(1)[0] & 1
+        self.choice = self.rng.bytes(1)[0] & 1
         self.i0 = _pick(self.rng, matching, p.n_raw, p.n0)
         i1 = _pick(self.rng, differing, p.n_raw, p.n0)
         pair = (self.i0, i1) if self.choice == 0 else (i1, self.i0)
@@ -544,22 +508,8 @@ class SessionResult:
         return self.output is not None
 
 
-def _skew_bases(alice: qsim.AliceView, bob: qsim.BobView, model: qsim.SourceModel,
-                match_prob: float, rng: Rng) -> qsim.BobView:
-    """Replace the receiver's measurement record with basis-skewed one."""
-    n = alice.theta.length
-    mism = (rng.uniform(n) >= match_prob).astype(np.uint8)
-    theta_b = alice.theta.bits() ^ mism
-    noise = (rng.uniform(n) < model.p_err).astype(np.uint8)
-    unif = np.frombuffer(rng.bytes(n), np.uint8) & 1
-    x_b = np.where(mism == 0, alice.x.bits() ^ noise, unif).astype(np.uint8)
-    return qsim.BobView(BitString.from_bits(theta_b), BitString.from_bits(x_b))
-
-
-def parties(config: SessionConfig, model: qsim.SourceModel, seed: int | Rng, *,
-            sender_hooks: CheatHooks | None = None,
-            receiver_hooks: CheatHooks | None = None,
-            force_choice: int | None = None) -> tuple[SenderSession, ReceiverSession]:
+def parties(config: SessionConfig, model: qsim.SourceModel,
+            seed: int | Rng) -> tuple[SenderSession, ReceiverSession]:
     """Both ends of one session, ready to drive.
 
     The seed splits into (source, sender, receiver) streams; the quantum phase
@@ -570,13 +520,8 @@ def parties(config: SessionConfig, model: qsim.SourceModel, seed: int | Rng, *,
     source_rng, sender_rng, receiver_rng = \
         root.spawn(b"source"), root.spawn(b"sender"), root.spawn(b"receiver")
     alice_view, bob_view = qsim.run_quantum_phase(model, config.params.n0, source_rng)
-    rhooks = receiver_hooks or CheatHooks()
-    if rhooks.basis_match_prob is not None:
-        bob_view = _skew_bases(alice_view, bob_view, model,
-                               rhooks.basis_match_prob, receiver_rng)
-    return (SenderSession(config, alice_view, sender_rng, hooks=sender_hooks),
-            ReceiverSession(config, bob_view, receiver_rng, hooks=rhooks,
-                            force_choice=force_choice))
+    return (SenderSession(config, alice_view, sender_rng),
+            ReceiverSession(config, bob_view, receiver_rng))
 
 
 def drive(*ends: tuple[_Session, wire.Connection],
@@ -613,14 +558,9 @@ def drive(*ends: tuple[_Session, wire.Connection],
 
 
 def run_session(config: SessionConfig, model: qsim.SourceModel,
-                seed: int | Rng, *,
-                sender_hooks: CheatHooks | None = None,
-                receiver_hooks: CheatHooks | None = None,
-                force_choice: int | None = None) -> SessionResult:
+                seed: int | Rng) -> SessionResult:
     """Drive both state machines over an in-process framed transport."""
-    sender, receiver = parties(config, model, seed, sender_hooks=sender_hooks,
-                               receiver_hooks=receiver_hooks,
-                               force_choice=force_choice)
+    sender, receiver = parties(config, model, seed)
     conn_a, conn_b = wire.queue_pair()
     drive((sender, conn_a), (receiver, conn_b), timeout=0)
     reason = sender.abort_reason or receiver.abort_reason

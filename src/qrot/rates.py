@@ -7,7 +7,7 @@ tolerance optimization, and deterministic CSV emission for the rate curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from qrot import bounds
 from qrot.bounds import BoundsError, ProtocolParams
@@ -17,45 +17,30 @@ class RatesError(ValueError):
     pass
 
 
-def _eps_for_n(params: ProtocolParams, n: int, experimental: bool,
-               asymptotic: bool) -> float:
-    p = params.with_n(n)
-    if asymptotic:
-        # finite-size statistical terms dropped (the N0 -> infinity limit)
-        try:
-            bracket = bounds.entropy_rate_bracket(p, experimental)
-        except BoundsError:
-            return math.inf
-        lhl_exp = 0.5 * (n - p.n_raw * bracket)
-        lhl = math.inf if lhl_exp > 64 else 0.5 * 2.0 ** lhl_exp
-        corr_exp = -0.5 * (p.n_raw - n)
-        corr = 2.0 ** corr_exp if corr_exp > -1070 else 0.0
-        return lhl + corr + 2.0 * p.eps_ir + p.eps_bind
+def _eps_for_n(params: ProtocolParams, n: int) -> float:
     try:
-        return bounds.eps_max(p, experimental).eps_max
+        return bounds.eps_max(params.with_n(n)).eps_max
     except BoundsError:
         return math.inf
 
 
-def n_max(params: ProtocolParams, eps_target: float, experimental: bool = False,
-          asymptotic: bool = False) -> int:
+def n_max(params: ProtocolParams, eps_target: float) -> int:
     """Largest n with total security within eps_target; 0 if none."""
     hi = params.n_raw - 1
-    if hi < 1 or _eps_for_n(params, 1, experimental, asymptotic) > eps_target:
+    if hi < 1 or _eps_for_n(params, 1) > eps_target:
         return 0
     lo = 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _eps_for_n(params, mid, experimental, asymptotic) <= eps_target:
+        if _eps_for_n(params, mid) <= eps_target:
             lo = mid
         else:
             hi = mid - 1
     return lo
 
 
-def key_rate(params: ProtocolParams, eps_target: float, experimental: bool = False,
-             asymptotic: bool = False) -> float:
-    return n_max(params, eps_target, experimental, asymptotic) / params.n0
+def key_rate(params: ProtocolParams, eps_target: float) -> float:
+    return n_max(params, eps_target) / params.n0
 
 
 def asymptotic_key_rate(p_max: float, f: float, alpha: float = 0.0,
@@ -98,17 +83,18 @@ class OptimizeResult:
     feasible: bool
 
 
+_N0_CAP = 10 ** 11
+
+
 def _min_n0_at(alpha: float, delta1: float, delta2: float, eps_target: float,
-               p_max: float, f: float, p_multi: float, n_target: int,
-               experimental: bool, eps_ir: float, eps_bind: float,
-               n0_cap: int = 10 ** 11) -> int | None:
+               p_max: float, f: float, p_multi: float, n_target: int) -> int | None:
     """Smallest N0 making an n_target-bit key feasible; None if over the cap."""
+    experimental = p_multi > 0.0
 
     def feasible(n0: int) -> bool:
         try:
             p = ProtocolParams(n0=n0, alpha=alpha, delta1=delta1, delta2=delta2,
-                               p_max=p_max, n=n_target, f=f, p_multi=p_multi,
-                               eps_ir=eps_ir, eps_bind=eps_bind)
+                               p_max=p_max, n=n_target, f=f, p_multi=p_multi)
         except BoundsError:
             return False
         if p.n_raw <= n_target:
@@ -120,7 +106,7 @@ def _min_n0_at(alpha: float, delta1: float, delta2: float, eps_target: float,
 
     lo, hi = 4 * n_target + 8, None
     probe = lo
-    while probe <= n0_cap:
+    while probe <= _N0_CAP:
         if feasible(probe):
             hi = probe
             break
@@ -138,17 +124,14 @@ def _min_n0_at(alpha: float, delta1: float, delta2: float, eps_target: float,
 
 
 def n_crit(eps_target: float, p_max: float, f: float, p_multi: float,
-           n_target: int, grid: tuple[int, int, int] = (8, 10, 6),
-           experimental: bool | None = None,
-           eps_ir: float = 2.0 ** -32, eps_bind: float = 2.0 ** -32) -> OptimizeResult:
+           n_target: int, grid: tuple[int, int, int] = (8, 10, 6)) -> OptimizeResult:
     """Minimal signal count over a (alpha, delta1, delta2) grid.
 
     Coarse grid pass followed by a 10x finer local refinement around the
     best point; ties broken lexicographically on (N0, alpha, delta1, delta2)
-    so the search is deterministic.
+    so the search is deterministic. The multi-photon leak is charged
+    whenever p_multi > 0.
     """
-    if experimental is None:
-        experimental = p_multi > 0.0
     gap = p_crit(f) - p_max
     if gap <= 0.0:
         return OptimizeResult(0, 0.0, 0.0, 0.0, math.inf, n_target, False)
@@ -165,7 +148,7 @@ def n_crit(eps_target: float, p_max: float, f: float, p_multi: float,
             for d1 in points[1]:
                 for d2 in points[2]:
                     r = _min_n0_at(a, d1, d2, eps_target, p_max, f, p_multi,
-                                   n_target, experimental, eps_ir, eps_bind)
+                                   n_target)
                     if r is None:
                         continue
                     key = (r, a, d1, d2)
@@ -194,9 +177,8 @@ def n_crit(eps_target: float, p_max: float, f: float, p_multi: float,
 
     n0, a, d1, d2 = best
     p = ProtocolParams(n0=n0, alpha=a, delta1=d1, delta2=d2, p_max=p_max,
-                       n=n_target, f=f, p_multi=p_multi,
-                       eps_ir=eps_ir, eps_bind=eps_bind)
-    achieved = bounds.eps_max(p, experimental).eps_max
+                       n=n_target, f=f, p_multi=p_multi)
+    achieved = bounds.eps_max(p, p_multi > 0.0).eps_max
     return OptimizeResult(n0, a, d1, d2, achieved, n_target, True)
 
 

@@ -52,7 +52,10 @@ class IrParams:
             raise ReconError("IR efficiency below the Shannon limit")
         if self.tag_bits < 8:
             raise ReconError("verification tag too short")
-        if self.backend == BACKEND_LDPC and self.syndrome_bits >= self.n_raw:
+        # f * h < 1 first: a huge finite f would overflow syndrome_bits
+        if self.backend == BACKEND_LDPC and (
+                self.f * binary_entropy(self.p_design) >= 1.0
+                or self.syndrome_bits >= self.n_raw):
             raise ReconError("syndrome as large as the block; no compression")
 
     @property

@@ -1,0 +1,86 @@
+"""Dishonest parties for the abort-path tests.
+
+Each cheater is an honest state machine from ``qrot.protocol`` with one step
+replaced, built from the same seeded streams as ``protocol.parties``, so the
+honest program itself carries no fault-injection branch.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+
+from qrot import qsim, recon, wire
+from qrot.bitcore import BitString
+from qrot.protocol import (Msg, ReceiverSession, RotOutput, SenderSession,
+                           SessionConfig, SessionResult, drive, parties)
+
+
+class FlippingReceiver(ReceiverSession):
+    """Commits to outcome bits flipped at ``flip_rate``; keeps the true ones."""
+
+    flip_rate = 0.08
+
+    def _on_challenge(self, payload: bytes):
+        honest = self.view
+        flips = self.rng.uniform(self.config.params.n0) < self.flip_rate
+        self.view = replace(honest, x=honest.x ^ BitString.from_bits(flips))
+        out = super()._on_challenge(payload)
+        self.view = honest
+        return out
+
+
+class EarlySepReceiver(ReceiverSession):
+    """Sends a separation message before its commitments."""
+
+    def _on_challenge(self, payload: bytes):
+        return [self._send(Msg.SEP, b"")] + super()._on_challenge(payload)
+
+
+class CorruptSyndromeSender(SenderSession):
+    """Flips the last tag byte of both syndrome records."""
+
+    def _send(self, type_code: int, payload: bytes):
+        if type_code == Msg.SYNDROMES:
+            _, used = recon.Syndrome.parse(payload)
+            buf = bytearray(payload)
+            buf[used - 1] ^= 0xFF  # first record's tag
+            buf[-1] ^= 0xFF        # second record's tag
+            payload = bytes(buf)
+        return super()._send(type_code, payload)
+
+
+def skewed_receiver(sender: SenderSession, receiver: ReceiverSession,
+                    model: qsim.SourceModel, match_prob: float) -> ReceiverSession:
+    """A receiver whose bases match the sender's with ``match_prob`` (honest
+    physics gives 1/2), drawn from the honest receiver's stream."""
+    rng = receiver.rng
+    alice = sender.view
+    n = alice.theta.length
+    mism = (rng.uniform(n) >= match_prob).astype(np.uint8)
+    noise = (rng.uniform(n) < model.p_err).astype(np.uint8)
+    unif = np.frombuffer(rng.bytes(n), np.uint8) & 1
+    x_b = np.where(mism == 0, alice.x.bits() ^ noise, unif)
+    view = qsim.BobView(BitString.from_bits(alice.theta.bits() ^ mism),
+                        BitString.from_bits(x_b))
+    return ReceiverSession(receiver.config, view, rng)
+
+
+def drive_pair(sender: SenderSession, receiver: ReceiverSession) -> SessionResult:
+    """Run two ends in-process to the end, collected as ``run_session`` does."""
+    conn_a, conn_b = wire.queue_pair()
+    drive((sender, conn_a), (receiver, conn_b), timeout=0)
+    reason = sender.abort_reason or receiver.abort_reason
+    output = RotOutput(sender.output, receiver.output) if reason is None else None
+    return SessionResult(output, reason, sender.transcript, receiver.transcript,
+                         qber_estimate=sender.qber_estimate)
+
+
+def run_cheat(config: SessionConfig, model: qsim.SourceModel, seed: int, *,
+              sender_cls=SenderSession, receiver_cls=ReceiverSession,
+              basis_match_prob: float | None = None) -> SessionResult:
+    """One seeded session with either end replaced by a cheater class."""
+    sender, receiver = parties(config, model, seed)
+    if basis_match_prob is not None:
+        receiver = skewed_receiver(sender, receiver, model, basis_match_prob)
+    return drive_pair(sender_cls(config, sender.view, sender.rng),
+                      receiver_cls(config, receiver.view, receiver.rng))

@@ -17,7 +17,8 @@ import scipy.stats
 from qrot import bounds, commit, pamp, protocol, qsim, rates, recon
 from qrot.bitcore import BitString, Rng
 from qrot.bounds import TABLE1_PARAMS, ProtocolParams
-from qrot.protocol import AbortReason, CheatHooks, desk_config, run_session
+from qrot.protocol import AbortReason, desk_config, run_session
+from cheats import CorruptSyndromeSender, FlippingReceiver, run_cheat
 from test_pamp import universality_probe
 
 
@@ -154,14 +155,11 @@ def test_criterion_7_abort_path_coverage():
     cfg = desk_config(n0=8192)
     runs = [
         (AbortReason.TEST_FAILED,
-         run_session(cfg, qsim.SourceModel(), 1,
-                     receiver_hooks=CheatHooks(flip_rate=0.08))),
+         run_cheat(cfg, qsim.SourceModel(), 1, receiver_cls=FlippingReceiver)),
         (AbortReason.INSUFFICIENT_BASES,
-         run_session(cfg, qsim.SourceModel(), 2,
-                     receiver_hooks=CheatHooks(basis_match_prob=0.95))),
+         run_cheat(cfg, qsim.SourceModel(), 2, basis_match_prob=0.95)),
         (AbortReason.IR_FAILED,
-         run_session(cfg, qsim.SourceModel(), 3,
-                     sender_hooks=CheatHooks(corrupt_syndrome=True))),
+         run_cheat(cfg, qsim.SourceModel(), 3, sender_cls=CorruptSyndromeSender)),
         (AbortReason.MULTIPHOTON,
          run_session(replace(cfg, params=replace(cfg.params, p_multi=3.67e-3)),
                      qsim.SourceModel(p_double=0.05), 4)),

@@ -73,17 +73,6 @@ class TestSimulate:
         data = json.loads(out)
         assert data["successes"] == 3 and data["aborts"] == {}
 
-    def test_seed_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("QROT_SEED", "123")
-        _, a, _ = _run(capsys, "simulate", "--sessions", "2", "--n0", "16384",
-                       "--seed", "999", "--json")
-        monkeypatch.setenv("QROT_SEED", "123")
-        _, b, _ = _run(capsys, "simulate", "--sessions", "2", "--n0", "16384",
-                       "--seed", "1", "--json")
-        da, db = json.loads(a), json.loads(b)
-        da.pop("seconds"), db.pop("seconds")
-        assert da == db
-
     def test_unsendable_config_is_an_error(self, capsys):
         # 10^7 signals make a 70 MB COMMITMENTS frame; no session may start
         with pytest.raises(SystemExit) as exc:

@@ -102,7 +102,10 @@ def _random_decodes(draw):
     n = draw(st.integers(2, 120))
     return (seed, n, draw(st.integers(1, 3 * n // 2)), draw(st.integers(0, 2)),
             draw(st.booleans()), draw(st.sampled_from([0.0, 0.03, 0.1, 0.3])),
-            draw(st.sampled_from([0.5, 3.0, 30.0])), draw(st.integers(0, 25)),
+            # ln 24 is the desk decoder's llr0 (p_design 0.04): not dyadic,
+            # so BP's sums round and their order shows in the output
+            draw(st.sampled_from([0.5, 3.0, 30.0, math.log(24.0)])),
+            draw(st.integers(0, 25)),
             draw(st.sampled_from([0.75, 0.8, 1.0])))
 
 
@@ -223,6 +226,9 @@ class TestBpKernel:
     # llr0 = 0.3 is not dyadic, so the variable sums round: summing them as
     # llr0 + (c0 + (c1 + c2)) instead converges in 6 iterations, not 5
     @example((41811, 19, 17, 1, False, 0.1, 0.3, 25, 1.0))
+    # the same at the desk decoder's llr0: after 3 unconverged iterations
+    # the two sum orders leave one hard decision different
+    @example((0, 28, 7, 0, False, 0.3, math.log(24.0), 3, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_property(self, case):
         # arbitrary row degrees (2 or more, not just base and base + 1),

@@ -8,9 +8,11 @@ import scipy.stats
 from qrot import protocol, qsim, recon, wire
 from qrot.bitcore import BitString, IndexSet, Rng
 from qrot.bounds import TABLE1_PARAMS
-from qrot.protocol import (AbortReason, CheatHooks, Msg, SessionConfig,
+from qrot.protocol import (AbortReason, Msg, SessionConfig,
                            declared_payload_sizes, desk_config, drive, parties,
                            run_session)
+from cheats import (CorruptSyndromeSender, EarlySepReceiver, FlippingReceiver,
+                    run_cheat)
 
 SMALL = desk_config(n0=8192)
 NOISELESS = qsim.SourceModel()
@@ -38,6 +40,11 @@ class TestSessionConfig:
                            match=r"COMMITMENTS payload is 76180004 B"):
             SessionConfig(TABLE1_PARAMS, ir_backend=recon.BACKEND_LDPC)
 
+    def test_huge_finite_f_rejected_at_construction(self):
+        params = replace(SMALL.params, f=1e308)
+        with pytest.raises((protocol.ProtocolError, recon.ReconError)):
+            SessionConfig(params, ir_backend=recon.BACKEND_LDPC)
+
 
 class TestHonestSession:
     def test_success_and_chosen_string(self):
@@ -47,9 +54,10 @@ class TestHonestSession:
             assert res.output.correct
             assert res.output.sender.m0 != res.output.sender.m1
 
-    def test_forced_choice_selects_either_string(self):
-        for c in (0, 1):
-            res = run_session(SMALL, NOISELESS, 42, force_choice=c)
+    def test_each_choice_selects_its_string(self):
+        # honest seeds whose receivers draw c = 0 and c = 1
+        for seed, c in ((1, 0), (0, 1)):
+            res = run_session(SMALL, NOISELESS, seed)
             assert res.output.receiver.c == c
             expected = res.output.sender.m0 if c == 0 else res.output.sender.m1
             assert res.output.receiver.m_c == expected
@@ -75,19 +83,17 @@ class TestHonestSession:
 
 class TestAbortPaths:
     def test_flipped_commitments(self):
-        res = run_session(SMALL, NOISELESS, 1,
-                          receiver_hooks=CheatHooks(flip_rate=0.08))
+        res = run_cheat(SMALL, NOISELESS, 1, receiver_cls=FlippingReceiver)
         assert res.abort_reason == AbortReason.TEST_FAILED and not res.success
 
     def test_basis_skew(self):
-        res = run_session(SMALL, NOISELESS, 2,
-                          receiver_hooks=CheatHooks(basis_match_prob=0.95))
+        res = run_cheat(SMALL, NOISELESS, 2, basis_match_prob=0.95)
         assert res.abort_reason == AbortReason.INSUFFICIENT_BASES
 
     def test_corrupted_syndrome_never_wrong_key(self):
         for seed in range(5):
-            res = run_session(SMALL, NOISELESS, 10 + seed,
-                              sender_hooks=CheatHooks(corrupt_syndrome=True))
+            res = run_cheat(SMALL, NOISELESS, 10 + seed,
+                            sender_cls=CorruptSyndromeSender)
             assert res.abort_reason == AbortReason.IR_FAILED and not res.success
 
     def test_multiphoton_threshold(self):
@@ -96,8 +102,7 @@ class TestAbortPaths:
         assert res.abort_reason == AbortReason.MULTIPHOTON
 
     def test_early_message_is_protocol_error(self):
-        res = run_session(SMALL, NOISELESS, 4,
-                          receiver_hooks=CheatHooks(early_message=True))
+        res = run_cheat(SMALL, NOISELESS, 4, receiver_cls=EarlySepReceiver)
         assert res.abort_reason == AbortReason.PROTOCOL_ERROR
 
     def test_noise_above_p_max_fails_test(self):
@@ -158,12 +163,14 @@ class TestPhaseOrderSafety:
     def test_infinite_f_in_hello_aborts_not_raises(self):
         cfg = desk_config(n0=8192, ir_backend=recon.BACKEND_LDPC)
         fields = list(protocol._CONFIG_STRUCT.unpack(cfg.serialize()))
-        fields[11] = float("inf")  # f, the IR efficiency
-        _, receiver = parties(cfg, NOISELESS, 18)
-        out = receiver.on_frame(
-            wire.Frame(Msg.HELLO, protocol._CONFIG_STRUCT.pack(*fields)))
-        assert receiver.abort_reason == AbortReason.PROTOCOL_ERROR
-        assert out[0].type_code == Msg.ABORT
+        # f, the IR efficiency: inf, or finite with f * h(p) * n_raw = inf
+        for f in (float("inf"), 1e308):
+            fields[11] = f
+            _, receiver = parties(cfg, NOISELESS, 18)
+            out = receiver.on_frame(
+                wire.Frame(Msg.HELLO, protocol._CONFIG_STRUCT.pack(*fields)))
+            assert receiver.abort_reason == AbortReason.PROTOCOL_ERROR
+            assert out[0].type_code == Msg.ABORT
 
     def test_fuzzed_replays_never_complete_wrong(self):
         # collect one honest receiver-to-sender frame sequence, then replay

@@ -104,6 +104,8 @@ class TestIrParams:
             IrParams(n_raw=N, p_design=0.05, f=0.5)
         with pytest.raises(ReconError):
             IrParams(n_raw=100, p_design=0.4, f=3.0)  # no compression left
+        with pytest.raises(ReconError):
+            IrParams(n_raw=N, p_design=0.05, f=1e308)  # f * h(p) * N overflows
 
     def test_epsilon_ir(self):
         assert epsilon_ir(IR) == 2.0 ** -32
