@@ -6,7 +6,6 @@ All types are immutable after construction except :class:`Rng`.
 
 from __future__ import annotations
 
-import os
 import struct
 from typing import Iterable, Sequence
 
@@ -108,12 +107,6 @@ class BitString:
             raise BitcoreError("xor requires equal lengths")
         return BitString(self._buf ^ other._buf, self.length)
 
-    def concat(self, other: "BitString") -> "BitString":
-        if self.length % 8 == 0:
-            return BitString(np.concatenate([self._buf, other._buf]),
-                             self.length + other.length)
-        return BitString.from_bits(np.concatenate([self.bits(), other.bits()]))
-
     # -- wire form: 4-byte big-endian bit length, packed payload --------
 
     def serialize(self) -> bytes:
@@ -205,9 +198,8 @@ def extract(x: BitString, s: IndexSet) -> BitString:
 class Rng:
     """Deterministic ChaCha20 keystream generator with a 32-byte seed.
 
-    The same seed always yields the same stream, which keeps statistical
-    tests reproducible. Honest-party randomness in production comes from
-    :meth:`from_os`.
+    The same seed always yields the same stream: a session's parties and
+    the statistical tests are reproducible from one seed.
     """
 
     _CHUNK = 1 << 16
@@ -219,10 +211,6 @@ class Rng:
         self._enc = Cipher(algorithms.ChaCha20(self.seed, b"\x00" * 16), mode=None).encryptor()
         self._pool = b""
         self.position = 0
-
-    @classmethod
-    def from_os(cls) -> "Rng":
-        return cls(os.urandom(32))
 
     @classmethod
     def from_int(cls, seed: int) -> "Rng":

@@ -211,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="qrot")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true")
-    common.add_argument("--seed", type=int, default=2024)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", parents=[common],
@@ -237,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("simulate", "role"):
         p = sub.add_parser(name, parents=[common])
+        p.add_argument("--seed", type=int, default=2024)
         p.add_argument("--n0", type=int, default=1 << 16)
         p.add_argument("--n", type=int, default=16)
         p.add_argument("--ir-backend", choices=("auto", "trivial", "ldpc"),

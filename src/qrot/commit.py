@@ -26,9 +26,6 @@ HASH_BLAKE2 = 0x01
 HASH_AES128 = 0x02
 HASH_TOY16 = 0x7F
 
-HASH_NAMES = {HASH_BLAKE2: "blake2", HASH_AES128: "aes128", HASH_TOY16: "toy16"}
-HASH_IDS = {v: k for k, v in HASH_NAMES.items()}
-
 
 class CommitError(ValueError):
     pass
@@ -60,20 +57,12 @@ class CommitParams:
         return self.k
 
     @property
-    def n_o(self) -> int:
-        return self.n_msg + self.k
-
-    @property
     def com_bytes(self) -> int:
         return (self.n_c + 7) // 8
 
     @property
     def seed_bytes(self) -> int:
         return (self.n_s + 7) // 8
-
-    @property
-    def open_bytes(self) -> int:
-        return (self.n_o + 7) // 8
 
 
 # ---------------------------------------------------------------------------

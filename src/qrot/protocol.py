@@ -70,27 +70,28 @@ class Phase(enum.Enum):
     ABORTED = "aborted"
 
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _BACKEND_CODES = {recon.BACKEND_TRIVIAL: 0, recon.BACKEND_LDPC: 1}
 _BACKEND_OF_CODE = {v: k for k, v in _BACKEND_CODES.items()}
 
-_CONFIG_STRUCT = struct.Struct(">BBBHHQI8d")
+_CONFIG_STRUCT = struct.Struct(">BBHHQI8d")
 
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Everything both parties must agree on before the quantum phase."""
+    """Everything both parties must agree on before the quantum phase.
+
+    Commitments always use the fixed-key AES hash (``commit.HASH_AES128``),
+    and the LDPC code is a function of ``ir_params``, so neither is a field.
+    """
 
     params: ProtocolParams
-    hash_id: int = commit.HASH_AES128
     k: int = 32
     tag_bits: int = 32
     ir_backend: str = recon.BACKEND_LDPC
 
     def __post_init__(self):
-        if self.hash_id not in commit.HASH_NAMES:
-            raise ProtocolError(f"unknown hash id {self.hash_id}")
         if self.ir_backend not in _BACKEND_CODES:
             raise ProtocolError(f"unknown IR backend {self.ir_backend}")
         for msg, size in declared_payload_sizes(self).items():
@@ -113,7 +114,7 @@ class SessionConfig:
     def serialize(self) -> bytes:
         p = self.params
         return _CONFIG_STRUCT.pack(
-            PROTOCOL_VERSION, self.hash_id, _BACKEND_CODES[self.ir_backend],
+            PROTOCOL_VERSION, _BACKEND_CODES[self.ir_backend],
             self.k, self.tag_bits, p.n0, p.n,
             p.alpha, p.delta1, p.delta2, p.p_max, p.f, p.p_multi,
             p.eps_ir, p.eps_bind)
@@ -122,7 +123,7 @@ class SessionConfig:
     def parse(cls, raw: bytes) -> "SessionConfig":
         if len(raw) != _CONFIG_STRUCT.size:
             raise ProtocolError("bad handshake record length")
-        (ver, hash_id, backend, k, tag_bits, n0, n,
+        (ver, backend, k, tag_bits, n0, n,
          alpha, d1, d2, p_max, f, p_multi, eps_ir, eps_bind) = _CONFIG_STRUCT.unpack(raw)
         if ver != PROTOCOL_VERSION:
             raise ProtocolError(f"protocol version mismatch: {ver}")
@@ -134,7 +135,7 @@ class SessionConfig:
                                     eps_ir=eps_ir, eps_bind=eps_bind)
         except BoundsError as exc:
             raise ProtocolError(str(exc)) from exc
-        return cls(params=params, hash_id=hash_id, k=k, tag_bits=tag_bits,
+        return cls(params=params, k=k, tag_bits=tag_bits,
                    ir_backend=_BACKEND_OF_CODE[backend])
 
 
@@ -145,14 +146,12 @@ def declared_payload_sizes(config: SessionConfig) -> dict:
     """
     p = config.params
     cp = config.commit_params
-    ir = config.ir_params
-    syn_record = 32 + 4 + (ir.syndrome_bits + 7) // 8 + 2 + (ir.tag_bits + 7) // 8
     return {
         Msg.COMMITMENTS: 4 + p.n0 * cp.com_bytes,
         Msg.OPENINGS: 4 + p.n_test * (1 + cp.seed_bytes),
         Msg.BASES: 4 + (p.n0 - p.n_test + 7) // 8,
         Msg.SEP: 2 * (4 + 4 * p.n_raw),
-        Msg.SYNDROMES: 2 * syn_record,
+        Msg.SYNDROMES: 2 * config.ir_params.record_bytes,
         Msg.HASH_SEED: 8 + (p.n_raw + p.n - 1 + 7) // 8,
     }
 
@@ -326,7 +325,7 @@ class SenderSession(_Session):
         msgs = np.stack([body[:, 0] >> 7, (body[:, 0] >> 6) & 1], axis=1)
         ok = commit.verify_batch(self.coms[self.test_set.indices], msgs,
                                  body[:, 1:], self.challenge, cp,
-                                 self.config.hash_id)
+                                 commit.HASH_AES128)
         if not ok.all():
             return self._abort(AbortReason.TEST_FAILED)
 
@@ -359,10 +358,8 @@ class SenderSession(_Session):
             return self._abort(AbortReason.PROTOCOL_ERROR)
 
         x0, x1 = extract(self.view.x, first), extract(self.view.x, second)
-        code_seed = self.rng.bytes(32)
         ir = self.config.ir_params
-        s0 = recon.syn(x0, ir, code_seed)
-        s1 = recon.syn(x1, ir, code_seed)
+        s0, s1 = recon.syn(x0, ir), recon.syn(x1, ir)
         seed = pamp.sample_seed(self.rng, p.n_raw, p.n)
         self.output = SenderOutput(pamp.hash_bits(seed, x0), pamp.hash_bits(seed, x1))
         self.phase = Phase.DONE
@@ -422,7 +419,7 @@ class ReceiverSession(_Session):
             seeds[:, -1] &= (0xFF << (8 - cp.n_s % 8)) & 0xFF
         self.seeds = seeds
         coms = commit.commit_batch(self.msgs, seeds, self.challenge, cp,
-                                   self.config.hash_id)
+                                   commit.HASH_AES128)
         self.phase = Phase.TEST
         return [self._send(Msg.COMMITMENTS,
                            struct.pack(">I", p.n0) + coms.tobytes())]
@@ -462,13 +459,13 @@ class ReceiverSession(_Session):
         return [self._send(Msg.SEP, pair[0].serialize() + pair[1].serialize())]
 
     def _on_syndromes(self, payload: bytes) -> list[Frame]:
-        s_first, used = recon.Syndrome.parse(payload)
-        s_second, used2 = recon.Syndrome.parse(payload[used:])
-        if used + used2 != len(payload):
+        ir = self.config.ir_params
+        size = ir.record_bytes
+        if len(payload) != 2 * size:
             return self._abort(AbortReason.PROTOCOL_ERROR)
-        mine = s_first if self.choice == 0 else s_second
-        decoded = recon.dec(mine, extract(self.view.x, self.i0),
-                            self.config.ir_params)
+        start = self.choice * size
+        mine = recon.Syndrome.parse(payload[start:start + size], ir)
+        decoded = recon.dec(mine, extract(self.view.x, self.i0), ir)
         if decoded is None:
             return self._abort(AbortReason.IR_FAILED)
         self.decoded = decoded
@@ -569,12 +566,10 @@ def run_session(config: SessionConfig, model: qsim.SourceModel,
                          qber_estimate=sender.qber_estimate)
 
 
-def desk_config(n0: int = 1 << 16, n: int = 16, tag_bits: int = 16, k: int = 16,
-                ir_backend: str = recon.BACKEND_TRIVIAL,
-                hash_id: int = commit.HASH_AES128) -> SessionConfig:
+def desk_config(n0: int = 1 << 16, n: int = 16,
+                ir_backend: str = recon.BACKEND_TRIVIAL) -> SessionConfig:
     """Small parameter point sized for CI: one session well under a second."""
     params = ProtocolParams(n0=n0, alpha=0.25, delta1=0.02, delta2=0.03,
                             p_max=0.02, n=n, f=1.3, p_multi=0.0,
-                            eps_ir=2.0 ** -tag_bits, eps_bind=2.0 ** -k)
-    return SessionConfig(params=params, hash_id=hash_id, k=k,
-                         tag_bits=tag_bits, ir_backend=ir_backend)
+                            eps_ir=2.0 ** -16, eps_bind=2.0 ** -16)
+    return SessionConfig(params=params, k=16, tag_bits=16, ir_backend=ir_backend)

@@ -5,15 +5,16 @@ receiver runs belief-propagation syndrome decoding against his own noisy copy
 and accepts the candidate only if the tag matches. Correct whenever the
 relative error between the two strings is below the design error rate.
 
-Two backends: an LDPC code from a seeded regular Gallager-style ensemble, and
-a trivial zero-leak backend for noiseless end-to-end runs.
+Two backends: an LDPC code from a regular Gallager-style ensemble, and a
+trivial zero-leak backend for noiseless end-to-end runs. The code is public
+and fixed by the parameters: one code per (n_raw, syndrome length), drawn
+under one constant seed, so nothing about it travels on the wire.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +32,7 @@ BP_NORM = 0.8
 LLR_CLAMP = 25.0
 
 _TAG_LABEL = b"\x02"  # domain separation from the commitment hash
+_CODE_SEED = hashlib.blake2b(b"qrot-ldpc-code", digest_size=32).digest()
 
 
 class ReconError(ValueError):
@@ -69,34 +71,29 @@ class IrParams:
         """Bits disclosed on the wire: syndrome plus verification tag."""
         return self.syndrome_bits + self.tag_bits
 
+    @property
+    def record_bytes(self) -> int:
+        """Wire size of one syndrome record: packed syndrome, then packed tag."""
+        return (self.syndrome_bits + 7) // 8 + (self.tag_bits + 7) // 8
+
 
 @dataclass(frozen=True)
 class Syndrome:
     syn: BitString
     tag: BitString
-    code_seed: bytes
 
     def serialize(self) -> bytes:
-        syn_bytes = self.syn.payload
-        tag_bytes = self.tag.payload
-        return (self.code_seed + struct.pack(">I", self.syn.length) + syn_bytes
-                + struct.pack(">H", self.tag.length) + tag_bytes)
+        return self.syn.payload + self.tag.payload
 
     @classmethod
-    def parse(cls, raw: bytes) -> tuple["Syndrome", int]:
-        if len(raw) < 36:
-            raise ReconError("truncated syndrome record")
-        code_seed = raw[:32]
-        ell = struct.unpack(">I", raw[32:36])[0]
-        syn_end = 36 + (ell + 7) // 8
-        if len(raw) < syn_end + 2:
-            raise ReconError("truncated syndrome record")
-        tau = struct.unpack(">H", raw[syn_end:syn_end + 2])[0]
-        end = syn_end + 2 + (tau + 7) // 8
-        if len(raw) < end:
-            raise ReconError("truncated syndrome record")
-        return cls(BitString(raw[36:syn_end], ell),
-                   BitString(raw[syn_end + 2:end], tau), code_seed), end
+    def parse(cls, raw: bytes, params: IrParams) -> "Syndrome":
+        """One record of exactly ``params.record_bytes``; the config fixes
+        both lengths, so the record carries no header."""
+        if len(raw) != params.record_bytes:
+            raise ReconError("syndrome record length does not match the config")
+        cut = (params.syndrome_bits + 7) // 8
+        return cls(BitString(raw[:cut], params.syndrome_bits),
+                   BitString(raw[cut:], params.tag_bits))
 
 
 def _tag(x: BitString, tag_bits: int) -> BitString:
@@ -166,6 +163,10 @@ def _code_structure(code_seed: bytes, n_raw: int, ell: int):
     slot_of_edge = np.empty(e_tot + 1, dtype=np.int64)
     slot_of_edge[slots.ravel()] = np.arange(slots.size)
     var_slots = slot_of_edge[np.sort(socket_edge.reshape(n_raw, 3), axis=1)]
+    # a pure function of public values, cached and shared by every session
+    # at one config: no caller may write the arrays
+    var_of_slot.setflags(write=False)
+    var_slots.setflags(write=False)
     return var_of_slot, var_slots
 
 
@@ -181,18 +182,16 @@ def _syndrome_bits_of(x_bits: np.ndarray, code_seed: bytes, n_raw: int,
 # public operations
 # ---------------------------------------------------------------------------
 
-def syn(x: BitString, params: IrParams, code_seed: bytes) -> Syndrome:
+def syn(x: BitString, params: IrParams) -> Syndrome:
     if x.length != params.n_raw:
         raise ReconError("block length mismatch")
-    if len(code_seed) != 32:
-        raise ReconError("code seed must be 32 bytes")
     if params.backend == BACKEND_TRIVIAL:
         s = BitString.zeros(0)
     else:
-        bits = _syndrome_bits_of(x.bits(), code_seed, params.n_raw,
+        bits = _syndrome_bits_of(x.bits(), _CODE_SEED, params.n_raw,
                                  params.syndrome_bits)
         s = BitString.from_bits(bits)
-    return Syndrome(s, _tag(x, params.tag_bits), code_seed)
+    return Syndrome(s, _tag(x, params.tag_bits))
 
 
 def dec(s: Syndrome, y: BitString, params: IrParams) -> BitString | None:
@@ -206,10 +205,10 @@ def dec(s: Syndrome, y: BitString, params: IrParams) -> BitString | None:
         candidate = y
     else:
         y_bits = y.bits()
-        target = _syndrome_bits_of(y_bits, s.code_seed, params.n_raw,
+        target = _syndrome_bits_of(y_bits, _CODE_SEED, params.n_raw,
                                    params.syndrome_bits) ^ s.syn.bits()
         var_of_slot, var_slots = _code_structure(
-            s.code_seed, params.n_raw, params.syndrome_bits)
+            _CODE_SEED, params.n_raw, params.syndrome_bits)
         llr0 = math.log((1.0 - params.p_design) / params.p_design)
         err, converged, _ = _kernels.bp_decode(
             var_of_slot, var_slots, target.astype(np.uint8),

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from qrot import qsim, recon, wire
+from qrot import qsim, wire
 from qrot.bitcore import BitString
 from qrot.protocol import (Msg, ReceiverSession, RotOutput, SenderSession,
                            SessionConfig, SessionResult, drive, parties)
@@ -37,14 +37,13 @@ class EarlySepReceiver(ReceiverSession):
 
 
 class CorruptSyndromeSender(SenderSession):
-    """Flips the last tag byte of both syndrome records."""
+    """Flips the last byte, a tag byte, of both syndrome records."""
 
     def _send(self, type_code: int, payload: bytes):
         if type_code == Msg.SYNDROMES:
-            _, used = recon.Syndrome.parse(payload)
             buf = bytearray(payload)
-            buf[used - 1] ^= 0xFF  # first record's tag
-            buf[-1] ^= 0xFF        # second record's tag
+            buf[len(buf) // 2 - 1] ^= 0xFF  # first record's tag
+            buf[-1] ^= 0xFF                 # second record's tag
             payload = bytes(buf)
         return super()._send(type_code, payload)
 

@@ -49,11 +49,6 @@ class TestBitString:
         assert (a ^ b).bits().tolist() == [0, 1, 1, 0]
         assert (a ^ a).popcount() == 0
 
-    def test_concat(self):
-        a = BitString.from_bits([1, 0, 1])
-        b = BitString.from_bits([1, 1])
-        assert a.concat(b).bits().tolist() == [1, 0, 1, 1, 1]
-
     def test_empty(self):
         z = BitString.zeros(0)
         assert len(z) == 0 and z.to_int() == 0

@@ -37,6 +37,13 @@ class TestBounds:
         assert ja["eps_max"] == jb["eps_max"]
 
 
+    def test_seed_is_not_a_bounds_flag(self):
+        # only simulate and role draw random values
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--seed", "5"])
+        assert exc.value.code == 2
+
+
 class TestFigures:
     def test_fig2_to_file(self, capsys, tmp_path):
         path = tmp_path / "fig2.csv"

@@ -66,7 +66,7 @@ def _rng(i=0):
 class TestParams:
     def test_derived_lengths(self):
         p = CommitParams(k=32, n_msg=2)
-        assert (p.n_r, p.n_c, p.n_s, p.n_o) == (98, 98, 32, 34)
+        assert (p.n_r, p.n_c, p.n_s) == (98, 98, 32)
 
     def test_small_k_rejected(self):
         with pytest.raises(CommitError):

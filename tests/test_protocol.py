@@ -1,3 +1,4 @@
+import copy
 import threading
 from dataclasses import replace
 
@@ -25,9 +26,10 @@ class TestSessionConfig:
 
     def test_bad_version_rejected(self):
         raw = bytearray(desk_config().serialize())
-        raw[0] = 99
-        with pytest.raises(protocol.ProtocolError):
-            SessionConfig.parse(bytes(raw))
+        for version in (1, 99):  # 1: the HELLO with a hash id byte
+            raw[0] = version
+            with pytest.raises(protocol.ProtocolError):
+                SessionConfig.parse(bytes(raw))
 
     def test_derived_ir_params(self):
         cfg = desk_config(ir_backend=recon.BACKEND_LDPC)
@@ -165,12 +167,23 @@ class TestPhaseOrderSafety:
         fields = list(protocol._CONFIG_STRUCT.unpack(cfg.serialize()))
         # f, the IR efficiency: inf, or finite with f * h(p) * n_raw = inf
         for f in (float("inf"), 1e308):
-            fields[11] = f
+            fields[10] = f
             _, receiver = parties(cfg, NOISELESS, 18)
             out = receiver.on_frame(
                 wire.Frame(Msg.HELLO, protocol._CONFIG_STRUCT.pack(*fields)))
             assert receiver.abort_reason == AbortReason.PROTOCOL_ERROR
             assert out[0].type_code == Msg.ABORT
+
+    def test_cut_or_padded_syndromes_are_protocol_error(self):
+        cfg = desk_config(n0=8192, ir_backend=recon.BACKEND_LDPC)
+        receiver, payload = _receiver_at_syndromes(cfg, 23)
+        for bad in [payload[:k] for k in range(len(payload))] + [payload + b"\x00"]:
+            r = copy.copy(receiver)  # the phase and abort state are its own
+            out = r.on_frame(wire.Frame(Msg.SYNDROMES, bad))
+            assert r.abort_reason == AbortReason.PROTOCOL_ERROR
+            assert out[0].type_code == Msg.ABORT
+        receiver.on_frame(wire.Frame(Msg.SYNDROMES, payload))
+        assert receiver.phase == protocol.Phase.HASH
 
     def test_fuzzed_replays_never_complete_wrong(self):
         # collect one honest receiver-to-sender frame sequence, then replay
@@ -209,6 +222,18 @@ def _sender_at_sep(seed):
         for out in receiver.on_frame(pending.pop(0)):
             if out.type_code == Msg.SEP:
                 return sender, out.payload
+            pending.extend(sender.on_frame(out))
+
+
+def _receiver_at_syndromes(config, seed):
+    """An honest receiver waiting for SYNDROMES, and the sender's payload."""
+    sender, receiver = parties(config, NOISELESS, seed)
+    pending = sender.start()
+    while True:
+        frame = pending.pop(0)
+        if frame.type_code == Msg.SYNDROMES:
+            return receiver, frame.payload
+        for out in receiver.on_frame(frame):
             pending.extend(sender.on_frame(out))
 
 
@@ -266,6 +291,21 @@ class TestLeakLedger:
             declared[Msg.SYNDROMES]
         assert declared[Msg.SYNDROMES] > 2 * (32 + 4 + 2 + 2)
 
+    def test_syndromes_sized_by_config(self):
+        cfg = desk_config(ir_backend=recon.BACKEND_LDPC)
+        ir = cfg.ir_params
+        assert declared_payload_sizes(cfg)[Msg.SYNDROMES] == \
+            2 * ((ir.syndrome_bits + 7) // 8 + (ir.tag_bits + 7) // 8)
+
+    def test_one_code_per_config(self):
+        # the code is public and fixed by the config: sessions at other
+        # seeds build no new graph
+        cfg = desk_config(n0=8192, ir_backend=recon.BACKEND_LDPC)
+        before = recon._code_structure.cache_info().misses
+        for seed in (24, 25, 26):
+            assert run_session(cfg, qsim.SourceModel(p_err=0.01), seed).success
+        assert recon._code_structure.cache_info().misses - before <= 1
+
     def test_transcripts_mirror_each_other(self):
         res = run_session(SMALL, NOISELESS, 22)
         sent = [(e.type_code, e.length, e.digest)
@@ -278,24 +318,24 @@ class TestLeakLedger:
 # Seeded desk-LDPC sessions at SourceModel(p_err=0.01): seed -> (choice bit,
 # m0, m1, blake2b-64 digest of every frame payload in session order).
 # Frame i has type code i + 1 and length _GOLDEN_LENGTHS[i].
-_GOLDEN_LENGTHS = [83, 24, 11, 458756, 65540, 49156, 6148, 184816, 1900, 2898]
+_GOLDEN_LENGTHS = [82, 24, 11, 458756, 65540, 49156, 6148, 184816, 1824, 2898]
 _GOLDEN_SENDER_DIRS = ["send", "recv"] * 4 + ["send", "send"]
 _GOLDEN_LDPC = {
-    1: (0, 36112, 43187,
-        ["52e0096a44f411e4", "f3d40a398a067c2a", "74157271ff0cbbe4",
+    1: (0, 37177, 9305,
+        ["ee66334deb28569f", "f3d40a398a067c2a", "74157271ff0cbbe4",
          "d5385bd30c9447de", "5908f531d522f984", "3be7741dd4fcb536",
-         "3aa6d1589ad141d8", "93b73b045e6486a6", "965fde87118d4834",
-         "ad2e7b6a39f81169"]),
-    2: (0, 58375, 52446,
-        ["52e0096a44f411e4", "f3d40a398a067c2a", "f8249173d83f7d14",
+         "3aa6d1589ad141d8", "93b73b045e6486a6", "2ed4bf06e774bef2",
+         "bdebc9d7c5eb730d"]),
+    2: (0, 16551, 60528,
+        ["ee66334deb28569f", "f3d40a398a067c2a", "f8249173d83f7d14",
          "eae9bd990c5a6981", "a3f531f4825835b2", "16276af149761663",
-         "c4e3aab6df4d7989", "372a6ea88a612b7c", "b8420089763dd519",
-         "291c14b84c341ea0"]),
-    3: (1, 8785, 34203,
-        ["52e0096a44f411e4", "f3d40a398a067c2a", "9317b493e92a32a6",
+         "c4e3aab6df4d7989", "372a6ea88a612b7c", "290dc90b878e9a8d",
+         "9d2548fc054cccc7"]),
+    3: (1, 9346, 19966,
+        ["ee66334deb28569f", "f3d40a398a067c2a", "9317b493e92a32a6",
          "af58596941a3b222", "75a15906a9c56100", "257d6da0c94c07b7",
-         "ec79de50eeeacf0c", "1720e6ecc9f8a5eb", "92cbf4a306af0df5",
-         "c852871f46bedf84"]),
+         "ec79de50eeeacf0c", "1720e6ecc9f8a5eb", "f20df1a11b183d01",
+         "04e713f1776ff198"]),
 }
 
 

@@ -113,97 +113,89 @@ class TestIrParams:
 
 
 class TestWireForm:
+    def test_record_sized_by_config(self):
+        x, _, _ = _pair(1)
+        raw = syn(x, IR).serialize()
+        assert len(raw) == IR.record_bytes == \
+            (IR.syndrome_bits + 7) // 8 + (IR.tag_bits + 7) // 8
+
     def test_round_trip(self):
-        x, _, rng = _pair(1)
-        s = syn(x, IR, rng.bytes(32))
-        parsed, used = Syndrome.parse(s.serialize())
-        assert parsed == s and used == len(s.serialize())
+        x, _, _ = _pair(1)
+        s = syn(x, IR)
+        assert Syndrome.parse(s.serialize(), IR) == s
 
     def test_truncation_rejected(self):
-        x, _, rng = _pair(2)
-        raw = syn(x, IR, rng.bytes(32)).serialize()
+        x, _, _ = _pair(2)
+        raw = syn(x, IR).serialize()
         with pytest.raises(ReconError):
-            Syndrome.parse(raw[:-3])
-
-    @pytest.mark.parametrize("cut", [0, 1])
-    def test_cut_in_tag_length_rejected(self, cut):
-        # 32-byte seed, an 8-bit syndrome of one byte, then 0 or 1 of the
-        # two tag-length bytes
-        raw = bytes(32) + b"\x00\x00\x00\x08" + b"\x01" + b"\x00" * cut
-        with pytest.raises(ReconError):
-            Syndrome.parse(raw)
+            Syndrome.parse(raw[:-3], IR)
 
     def test_every_prefix_rejected(self):
-        x, _, rng = _pair(3)
-        raw = syn(x, IR, rng.bytes(32)).serialize()
+        x, _, _ = _pair(3)
+        raw = syn(x, IR).serialize()
         for k in range(len(raw)):
             with pytest.raises(ReconError):
-                Syndrome.parse(raw[:k])
+                Syndrome.parse(raw[:k], IR)
+        with pytest.raises(ReconError):
+            Syndrome.parse(raw + b"\x00", IR)
 
 
 class TestDecode:
     def test_recovers_at_half_design_rate(self):
         for seed in range(20):
-            x, y, rng = _pair(seed)
-            s = syn(x, IR, rng.bytes(32))
+            x, y, _ = _pair(seed)
+            s = syn(x, IR)
             assert dec(s, y, IR) == x
 
     def test_zero_noise_immediate(self):
-        x, _, rng = _pair(50, p=0.0)
-        s = syn(x, IR, rng.bytes(32))
+        x, _, _ = _pair(50, p=0.0)
+        s = syn(x, IR)
         assert dec(s, x, IR) == x
 
     def test_unrelated_string_rejected(self):
         hits = 0
         for seed in range(20):
             x, _, rng = _pair(seed + 100)
-            s = syn(x, IR, rng.bytes(32))
+            s = syn(x, IR)
             z = BitString.from_bits(np.frombuffer(rng.bytes(N), np.uint8) & 1)
             hits += dec(s, z, IR) is not None
         assert hits == 0
 
     def test_tag_gates_acceptance(self):
-        x, y, rng = _pair(200)
-        s = syn(x, IR, rng.bytes(32))
+        x, y, _ = _pair(200)
+        s = syn(x, IR)
         flipped = bytearray(s.tag.payload)
         flipped[0] ^= 0x80
-        bad = Syndrome(s.syn, BitString(bytes(flipped), s.tag.length), s.code_seed)
+        bad = Syndrome(s.syn, BitString(bytes(flipped), s.tag.length))
         assert dec(bad, y, IR) is None
 
     def test_wrong_lengths_rejected_not_raised(self):
-        x, y, rng = _pair(201)
-        s = syn(x, IR, rng.bytes(32))
+        x, y, _ = _pair(201)
+        s = syn(x, IR)
         short = IrParams(n_raw=N, p_design=0.05, f=1.3, tag_bits=16)
         assert dec(s, y, short) is None
 
     def test_trivial_backend_round_trip(self):
         p = IrParams(n_raw=N, p_design=0.05, backend=BACKEND_TRIVIAL)
-        x, y, rng = _pair(202)
-        s = syn(x, p, rng.bytes(32))
+        x, y, _ = _pair(202)
+        s = syn(x, p)
         assert s.syn.length == 0
         assert dec(s, x, p) == x      # identical copy passes
         assert dec(s, y, p) is None   # any noise trips the tag
 
     def test_block_length_checked(self):
-        x, _, rng = _pair(203)
+        x, _, _ = _pair(203)
         with pytest.raises(ReconError):
-            syn(BitString.zeros(N - 1), IR, rng.bytes(32))
+            syn(BitString.zeros(N - 1), IR)
         with pytest.raises(ReconError):
-            dec(syn(x, IR, rng.bytes(32)), BitString.zeros(N + 1), IR)
-
-    def test_code_seed_changes_syndrome(self):
-        x, _, rng = _pair(204)
-        s1 = syn(x, IR, b"\x01" * 32)
-        s2 = syn(x, IR, b"\x02" * 32)
-        assert s1.syn != s2.syn
+            dec(syn(x, IR), BitString.zeros(N + 1), IR)
 
     def test_syndrome_is_linear(self):
         x1, _, rng = _pair(205)
         x2 = BitString.from_bits(np.frombuffer(rng.bytes(N), np.uint8) & 1)
-        seed = b"\x03" * 32
-        s1 = syn(x1, IR, seed).syn
-        s2 = syn(x2, IR, seed).syn
-        s12 = syn(x1 ^ x2, IR, seed).syn
+        s1 = syn(x1, IR).syn
+        s2 = syn(x2, IR).syn
+        s12 = syn(x1 ^ x2, IR).syn
         assert s12 == s1 ^ s2
 
 
@@ -216,6 +208,12 @@ class TestGraph:
         assert var_slots.shape == (512, 3)
         assert np.array_equal(var_of_slot.ravel()[var_slots],
                               np.repeat(np.arange(512), 3).reshape(512, 3))
+
+    def test_seed_changes_graph(self):
+        ell = IrParams(n_raw=512, p_design=0.05, f=1.3).syndrome_bits
+        a, _ = recon._code_structure(b"\x01" * 32, 512, ell)
+        b, _ = recon._code_structure(b"\x02" * 32, 512, ell)
+        assert not np.array_equal(a, b)
 
     def test_no_duplicate_incidences(self):
         ell = IrParams(n_raw=512, p_design=0.05, f=1.3).syndrome_bits
