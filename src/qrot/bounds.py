@@ -120,10 +120,11 @@ def entropy_rate_bracket(params: ProtocolParams, experimental: bool) -> float:
     return bracket
 
 
-def _squash(x: float) -> tuple[float, bool]:
-    """Cap at the vacuous bound 2 and flush denormal-range values to zero."""
+def _squash(x: float, flushed: bool = False) -> tuple[float, bool]:
+    """Cap at the vacuous bound 2 and flush denormal-range values to zero;
+    the flag says whether this, or an earlier ``flushed`` step, dropped x."""
     if x < _UNDERFLOW:
-        return (0.0, x > 0.0)
+        return (0.0, flushed or x > 0.0)
     return (min(x, _COMPONENT_CAP), False)
 
 
@@ -161,9 +162,13 @@ class BoundReport:
 
 def eps_correctness(params: ProtocolParams) -> float:
     """Honest-run failure probability: 2^(-(N_raw-n)/2) + 2*eps_IR."""
-    if params.n_raw <= params.n:
+    return _eps_correctness(params, params.n_raw)
+
+
+def _eps_correctness(params: ProtocolParams, n_raw: int) -> float:
+    if n_raw <= params.n:
         raise BoundsError("raw block not longer than the output")
-    exponent = -0.5 * (params.n_raw - params.n)
+    exponent = -0.5 * (n_raw - params.n)
     first = 0.0 if exponent < -1100 else 2.0 ** exponent
     return first + 2.0 * params.eps_ir
 
@@ -172,11 +177,16 @@ def eps_receiver(params: ProtocolParams, experimental: bool) -> BoundReport:
     """Dishonest-receiver bound, itemized.
 
     Statistical term, KL concentration term, commitment binding, and the
-    leftover-hash term with the entropy-rate bracket.
+    leftover-hash term with the entropy-rate bracket. The block sizes are
+    the ``ProtocolParams`` properties, computed once per call.
     """
+    alpha, n0, delta2 = params.alpha, params.n0, params.delta2
+    n_test = math.floor(alpha * n0)
+    n_check = math.floor((0.5 - delta2) * alpha * n0)
+    n_raw = math.floor((0.5 - delta2) * (1.0 - alpha) * n0)
     d1sq = params.delta1 * params.delta1
-    e1 = -0.5 * (1.0 - params.alpha) ** 2 * params.n_test * d1sq
-    e2 = -0.5 * params.n_check * d1sq
+    e1 = -0.5 * (1.0 - alpha) ** 2 * n_test * d1sq
+    e2 = -0.5 * n_check * d1sq
     # log-space: sqrt(2) * sqrt(e^e1 + e^e2)
     big = max(e1, e2)
     if big < -1400:
@@ -187,29 +197,26 @@ def eps_receiver(params: ProtocolParams, experimental: bool) -> BoundReport:
             math.sqrt(math.exp(e1 - big) + math.exp(e2 - big))
         stat_uf = False
 
-    kl_exp = -binary_kl(0.5 - params.delta2, 0.5) * (1.0 - params.alpha) * params.n0
+    kl_exp = -binary_kl(0.5 - delta2, 0.5) * (1.0 - alpha) * n0
     kl_uf = kl_exp < -700
     kl = 0.0 if kl_uf else math.exp(kl_exp)
 
     bracket = entropy_rate_bracket(params, experimental)
-    lhl_exp = 0.5 * (params.n - params.n_raw * bracket)
+    lhl_exp = 0.5 * (params.n - n_raw * bracket)
     lhl_uf = lhl_exp < -1070
     lhl = math.inf if lhl_exp > 64 else (0.0 if lhl_uf else 0.5 * 2.0 ** lhl_exp)
 
-    comps = {"eps_stat": (stat, stat_uf), "eps_kl": (kl, kl_uf),
-             "eps_bind": (params.eps_bind, False), "eps_lhl": (lhl, lhl_uf)}
-    underflowed = []
-    squashed = {}
-    for name, (val, flushed) in comps.items():
-        sq, uf = _squash(val)
-        squashed[name] = sq
-        if uf or flushed:
-            underflowed.append(name)
-    ec, uf = _squash(eps_correctness(params))
-    if uf:
-        underflowed.append("eps_correct")
-    return BoundReport(eps_correct=ec, experimental=experimental,
-                       underflowed=tuple(underflowed), **squashed)
+    stat, stat_uf = _squash(stat, stat_uf)
+    kl, kl_uf = _squash(kl, kl_uf)
+    bind, bind_uf = _squash(params.eps_bind)
+    lhl, lhl_uf = _squash(lhl, lhl_uf)
+    ec, ec_uf = _squash(_eps_correctness(params, n_raw))
+    underflowed = tuple(name for name, hit in (
+        ("eps_stat", stat_uf), ("eps_kl", kl_uf), ("eps_bind", bind_uf),
+        ("eps_lhl", lhl_uf), ("eps_correct", ec_uf)) if hit)
+    return BoundReport(eps_correct=ec, eps_stat=stat, eps_kl=kl, eps_bind=bind,
+                       eps_lhl=lhl, experimental=experimental,
+                       underflowed=underflowed)
 
 
 def eps_max(params: ProtocolParams, experimental: bool = False) -> BoundReport:

@@ -257,7 +257,8 @@ class _Session:
             if handler is None:
                 return self._abort(AbortReason.PROTOCOL_ERROR)
             return handler(frame.payload)
-        except (ValueError, struct.error):
+        # a WireError here is a reply this end could not frame, not a link fault
+        except (ValueError, struct.error, wire.WireError):
             return self._abort(AbortReason.PROTOCOL_ERROR)
 
     def _handlers(self) -> dict:

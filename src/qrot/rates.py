@@ -87,30 +87,34 @@ _N0_CAP = 10 ** 11
 
 
 def _min_n0_at(alpha: float, delta1: float, delta2: float, eps_target: float,
-               p_max: float, f: float, p_multi: float, n_target: int) -> int | None:
-    """Smallest N0 making an n_target-bit key feasible; None if over the cap."""
+               p_max: float, f: float, p_multi: float, n_target: int,
+               cap: int = _N0_CAP) -> int | None:
+    """Smallest N0 making an n_target-bit key feasible; None if over ``cap``.
+
+    The answer lies above every infeasible probe ``lo``, so the search stops
+    with None once ``lo >= cap``: its probes are the uncapped ones, cut short.
+    """
     experimental = p_multi > 0.0
 
     def feasible(n0: int) -> bool:
-        try:
+        try:  # n_raw <= n_target raises in eps_correctness
             p = ProtocolParams(n0=n0, alpha=alpha, delta1=delta1, delta2=delta2,
                                p_max=p_max, n=n_target, f=f, p_multi=p_multi)
-        except BoundsError:
-            return False
-        if p.n_raw <= n_target:
-            return False
-        try:
             return bounds.eps_max(p, experimental).eps_max <= eps_target
         except BoundsError:
             return False
 
     lo, hi = 4 * n_target + 8, None
+    if lo > cap:  # the first probe is the smallest possible answer
+        return None
     probe = lo
     while probe <= _N0_CAP:
         if feasible(probe):
             hi = probe
             break
         lo = probe
+        if lo >= cap:
+            return None
         probe *= 2
     if hi is None:
         return None
@@ -120,6 +124,8 @@ def _min_n0_at(alpha: float, delta1: float, delta2: float, eps_target: float,
             hi = mid
         else:
             lo = mid
+            if lo >= cap:
+                return None
     return hi
 
 
@@ -131,6 +137,11 @@ def n_crit(eps_target: float, p_max: float, f: float, p_multi: float,
     best point; ties broken lexicographically on (N0, alpha, delta1, delta2)
     so the search is deterministic. The multi-photon leak is charged
     whenever p_multi > 0.
+
+    Branch and bound: each point's search is capped at the best N0 found so
+    far (the fine pass starts from the coarse best), and stops once it can
+    only return a strictly larger N0. Such a point could not win even a tie,
+    so the result is that of searching every point to the end, to the bit.
     """
     gap = p_crit(f) - p_max
     if gap <= 0.0:
@@ -142,13 +153,12 @@ def n_crit(eps_target: float, p_max: float, f: float, p_multi: float,
     d1s = [1e-4 + (d1_hi - 1e-4) * i / (n1 - 1) for i in range(n1)]
     d2s = [1e-4 + (0.05 - 1e-4) * i / (n2 - 1) for i in range(n2)]
 
-    def search(points):
-        best = None
+    def search(points, best=None):
         for a in points[0]:
             for d1 in points[1]:
                 for d2 in points[2]:
                     r = _min_n0_at(a, d1, d2, eps_target, p_max, f, p_multi,
-                                   n_target)
+                                   n_target, best[0] if best else _N0_CAP)
                     if r is None:
                         continue
                     key = (r, a, d1, d2)
@@ -169,11 +179,9 @@ def n_crit(eps_target: float, p_max: float, f: float, p_multi: float,
         return [lo + (hi - lo) * i / 9 for i in range(10)]
 
     _, a0, d10, d20 = best
-    fine = search((refine_axis(alphas, a0, 0.02, 0.5),
+    best = search((refine_axis(alphas, a0, 0.02, 0.5),
                    refine_axis(d1s, d10, 1e-5, gap),
-                   refine_axis(d2s, d20, 1e-5, 0.08)))
-    if fine is not None and fine < best:
-        best = fine
+                   refine_axis(d2s, d20, 1e-5, 0.08)), best)
 
     n0, a, d1, d2 = best
     p = ProtocolParams(n0=n0, alpha=a, delta1=d1, delta2=d2, p_max=p_max,

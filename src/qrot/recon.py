@@ -2,8 +2,10 @@
 
 The sender transmits a syndrome of her raw string plus a short hash tag; the
 receiver runs belief-propagation syndrome decoding against his own noisy copy
-and accepts the candidate only if the tag matches. Correct whenever the
-relative error between the two strings is below the design error rate.
+and accepts the candidate only if the tag matches. Decoding needs a margin
+below the design error rate: on fixed flip patterns the desk code (n_raw
+23,101, f 1.3, p_design 0.04) decodes 200 of 200 at 0.02 and at 0.03, but
+fails about 3 in 4 at 0.04. A failed decode is a rejection, not a wrong key.
 
 Two backends: an LDPC code from a regular Gallager-style ensemble, and a
 trivial zero-leak backend for noiseless end-to-end runs. The code is public

@@ -48,6 +48,13 @@ class CorruptSyndromeSender(SenderSession):
         return super()._send(type_code, payload)
 
 
+class OversizedCommitmentsReceiver(ReceiverSession):
+    """Answers the challenge with a COMMITMENTS payload over ``wire.MAX_FRAME``."""
+
+    def _on_challenge(self, payload: bytes):
+        return [self._send(Msg.COMMITMENTS, bytes(wire.MAX_FRAME + 1))]
+
+
 def skewed_receiver(sender: SenderSession, receiver: ReceiverSession,
                     model: qsim.SourceModel, match_prob: float) -> ReceiverSession:
     """A receiver whose bases match the sender's with ``match_prob`` (honest

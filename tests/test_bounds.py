@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -144,3 +145,104 @@ class TestReportShape:
         bigger = bounds.eps_max(ProtocolParams(
             n0=2 * n0, alpha=0.3, delta1=0.01, delta2=0.005, p_max=0.005, n=16))
         assert bigger.eps_max <= bounds.eps_max(p).eps_max * (1 + 1e-9)
+
+
+def _eps_receiver_reference(params, experimental, seen):
+    """``eps_receiver`` with the block sizes read from the params properties
+    and the squash done per named component; adds to ``seen`` the label of
+    every underflow, overflow and error branch it takes."""
+    def squash(name, x):
+        if x < 1e-300:
+            if x > 0.0:
+                seen.add(name + " squashed")
+            return (0.0, x > 0.0)
+        return (min(x, 2.0), False)
+
+    d1sq = params.delta1 * params.delta1
+    e1 = -0.5 * (1.0 - params.alpha) ** 2 * params.n_test * d1sq
+    e2 = -0.5 * params.n_check * d1sq
+    big = max(e1, e2)
+    if big < -1400:
+        stat = 0.0
+        stat_uf = True
+        seen.add("eps_stat flushed")
+    else:
+        stat = math.sqrt(2.0) * math.exp(0.5 * big) * \
+            math.sqrt(math.exp(e1 - big) + math.exp(e2 - big))
+        stat_uf = False
+
+    kl_exp = -binary_kl(0.5 - params.delta2, 0.5) * (1.0 - params.alpha) * params.n0
+    kl_uf = kl_exp < -700
+    kl = 0.0 if kl_uf else math.exp(kl_exp)
+    if kl_uf:
+        seen.add("eps_kl flushed")
+
+    try:
+        bracket = entropy_rate_bracket(params, experimental)
+    except BoundsError:
+        seen.add("bracket error")
+        raise
+    lhl_exp = 0.5 * (params.n - params.n_raw * bracket)
+    lhl_uf = lhl_exp < -1070
+    lhl = math.inf if lhl_exp > 64 else (0.0 if lhl_uf else 0.5 * 2.0 ** lhl_exp)
+    if lhl_uf or lhl == math.inf:
+        seen.add("eps_lhl flushed" if lhl_uf else "eps_lhl capped")
+
+    comps = {"eps_stat": (stat, stat_uf), "eps_kl": (kl, kl_uf),
+             "eps_bind": (params.eps_bind, False), "eps_lhl": (lhl, lhl_uf)}
+    underflowed = []
+    squashed = {}
+    for name, (val, flushed) in comps.items():
+        sq, uf = squash(name, val)
+        squashed[name] = sq
+        if uf or flushed:
+            underflowed.append(name)
+    if params.n_raw <= params.n:
+        seen.add("correctness error")
+        raise BoundsError("raw block not longer than the output")
+    exponent = -0.5 * (params.n_raw - params.n)
+    first = 0.0 if exponent < -1100 else 2.0 ** exponent
+    ec, uf = squash("eps_correct", first + 2.0 * params.eps_ir)
+    if uf:
+        underflowed.append("eps_correct")
+    return bounds.BoundReport(eps_correct=ec, experimental=experimental,
+                              underflowed=tuple(underflowed), **squashed)
+
+
+def _random_params(rng):
+    """Log-uniform sizes and tolerances, with zero and sub-1e-300 values for
+    the floors, so that every branch of the bound is reached."""
+    def tiny():
+        return rng.choice((2.0 ** -32, 0.0, 10.0 ** rng.uniform(-330, -290)))
+
+    return ProtocolParams(
+        n0=int(10 ** rng.uniform(0, 12)), alpha=rng.uniform(0.001, 0.999),
+        delta1=rng.choice((0.0, 10 ** rng.uniform(-7, -0.5))),
+        delta2=rng.uniform(0.0, 0.4999),
+        p_max=rng.choice((0.0, rng.uniform(0.0, 0.2))),
+        n=int(10 ** rng.uniform(0, 7)),
+        f=1.0 + rng.choice((0.0, 10 ** rng.uniform(-3, 1))),
+        p_multi=rng.choice((0.0, rng.uniform(0.0, 0.01))),
+        eps_ir=tiny(), eps_bind=tiny())
+
+
+class TestEpsReceiverOracle:
+    def test_matches_reference_to_the_bit(self):
+        rng = random.Random(20260)
+        seen = set()
+        for _ in range(20000):
+            params, experimental = _random_params(rng), rng.random() < 0.5
+            try:
+                want = _eps_receiver_reference(params, experimental, seen).to_dict()
+            except BoundsError as e:
+                with pytest.raises(BoundsError) as got:
+                    bounds.eps_receiver(params, experimental)
+                assert str(got.value) == str(e), params
+                continue
+            assert bounds.eps_receiver(params, experimental).to_dict() == want, \
+                (params, experimental)
+        assert seen == {
+            "eps_stat flushed", "eps_stat squashed", "eps_kl flushed",
+            "eps_kl squashed", "eps_bind squashed", "eps_lhl flushed",
+            "eps_lhl squashed", "eps_lhl capped", "eps_correct squashed",
+            "bracket error", "correctness error"}

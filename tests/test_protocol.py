@@ -13,7 +13,7 @@ from qrot.protocol import (AbortReason, Msg, SessionConfig,
                            declared_payload_sizes, desk_config, drive, parties,
                            run_session)
 from cheats import (CorruptSyndromeSender, EarlySepReceiver, FlippingReceiver,
-                    run_cheat)
+                    OversizedCommitmentsReceiver, drive_pair, run_cheat)
 
 SMALL = desk_config(n0=8192)
 NOISELESS = qsim.SourceModel()
@@ -106,6 +106,17 @@ class TestAbortPaths:
     def test_early_message_is_protocol_error(self):
         res = run_cheat(SMALL, NOISELESS, 4, receiver_cls=EarlySepReceiver)
         assert res.abort_reason == AbortReason.PROTOCOL_ERROR
+
+    def test_unframeable_reply_is_protocol_error(self):
+        # Frame() refuses the reply with a WireError, which is the cheater's
+        # own fault, not a broken link: it aborts, and the sender hears why
+        sender, receiver = parties(SMALL, NOISELESS, 6)
+        cheat = OversizedCommitmentsReceiver(SMALL, receiver.view, receiver.rng)
+        drive_pair(sender, cheat)
+        assert cheat.abort_reason == AbortReason.PROTOCOL_ERROR
+        assert sender.abort_reason == AbortReason.PROTOCOL_ERROR
+        last = cheat.transcript.entries[-1]
+        assert (last.direction, last.type_code) == ("send", Msg.ABORT)
 
     def test_noise_above_p_max_fails_test(self):
         res = run_session(SMALL, qsim.SourceModel(p_err=0.06), 5)

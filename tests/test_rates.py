@@ -1,11 +1,15 @@
+import dataclasses
+import itertools
 import math
+import random
+from types import SimpleNamespace
 
 import pytest
 
 from qrot import bounds, rates
-from qrot.bounds import ProtocolParams, binary_entropy
-from qrot.rates import (RatesError, asymptotic_key_rate, emit_figure, key_rate,
-                        n_crit, n_max, p_crit)
+from qrot.bounds import BoundsError, ProtocolParams, binary_entropy
+from qrot.rates import (OptimizeResult, RatesError, asymptotic_key_rate,
+                        emit_figure, key_rate, n_crit, n_max, p_crit)
 
 
 def _params(n0, p_max=0.01, f=1.2, alpha=0.3, d1=0.009, d2=0.003):
@@ -100,6 +104,176 @@ class TestOptimizer:
     def test_infeasible_p_max(self):
         res = n_crit(1e-7, 0.05, 1.0, 0.0, 128, grid=(3, 3, 3))
         assert not res.feasible and res.n_crit == 0
+
+
+def _min_n0_reference(alpha, delta1, delta2, eps_target, p_max, f, p_multi,
+                      n_target):
+    """The optimizer's per-point search without a cap: doubling, then
+    bisection, with the explicit raw-length check."""
+    experimental = p_multi > 0.0
+
+    def feasible(n0):
+        try:
+            p = ProtocolParams(n0=n0, alpha=alpha, delta1=delta1, delta2=delta2,
+                               p_max=p_max, n=n_target, f=f, p_multi=p_multi)
+        except BoundsError:
+            return False
+        if p.n_raw <= n_target:
+            return False
+        try:
+            return bounds.eps_max(p, experimental).eps_max <= eps_target
+        except BoundsError:
+            return False
+
+    lo, hi = 4 * n_target + 8, None
+    probe = lo
+    while probe <= rates._N0_CAP:
+        if feasible(probe):
+            hi = probe
+            break
+        lo = probe
+        probe *= 2
+    if hi is None:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _n_crit_reference(eps_target, p_max, f, p_multi, n_target, grid=(8, 10, 6)):
+    """``n_crit`` as an exhaustive search: every grid point is searched to
+    the end, and the coarse and fine bests are compared afterwards."""
+    gap = p_crit(f) - p_max
+    if gap <= 0.0:
+        return OptimizeResult(0, 0.0, 0.0, 0.0, math.inf, n_target, False)
+    na, n1, n2 = grid
+    alphas = [0.05 + (0.5 - 0.05) * i / (na - 1) for i in range(na)]
+    d1_hi = max(2e-4, 0.9 * gap)
+    d1s = [1e-4 + (d1_hi - 1e-4) * i / (n1 - 1) for i in range(n1)]
+    d2s = [1e-4 + (0.05 - 1e-4) * i / (n2 - 1) for i in range(n2)]
+
+    def search(points):
+        best = None
+        for a, d1, d2 in itertools.product(*points):
+            r = _min_n0_reference(a, d1, d2, eps_target, p_max, f, p_multi,
+                                  n_target)
+            if r is not None and (best is None or (r, a, d1, d2) < best):
+                best = (r, a, d1, d2)
+        return best
+
+    best = search((alphas, d1s, d2s))
+    if best is None:
+        return OptimizeResult(0, 0.0, 0.0, 0.0, math.inf, n_target, False)
+
+    def refine_axis(values, center, lo_cap, hi_cap):
+        step = (values[-1] - values[0]) / (len(values) - 1) if len(values) > 1 else 0.0
+        if step == 0.0:
+            return [center]
+        lo = max(lo_cap, center - step)
+        hi = min(hi_cap, center + step)
+        return [lo + (hi - lo) * i / 9 for i in range(10)]
+
+    _, a0, d10, d20 = best
+    fine = search((refine_axis(alphas, a0, 0.02, 0.5),
+                   refine_axis(d1s, d10, 1e-5, gap),
+                   refine_axis(d2s, d20, 1e-5, 0.08)))
+    if fine is not None and fine < best:
+        best = fine
+    n0, a, d1, d2 = best
+    p = ProtocolParams(n0=n0, alpha=a, delta1=d1, delta2=d2, p_max=p_max,
+                       n=n_target, f=f, p_multi=p_multi)
+    achieved = bounds.eps_max(p, p_multi > 0.0).eps_max
+    return OptimizeResult(n0, a, d1, d2, achieved, n_target, True)
+
+
+class TestPrunedSearch:
+    """The capped search returns what the exhaustive one does, to the bit."""
+
+    # (eps_target, p_max, f, p_multi, n_target) -> (n_crit, alpha, delta1,
+    # delta2): the criterion-3 point at the default grid, then the fig4
+    # points (p_max 0.01, f 1.2, n_target 128, grid (5, 6, 4))
+    PINNED = [
+        ((1e-7, 0.0114, 1.0, 3.67e-3, 128), None,
+         (1916460, 0.33571428571428574, 0.015237843642241873, 0.004535555555555555)),
+    ] + [
+        ((10.0 ** -e, 0.01, 1.2, 0.0, 128), (5, 6, 4),
+         (n, 0.325 if e >= 8 else 0.35000000000000003,
+          0.014183256527808193, 0.003796296296296296))
+        for e, n in zip(range(3, 10), (980549, 1287426, 1595775, 1904898,
+                                       2215100, 2532120, 2991554))
+    ]
+
+    @pytest.mark.parametrize("args, grid, expected", PINNED)
+    def test_pinned_optima(self, args, grid, expected):
+        res = n_crit(*args) if grid is None else n_crit(*args, grid=grid)
+        assert res.feasible
+        assert (res.n_crit, res.alpha, res.delta1, res.delta2) == expected
+
+    @pytest.mark.parametrize("eps_target", [1e-3, 1e-6, 1e-9])
+    def test_matches_exhaustive_search(self, eps_target):
+        for p_max, f, p_multi, n_target in itertools.product(
+                (0.0, 0.005, 0.0114, 0.02), (1.0, 1.3), (0.0, 3.67e-3), (16, 128)):
+            args = (eps_target, p_max, f, p_multi, n_target)
+            assert dataclasses.astuple(n_crit(*args, grid=(3, 3, 3))) == \
+                dataclasses.astuple(_n_crit_reference(*args, grid=(3, 3, 3))), args
+
+    @pytest.mark.parametrize("point", [
+        (0.35, 0.0142, 0.0038, 1e-9, 0.01, 1.2, 0.0, 128),
+        (0.05, 1e-4, 1e-4, 1e-7, 0.0114, 1.0, 3.67e-3, 128),
+        (0.5, 0.005, 0.05, 1e-3, 0.005, 1.3, 0.0, 16),
+        (0.2, 0.002, 0.01, 1e-6, 0.02, 1.0, 3.67e-3, 16),
+    ])
+    def test_cap_prunes_only_larger_answers(self, point):
+        exact = _min_n0_reference(*point)
+        caps = [4 * point[-1] + 8, 10 ** 5, 10 ** 6, rates._N0_CAP]
+        if exact is not None:
+            caps += [exact - 1, exact, exact + 1, 2 * exact]
+        for cap in caps:
+            got = rates._min_n0_at(*point, cap=cap)
+            if exact is None or exact > cap:
+                assert got is None, cap
+            else:
+                assert got == exact, cap
+
+    def test_cap_exact_on_any_feasible_set(self, monkeypatch):
+        # feasibility as a step at `tail` plus scattered points below it, so
+        # that it is not monotone in N0; caps at, and next to, every probe
+        point = (0.3, 0.01, 0.01, 0.5, 0.01, 1.2, 0.0, 16)
+        start = 4 * 16 + 8
+        rng = random.Random(11)
+        cases = [(t, set()) for t in (start, start + 1, 2 * start + 1, 4 * start - 1,
+                                      4 * start + 1, 1000, 10 ** 12)]
+        cases += [(rng.randrange(start, 20000), set(rng.sample(range(start, 20000), 60)))
+                  for _ in range(30)]
+        for tail, scattered in cases:
+            probes = []
+
+            def eps_max(p, experimental=False):
+                probes.append(p.n0)
+                hit = p.n0 >= tail or p.n0 in scattered
+                return SimpleNamespace(eps_max=0.0 if hit else 1.0)
+
+            monkeypatch.setattr(bounds, "eps_max", eps_max)
+            exact = _min_n0_reference(*point)
+            for cap in sorted({c + d for c in probes for d in (-1, 0, 1)}):
+                got = rates._min_n0_at(*point, cap=cap)
+                assert got == (exact if exact is not None and exact <= cap else None), \
+                    (tail, cap)
+
+    def test_ties_fall_to_the_key_comparison(self, monkeypatch):
+        # every point needs the same N0, so the answer is decided by the
+        # (alpha, delta1, delta2) comparison alone, and the fine pass must
+        # still search the points that only tie the coarse best
+        monkeypatch.setattr(bounds, "eps_max", lambda p, experimental=False:
+                            SimpleNamespace(eps_max=0.0 if p.n0 >= 100003 else 1.0))
+        args = (1e-7, 0.0114, 1.0, 3.67e-3, 128)
+        res = n_crit(*args, grid=(3, 3, 3))
+        assert (res.n_crit, res.alpha) == (100003, 0.02)
+        assert res == _n_crit_reference(*args, grid=(3, 3, 3))
 
 
 class TestFigures:

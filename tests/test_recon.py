@@ -147,6 +147,17 @@ class TestDecode:
             s = syn(x, IR)
             assert dec(s, y, IR) == x
 
+    @pytest.mark.parametrize("p", [0.02, 0.03])
+    def test_desk_code_margin(self, p):
+        # the desk code's measured curve: every fixed pattern decodes at p_max
+        # (0.02) and at 0.03; at its p_design (0.04) about 3 in 4 fail
+        assert _DESK.p_design == pytest.approx(0.04)
+        fails = 0
+        for seed in range(200):
+            x, y, _ = _pair(1000 + seed, n=DESK_N, p=p)
+            fails += dec(syn(x, _DESK), y, _DESK) != x
+        assert fails == 0
+
     def test_zero_noise_immediate(self):
         x, _, _ = _pair(50, p=0.0)
         s = syn(x, IR)
