@@ -123,8 +123,12 @@ def bp_decode(var_of_slot: np.ndarray, var_slots: np.ndarray, synd: np.ndarray,
     v2c = np.full((dmax, m), min(llr0, clamp))
     v2c.ravel()[pad] = _INF
     neg = np.empty((dmax, m), dtype=bool)
+    at_min = np.empty((dmax, m), dtype=bool)
     mag = np.empty((dmax, m))
-    min1, min2, tmp = np.empty(m), np.empty(m), np.empty(m)
+    c2v = np.empty((dmax, m))
+    c2v_bits = c2v.view(np.uint64)
+    min1, min2, tmp, low = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
+    tmp_bits, low_bits = tmp.view(np.uint64), low.view(np.uint64)
     tot = np.zeros(n + 1)  # tot[n] = 0 for padding: never a 1 in the parity
     inc = np.empty((n, 3))
     at_slot = np.empty((dmax, m))
@@ -140,12 +144,20 @@ def bp_decode(var_of_slot: np.ndarray, var_slots: np.ndarray, synd: np.ndarray,
             np.maximum(min1, row, out=tmp)
             np.minimum(min2, tmp, out=min2)
             np.minimum(min1, row, out=min1)
-        c2v = np.where(mag == min1, norm * min2, norm * min1)
+        # c2v = where(mag == min1, norm * min2, norm * min1), written into
+        # the preallocated c2v as a select on bit patterns:
+        # low ^ (mag == min1) * (low ^ high), low = norm * min1 and
+        # high = norm * min2 (in tmp)
+        np.multiply(norm, min1, out=low)
+        np.multiply(norm, min2, out=tmp)
+        np.bitwise_xor(low_bits, tmp_bits, out=tmp_bits)
+        np.equal(mag, min1, out=at_min)
+        np.multiply(at_min, tmp_bits, out=c2v_bits)
+        c2v_bits ^= low_bits
         # negate by setting the sign bit (every magnitude is >= +0), built in
         # the spent magnitude buffer
         sign_bits = mag.view(np.uint64)
         np.left_shift(neg, np.uint64(63), out=sign_bits)
-        c2v_bits = c2v.view(np.uint64)
         c2v_bits |= sign_bits
 
         # variable update, then the hard decision's syndrome

@@ -130,13 +130,19 @@ class IndexSet:
     __slots__ = ("universe", "indices")
 
     def __init__(self, indices: Iterable[int] | np.ndarray, universe: int):
-        arr = np.asarray(list(indices) if not isinstance(indices, np.ndarray) else indices,
-                         dtype=np.int64)
-        arr = np.sort(arr)
+        # always a copy: a set never shares memory with its caller's array
+        arr = np.array(indices if isinstance(indices, np.ndarray) else list(indices),
+                       dtype=np.int64)
+        # most sets arrive sorted (complements, sub-pools, wire bodies), and
+        # checking that is far cheaper than sorting; a strictly increasing
+        # array has no duplicates
+        resorted = not np.all(arr[1:] > arr[:-1])
+        if resorted:
+            arr.sort()
         if arr.size:
             if arr[0] < 0 or arr[-1] >= universe:
                 raise BitcoreError("index out of declared universe")
-            if np.any(arr[1:] == arr[:-1]):
+            if resorted and np.any(arr[1:] == arr[:-1]):
                 raise BitcoreError("duplicate index")
         arr.setflags(write=False)
         self.universe = universe
@@ -182,8 +188,7 @@ class IndexSet:
         end = 4 + 4 * count
         if len(raw) < end:
             raise BitcoreError("truncated IndexSet body")
-        arr = np.frombuffer(raw[4:end], dtype=">u4").astype(np.int64)
-        return cls(arr, universe), end
+        return cls(np.frombuffer(raw[4:end], dtype=">u4"), universe), end
 
 
 def extract(x: BitString, s: IndexSet) -> BitString:
@@ -264,7 +269,7 @@ class Rng:
 
     def uniform(self, n: int) -> np.ndarray:
         """n floats uniform in [0, 1) with 32-bit resolution."""
-        return self.words32(n) / np.float64(1 << 32)
+        return np.frombuffer(self.bytes(4 * n), dtype=">u4") / np.float64(1 << 32)
 
 
 def sample_subset(rng: Rng, universe: int, size: int) -> IndexSet:

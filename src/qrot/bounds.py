@@ -67,6 +67,8 @@ class ProtocolParams:
                 and fin(self.p_max) and fin(self.f) and fin(self.p_multi)
                 and fin(self.eps_ir) and fin(self.eps_bind)):
             raise BoundsError("parameters must be finite")
+        if self.n0 < 1:
+            raise BoundsError("signal count N0 must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise BoundsError("test ratio must be in (0, 1)")
         if self.delta1 < 0.0 or self.delta2 < 0.0 or self.delta2 >= 0.5:

@@ -170,8 +170,7 @@ def cmd_role(args) -> int:
     config = _session_config(args)
     model = _model_from(args)
     # both ends replay the same source stream and keep only their own party
-    sender, receiver = protocol.parties(config, model, args.seed)
-    actor = sender if args.role == "sender" else receiver
+    actor = protocol.parties(config, model, args.seed)[0 if args.role == "sender" else 1]
     try:
         if args.role == "sender":
             conn = wire.listen_one(args.host, args.port, timeout=args.timeout)

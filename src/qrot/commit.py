@@ -15,6 +15,7 @@ experiments feasible.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,36 +89,60 @@ def owf_expand_batch(hash_id: int, seeds: np.ndarray, out_bits: int) -> np.ndarr
 
     Returns a (N, ceil(out_bits/8)) uint8 array with pad bits zeroed.
     """
-    n, sbytes = seeds.shape
     out_bytes = (out_bits + 7) // 8
+    out = _owf_words(hash_id, seeds, out_bytes)[:, :out_bytes].copy()
+    _zero_pad_bits(out, out_bits)
+    return out
+
+
+def _owf_words(hash_id: int, seeds: np.ndarray, out_bytes: int) -> np.ndarray:
+    """The hash of each seed row as a (N, 8 * W) uint8 array, W >= 1 words.
+
+    Its first ``out_bytes`` columns are the hash output, pad bits not yet
+    zeroed; the columns after them are filler. Each row is a whole number of
+    64-bit words, so the array views as (N, W) uint64.
+    """
+    n, sbytes = seeds.shape
 
     if hash_id == HASH_AES128:
         nblocks = (out_bytes + 15) // 16
-        blocks = np.zeros((n, nblocks, 16), dtype=np.uint8)
-        blocks[:, :, :sbytes] = seeds[:, None, :]
+        # block c of a row: the seed, zero bytes, and c xored into byte 15;
+        # the seed goes in as the widest words that tile it, one column at a
+        # time (a copy of whole short rows is several times slower)
+        unit = np.dtype(f"u{math.gcd(sbytes, 8)}")
+        if seeds.strides[-1] != 1:  # viewing as wider words needs this
+            seeds = np.ascontiguousarray(seeds)
+        seed_words = seeds.view(unit)
+        blocks = np.zeros((n, nblocks, 16 // unit.itemsize), dtype=unit)
+        for j in range(seed_words.shape[1]):
+            blocks[:, :, j] = seed_words[:, j, None]
+        blocks = blocks.view(np.uint8)
         blocks[:, :, 15] ^= np.arange(nblocks, dtype=np.uint8)[None, :]
         enc = Cipher(algorithms.AES(_AES_FIXED_KEY), modes.ECB()).encryptor()
-        ct = enc.update(blocks.tobytes()) + enc.finalize()
-        out = np.frombuffer(ct, dtype=np.uint8).reshape(n, nblocks * 16)[:, :out_bytes].copy()
-    elif hash_id == HASH_TOY16:
+        # update_into wants 15 bytes (block size - 1) of headroom past the output
+        ct = np.empty(blocks.size + 15, dtype=np.uint8)
+        enc.update_into(blocks, ct)
+        return ct[:blocks.size].reshape(n, nblocks * 16)
+    if hash_id == HASH_TOY16:
         if sbytes > 8:
             raise CommitError("toy hash takes seeds of at most 8 bytes")
         z = np.zeros(n, dtype=np.uint64)
         for b in range(sbytes):
             z = (z << np.uint64(8)) | seeds[:, b].astype(np.uint64)
         words = [(_toy_mix(z + np.uint64(c))) for c in range((out_bytes + 7) // 8)]
-        raw = np.stack(words, axis=1).astype(">u8").view(np.uint8).reshape(n, -1)
-        out = raw[:, :out_bytes].copy()
-    elif hash_id == HASH_BLAKE2:
-        out = np.empty((n, out_bytes), dtype=np.uint8)
+        return np.stack(words, axis=1).astype(">u8").view(np.uint8).reshape(n, -1)
+    if hash_id == HASH_BLAKE2:
+        out = np.zeros((n, (out_bytes + 7) // 8 * 8), dtype=np.uint8)
         for i in range(n):
-            out[i] = np.frombuffer(_blake2_expand(seeds[i].tobytes(), out_bytes), np.uint8)
-    else:
-        raise CommitError(f"unknown hash id {hash_id}")
+            out[i, :out_bytes] = np.frombuffer(
+                _blake2_expand(seeds[i].tobytes(), out_bytes), np.uint8)
+        return out
+    raise CommitError(f"unknown hash id {hash_id}")
 
-    if out_bits % 8:
-        out[:, -1] &= (0xFF << (8 - out_bits % 8)) & 0xFF
-    return out
+
+def _zero_pad_bits(out: np.ndarray, nbits: int) -> None:
+    if nbits % 8:
+        out[:, -1] &= (0xFF << (8 - nbits % 8)) & 0xFF
 
 
 def _blake2_expand(data: bytes, out_bytes: int) -> bytes:
@@ -200,18 +225,42 @@ def _basis_words(r: Challenge, params: CommitParams) -> np.ndarray:
     return np.stack([np.frombuffer(b.payload, dtype=np.uint8) for b in basis])
 
 
+_TABLE_BITS = 8  # message bits per combination table: at most 256 rows
+
+
 def commit_batch(msgs: np.ndarray, seeds: np.ndarray, r: Challenge,
                  params: CommitParams, hash_id: int) -> np.ndarray:
     """Commit N messages at once.
 
     msgs: (N, n_msg) 0/1 uint8; seeds: (N, seed_bytes) uint8.
     Returns (N, com_bytes) uint8.
+
+    A commitment is H(seed) xor the sum of the basis vectors whose message
+    bit is set. That sum depends only on the message, so the 2**n_msg sums
+    are tabulated once (4 rows for n_msg = 2), row j holding the sum for the
+    message whose bit i is bit i of j. Each commitment is then one XOR of its
+    table row into the hash, on 64-bit words, instead of one masked XOR per
+    message bit; XOR is associative, so the bytes are the same. Longer
+    messages take one table per 8 bits.
     """
-    coms = owf_expand_batch(hash_id, seeds, params.n_c)
-    basis = _basis_words(r, params)
-    for i in range(params.n_msg):
-        np.bitwise_xor(coms, basis[i][None, :], out=coms,
-                       where=msgs[:, i:i + 1].astype(bool))
+    out_bytes = params.com_bytes
+    coms = _owf_words(hash_id, seeds, out_bytes)
+    words = coms.view(np.uint64)
+    basis = np.zeros((params.n_msg, coms.shape[1]), dtype=np.uint8)
+    basis[:, :out_bytes] = _basis_words(r, params)
+    basis = basis.view(np.uint64)
+    for lo in range(0, params.n_msg, _TABLE_BITS):
+        group = basis[lo:lo + _TABLE_BITS]
+        table = np.zeros((1 << len(group), words.shape[1]), dtype=np.uint64)
+        for i, vec in enumerate(group):
+            np.bitwise_xor(table[:1 << i], vec, out=table[1 << i:2 << i])
+        row = np.zeros(len(msgs), dtype=np.uint8)
+        for i in range(len(group)):
+            row |= (msgs[:, lo + i] != 0).view(np.uint8) << np.uint8(i)
+        # np.take gathers rows several times faster than table[row]
+        words ^= np.take(table, row, axis=0)
+    coms = coms[:, :out_bytes].copy()
+    _zero_pad_bits(coms, params.n_c)
     return coms
 
 

@@ -87,6 +87,42 @@ class TestIndexSet:
         parsed, used = IndexSet.parse(s.serialize(), 16)
         assert parsed == s and used == len(s.serialize())
 
+    # a strictly increasing input skips the sort and the duplicate check
+
+    def test_sorted_input_is_copied(self):
+        arr = np.array([1, 4, 7], dtype=np.int64)
+        s = IndexSet(arr, 10)
+        arr[0] = 9
+        assert s.indices.tolist() == [1, 4, 7]
+        assert not np.shares_memory(s.indices, arr)
+        assert not s.indices.flags.writeable
+
+    @pytest.mark.parametrize("indices", [[7, 1, 4], [1, 7, 4], [7, 4, 1], [4, 5, 1]])
+    def test_unsorted_input_comes_out_sorted(self, indices):
+        s = IndexSet(np.array(indices), 10)
+        assert s.indices.tolist() == sorted(indices)
+        assert s.indices.dtype == np.int64
+
+    @pytest.mark.parametrize("indices", [[1, 1], [0, 3, 3, 5], [3, 1, 3], [5, 0, 5, 2]])
+    def test_duplicate_rejected_sorted_or_not(self, indices):
+        for form in (indices, np.array(indices)):
+            with pytest.raises(BitcoreError, match="duplicate"):
+                IndexSet(form, 10)
+
+    @pytest.mark.parametrize("indices", [[10], [0, 10], [-1], [-1, 3], [3, -1], [12, 2]])
+    def test_out_of_range_rejected_sorted_or_not(self, indices):
+        for form in (indices, np.array(indices)):
+            with pytest.raises(BitcoreError, match="universe"):
+                IndexSet(form, 10)
+
+    def test_parse_sorts_an_unsorted_body(self):
+        body = np.array([9, 0, 3], dtype=">u4").tobytes()
+        parsed, used = IndexSet.parse(b"\x00\x00\x00\x03" + body, 16)
+        assert parsed.indices.tolist() == [0, 3, 9] and used == 16
+        assert parsed == IndexSet([3, 0, 9], 16)
+        with pytest.raises(BitcoreError, match="duplicate"):
+            IndexSet.parse(b"\x00\x00\x00\x03" + np.array([9, 0, 9], ">u4").tobytes(), 16)
+
 
 class TestExtract:
     def test_restriction_reads_positions_in_order(self):
@@ -200,6 +236,12 @@ class TestRng:
     def test_randbelow_bound_out_of_range(self, bound):
         with pytest.raises(BitcoreError):
             Rng.from_int(13).randbelow_array(np.array([5, bound]))
+
+    def test_uniform_is_word_over_2_to_32(self):
+        a, b = Rng.from_int(2), Rng.from_int(2)
+        got = a.uniform(1000)
+        assert np.array_equal(got, b.words32(1000).astype(np.float64) / 2.0 ** 32)
+        assert got.dtype == np.float64 and a.position == b.position
 
     def test_uniform_range(self):
         u = Rng.from_int(2).uniform(10000)

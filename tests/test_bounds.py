@@ -66,6 +66,12 @@ class TestParams:
             ProtocolParams(n0=100, alpha=0.3, delta1=0.01, delta2=0.01,
                            p_max=0.01, n=1, f=0.9)
 
+    @pytest.mark.parametrize("n0", [0, -1, -1_000_000_000])
+    def test_nonpositive_n0_rejected(self, n0):
+        with pytest.raises(BoundsError, match="N0"):
+            replace(TABLE1_PARAMS, n0=n0)
+        assert replace(TABLE1_PARAMS, n0=1).n_test == 0
+
     @pytest.mark.parametrize("field", ["alpha", "delta1", "delta2", "p_max",
                                        "f", "p_multi", "eps_ir", "eps_bind"])
     def test_non_finite_rejected(self, field):

@@ -1,7 +1,9 @@
 import json
+import weakref
 
 import pytest
 
+from qrot import protocol, wire
 from qrot.cli import main
 
 
@@ -36,6 +38,15 @@ class TestBounds:
         ja, jb = json.loads(a), json.loads(b)
         assert ja["eps_max"] == jb["eps_max"]
 
+
+    @pytest.mark.parametrize("n0", ["0", "-1000000000"])
+    def test_nonpositive_n0_is_a_usage_error(self, capsys, n0):
+        # a negative N0 once overflowed math.exp in eps_receiver
+        code, out, err = _run(capsys, "bounds", "--n0", n0, "--alpha", "0.3",
+                              "--delta1", "0.01", "--delta2", "0.003",
+                              "--p-max", "0.01", "--n", "128")
+        assert code == 2 and out == ""
+        assert err == "error: signal count N0 must be at least 1\n"
 
     def test_seed_is_not_a_bounds_flag(self):
         # only simulate and role draw random values
@@ -88,3 +99,34 @@ class TestSimulate:
         out = capsys.readouterr()
         assert out.err.startswith("error: COMMITMENTS payload is 70000004 B")
         assert out.out == ""
+
+
+class TestRole:
+    @pytest.mark.parametrize("role", ["sender", "receiver"])
+    def test_keeps_only_its_own_party(self, capsys, monkeypatch, role):
+        other = "receiver" if role == "sender" else "sender"
+        refs, seen = {}, {}
+        real_parties = protocol.parties
+
+        def parties(*args, **kwargs):
+            sender, receiver = real_parties(*args, **kwargs)
+            refs["sender"], refs["receiver"] = weakref.ref(sender), weakref.ref(receiver)
+            return sender, receiver
+
+        def drive(*ends, timeout):
+            (actor, _), = ends
+            seen["actor"] = refs[role]() is actor
+            seen["other collected"] = refs[other]() is None
+            actor._end(protocol.AbortReason.TRANSPORT)
+
+        class Conn:
+            def close(self):
+                pass
+
+        monkeypatch.setattr(protocol, "parties", parties)
+        monkeypatch.setattr(protocol, "drive", drive)
+        monkeypatch.setattr(wire, "listen_one", lambda *a, **kw: Conn())
+        monkeypatch.setattr(wire, "connect", lambda *a, **kw: Conn())
+        code, out, _ = _run(capsys, "role", "--role", role, "--n0", "16384")
+        assert code == 1 and out.startswith("aborted: TRANSPORT")
+        assert seen == {"actor": True, "other collected": True}

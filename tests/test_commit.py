@@ -2,6 +2,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from qrot import commit
 from qrot.bitcore import BitString, Rng
@@ -189,3 +190,97 @@ class TestBatch:
         bad[5] ^= 1
         ok = verify_batch(coms, bad, seeds, r, PARAMS, HASH_AES128)
         assert not ok[5] and ok.sum() == n - 1
+
+
+# The per-bit batch commitment, the oracle for the table XOR: the hash of
+# each seed row (AES blocks encrypted one row at a time), then one masked
+# XOR of a basis vector per message bit.
+
+def _owf_reference(hash_id, seeds, out_bits):
+    out_bytes = (out_bits + 7) // 8
+    if hash_id != HASH_AES128:
+        return commit.owf_expand_batch(hash_id, seeds, out_bits)
+    nblocks = (out_bytes + 15) // 16
+    out = np.empty((len(seeds), out_bytes), dtype=np.uint8)
+    for i, seed in enumerate(seeds):
+        blocks = bytearray()
+        for c in range(nblocks):
+            block = bytearray(16)
+            block[:seed.size] = seed.tobytes()
+            block[15] ^= c
+            blocks += block
+        enc = Cipher(algorithms.AES(bytes(range(16))), modes.ECB()).encryptor()
+        out[i] = np.frombuffer(enc.update(bytes(blocks)), np.uint8)[:out_bytes]
+    if out_bits % 8:
+        out[:, -1] &= (0xFF << (8 - out_bits % 8)) & 0xFF
+    return out
+
+
+def _commit_batch_reference(msgs, seeds, r, params, hash_id):
+    coms = _owf_reference(hash_id, seeds, params.n_c)
+    basis = commit._basis_words(r, params)
+    for i in range(params.n_msg):
+        np.bitwise_xor(coms, basis[i][None, :], out=coms,
+                       where=msgs[:, i:i + 1].astype(bool))
+    return coms
+
+
+# com_bytes 7, 8, 9, 16, 17 for every n_msg in 1..3 (either side of a
+# 64-bit word and of an AES block); k = 32 and 64 give seeds of 4 and 8
+# bytes, and k = 64 two AES blocks per commitment
+_KS = [16, 19, 22, 40, 43, 32, 64]
+
+
+def _layouts(seeds):
+    """The seed array as given, as a column slice of a wider record (the
+    verifier's view of an OPENINGS body) and in Fortran order."""
+    body = np.concatenate([np.zeros((len(seeds), 1), np.uint8), seeds], axis=1)
+    return {"contiguous": seeds, "record slice": body[:, 1:],
+            "fortran": np.asfortranarray(seeds)}
+
+
+class TestTableXor:
+    def test_ks_cover_the_word_and_block_edges(self):
+        for n_msg in (1, 2, 3):
+            sizes = {CommitParams(k=k, n_msg=n_msg).com_bytes for k in _KS[:5]}
+            assert sizes == {7, 8, 9, 16, 17}
+
+    @pytest.mark.parametrize("hash_id", [HASH_AES128, HASH_BLAKE2, HASH_TOY16])
+    @pytest.mark.parametrize("n_msg", [1, 2, 3])
+    @pytest.mark.parametrize("k", _KS)
+    def test_equals_per_bit_xor(self, k, n_msg, hash_id):
+        params = CommitParams(k=k, n_msg=n_msg)
+        rng = _rng(k * 10 + n_msg)
+        r = sample_challenge(rng, params)
+        n = 40  # every message value occurs
+        msgs = (np.frombuffer(rng.bytes(n * n_msg), np.uint8) & 1).reshape(n, n_msg)
+        msgs[:1 << n_msg] = (np.arange(1 << n_msg)[:, None] >> np.arange(n_msg)) & 1
+        seeds = np.frombuffer(rng.bytes(n * params.seed_bytes),
+                              np.uint8).reshape(n, params.seed_bytes)
+        expect = _commit_batch_reference(msgs, seeds, r, params, hash_id)
+        for layout, given in _layouts(seeds).items():
+            got = commit_batch(msgs, given, r, params, hash_id)
+            assert got.dtype == np.uint8 and got.shape == (n, params.com_bytes)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, expect), layout
+        pad = params.com_bytes * 8 - params.n_c
+        assert not np.any(got[:, -1] & ((1 << pad) - 1))
+
+    @pytest.mark.parametrize("k", _KS)
+    def test_verify_rejects_one_flipped_bit_in_any_byte(self, k):
+        params = CommitParams(k=k, n_msg=2)
+        rng = _rng(200 + k)
+        r = sample_challenge(rng, params)
+        n = params.com_bytes
+        msgs = (np.frombuffer(rng.bytes(2 * n), np.uint8) & 1).reshape(n, 2)
+        seeds = np.frombuffer(rng.bytes(n * params.seed_bytes),
+                              np.uint8).reshape(n, params.seed_bytes)
+        coms = commit_batch(msgs, seeds, r, params, HASH_AES128)
+        assert verify_batch(coms, msgs, seeds, r, params, HASH_AES128).all()
+        for col in range(params.com_bytes):
+            bad = coms.copy()
+            # every bit of the bytes before the last is a commitment bit,
+            # and so is the top bit of the last byte
+            bad[col, col] ^= 0x80 >> (col % 8 if col < params.com_bytes - 1 else 0)
+            ok = verify_batch(bad, msgs, seeds, r, params, HASH_AES128)
+            assert not ok[col] and ok.sum() == n - 1
