@@ -1,6 +1,6 @@
 """Bit-level primitives: packed bit strings, index sets and seeded randomness.
 
-Bits are packed MSB-first within each byte so the wire encoding is unambiguous.
+Bits are packed MSB-first within each byte, on the wire and in hash inputs.
 All types are immutable after construction except :class:`Rng`.
 """
 
@@ -107,21 +107,11 @@ class BitString:
             raise BitcoreError("xor requires equal lengths")
         return BitString(self._buf ^ other._buf, self.length)
 
-    # -- wire form: 4-byte big-endian bit length, packed payload --------
-
     def serialize(self) -> bytes:
+        """Length-prefixed encoding hashed by ``commit.derive_basis`` and the
+        IR tag: 4-byte big-endian bit length, then the packed payload. The
+        wire carries ``payload`` alone, at a length the config fixes."""
         return struct.pack(">I", self.length) + self.payload
-
-    @classmethod
-    def parse(cls, raw: bytes) -> tuple["BitString", int]:
-        """Returns the parsed string and the number of bytes consumed."""
-        if len(raw) < 4:
-            raise BitcoreError("truncated BitString header")
-        length = struct.unpack(">I", raw[:4])[0]
-        nbytes = (length + 7) // 8
-        if len(raw) < 4 + nbytes:
-            raise BitcoreError("truncated BitString payload")
-        return cls(raw[4:4 + nbytes], length), 4 + nbytes
 
 
 class IndexSet:
@@ -174,21 +164,14 @@ class IndexSet:
         mask[self.indices] = True
         return mask
 
-    # -- wire form: 4-byte count, then 4-byte big-endian indices --------
+    # -- wire form: 4-byte big-endian indices; the config fixes the count --
 
     def serialize(self) -> bytes:
-        return struct.pack(">I", len(self)) + \
-            self.indices.astype(">u4").tobytes()
+        return self.indices.astype(">u4").tobytes()
 
     @classmethod
-    def parse(cls, raw: bytes, universe: int) -> tuple["IndexSet", int]:
-        if len(raw) < 4:
-            raise BitcoreError("truncated IndexSet header")
-        count = struct.unpack(">I", raw[:4])[0]
-        end = 4 + 4 * count
-        if len(raw) < end:
-            raise BitcoreError("truncated IndexSet body")
-        return cls(np.frombuffer(raw[4:end], dtype=">u4"), universe), end
+    def parse(cls, raw: bytes, universe: int) -> "IndexSet":
+        return cls(np.frombuffer(raw, dtype=">u4"), universe)
 
 
 def extract(x: BitString, s: IndexSet) -> BitString:

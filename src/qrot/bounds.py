@@ -175,8 +175,9 @@ def _eps_correctness(params: ProtocolParams, n_raw: int) -> float:
     return first + 2.0 * params.eps_ir
 
 
-def eps_receiver(params: ProtocolParams, experimental: bool) -> BoundReport:
-    """Dishonest-receiver bound, itemized.
+def eps_max(params: ProtocolParams, experimental: bool = False) -> BoundReport:
+    """Total security bound, itemized: correctness plus the dishonest-receiver
+    components.
 
     Statistical term, KL concentration term, commitment binding, and the
     leftover-hash term with the entropy-rate bracket. The block sizes are
@@ -219,11 +220,6 @@ def eps_receiver(params: ProtocolParams, experimental: bool) -> BoundReport:
     return BoundReport(eps_correct=ec, eps_stat=stat, eps_kl=kl, eps_bind=bind,
                        eps_lhl=lhl, experimental=experimental,
                        underflowed=underflowed)
-
-
-def eps_max(params: ProtocolParams, experimental: bool = False) -> BoundReport:
-    """Total security bound: correctness plus dishonest-receiver components."""
-    return eps_receiver(params, experimental)
 
 
 TABLE1_PARAMS = ProtocolParams(

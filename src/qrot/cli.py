@@ -48,8 +48,12 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _model_from(args) -> qsim.SourceModel:
-    return qsim.SourceModel(p_err=args.p_err, p_double=args.p_double,
-                            p_loss=args.p_loss, p_dark=args.p_dark)
+    try:
+        return qsim.SourceModel(p_err=args.p_err, p_double=args.p_double,
+                                p_loss=args.p_loss, p_dark=args.p_dark)
+    except qsim.QsimError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _emit(args, data: dict, text: str) -> None:

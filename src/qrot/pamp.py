@@ -8,7 +8,6 @@ popcount of a byte-aligned diagonal window ANDed with the packed input.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,10 @@ class PampError(ValueError):
 
 @dataclass(frozen=True)
 class ToeplitzSeed:
-    """Descriptor of the hashing matrix: input width, output width, diagonal."""
+    """Descriptor of the hashing matrix: input width, output width, diagonal.
+
+    Only the packed diagonal goes on the wire; the config fixes both widths.
+    """
 
     n_in: int
     n_out: int
@@ -30,20 +32,6 @@ class ToeplitzSeed:
     def __post_init__(self):
         if self.diag.length != self.n_in + self.n_out - 1:
             raise PampError("diagonal length must be n_in + n_out - 1")
-
-    # wire form: 4-byte N_raw, 4-byte n, packed diagonal bits
-    def serialize(self) -> bytes:
-        return struct.pack(">II", self.n_in, self.n_out) + self.diag.payload
-
-    @classmethod
-    def parse(cls, raw: bytes) -> "ToeplitzSeed":
-        if len(raw) < 8:
-            raise PampError("truncated hash descriptor")
-        n_in, n_out = struct.unpack(">II", raw[:8])
-        nbits = n_in + n_out - 1
-        if len(raw) != 8 + (nbits + 7) // 8:
-            raise PampError("hash descriptor length mismatch")
-        return cls(n_in, n_out, BitString(raw[8:], nbits))
 
 
 def sample_seed(rng: Rng, n_in: int, n_out: int) -> ToeplitzSeed:

@@ -11,6 +11,12 @@ pair and m_1 the second. The receiver places his matched-basis set at pair
 position c, so he can decode exactly the position-c string; the chosen-string
 relation receiver.m_c == sender.(m_0, m_1)[c] holds by construction.
 
+Wire format (``PROTOCOL_VERSION`` 3): no payload carries a count or length
+header. The config fixes the exact length of every message but ABORT
+(``declared_payload_sizes``); ``_Session.on_frame`` checks that length once,
+before any handler reads the payload, and each handler builds its bit strings
+and index sets at the sizes the config implies.
+
 Every out-of-phase or malformed message ends the session with a typed abort;
 no path yields a DONE state with inconsistent outputs.
 """
@@ -70,12 +76,13 @@ class Phase(enum.Enum):
     ABORTED = "aborted"
 
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 _BACKEND_CODES = {recon.BACKEND_TRIVIAL: 0, recon.BACKEND_LDPC: 1}
 _BACKEND_OF_CODE = {v: k for k, v in _BACKEND_CODES.items()}
 
 _CONFIG_STRUCT = struct.Struct(">BBHHQI8d")
+_ACK_STRUCT = struct.Struct(">QQQ")  # N_test, N_check, N_raw
 
 
 @dataclass(frozen=True)
@@ -140,19 +147,26 @@ class SessionConfig:
 
 
 def declared_payload_sizes(config: SessionConfig) -> dict:
-    """Byte budget of every disclosing message, from the config alone.
+    """Exact payload length of every message but ABORT, from the config alone.
 
-    The leak-ledger tests check the transcript against these numbers.
+    ``_Session.on_frame`` ends the session with PROTOCOL_ERROR on a payload
+    of any other length, and the leak-ledger tests check the transcript
+    against these numbers. Bit strings are packed MSB-first; index sets are
+    4-byte big-endian indices.
     """
     p = config.params
     cp = config.commit_params
     return {
-        Msg.COMMITMENTS: 4 + p.n0 * cp.com_bytes,
-        Msg.OPENINGS: 4 + p.n_test * (1 + cp.seed_bytes),
-        Msg.BASES: 4 + (p.n0 - p.n_test + 7) // 8,
-        Msg.SEP: 2 * (4 + 4 * p.n_raw),
+        Msg.HELLO: _CONFIG_STRUCT.size,
+        Msg.HELLO_ACK: _ACK_STRUCT.size,
+        Msg.CHALLENGE: (cp.n_r + 7) // 8,
+        Msg.COMMITMENTS: p.n0 * cp.com_bytes,
+        Msg.TEST_SET: 4 * p.n_test,
+        Msg.OPENINGS: p.n_test * (1 + cp.seed_bytes),
+        Msg.BASES: (p.n0 - p.n_test + 7) // 8,
+        Msg.SEP: 2 * 4 * p.n_raw,
         Msg.SYNDROMES: 2 * config.ir_params.record_bytes,
-        Msg.HASH_SEED: 8 + (p.n_raw + p.n - 1 + 7) // 8,
+        Msg.HASH_SEED: (p.n_raw + p.n - 1 + 7) // 8,
     }
 
 
@@ -220,6 +234,7 @@ class _Session:
         self.phase = Phase.HELLO
         self.transcript = SessionTranscript()
         self.abort_reason: AbortReason | None = None
+        self._sizes = declared_payload_sizes(config)
 
     @property
     def finished(self) -> bool:
@@ -254,7 +269,7 @@ class _Session:
             return []
         try:
             handler = self._handlers().get((self.phase, frame.type_code))
-            if handler is None:
+            if handler is None or len(frame.payload) != self._sizes[frame.type_code]:
                 return self._abort(AbortReason.PROTOCOL_ERROR)
             return handler(frame.payload)
         # a WireError here is a reply this end could not frame, not a link fault
@@ -294,7 +309,7 @@ class SenderSession(_Session):
 
     def _on_hello_ack(self, payload: bytes) -> list[Frame]:
         p = self.config.params
-        if payload != struct.pack(">QQQ", p.n_test, p.n_check, p.n_raw):
+        if payload != _ACK_STRUCT.pack(p.n_test, p.n_check, p.n_raw):
             return self._abort(AbortReason.PROTOCOL_ERROR)
         if p.p_multi > 0.0:
             est = qsim.multi_photon_estimate(self.view.n_tot, self.view.n_multi)
@@ -302,15 +317,12 @@ class SenderSession(_Session):
                 return self._abort(AbortReason.MULTIPHOTON)
         self.challenge = commit.sample_challenge(self.rng, self.config.commit_params)
         self.phase = Phase.COMMIT
-        return [self._send(Msg.CHALLENGE, self.challenge.r1.serialize())]
+        return [self._send(Msg.CHALLENGE, self.challenge.r1.payload)]
 
     def _on_commitments(self, payload: bytes) -> list[Frame]:
         p = self.config.params
         cp = self.config.commit_params
-        count = struct.unpack(">I", payload[:4])[0]
-        if count != p.n0 or len(payload) != 4 + count * cp.com_bytes:
-            return self._abort(AbortReason.PROTOCOL_ERROR)
-        self.coms = np.frombuffer(payload[4:], np.uint8).reshape(count, cp.com_bytes)
+        self.coms = np.frombuffer(payload, np.uint8).reshape(p.n0, cp.com_bytes)
         self.test_set = sample_subset(self.rng, p.n0, p.n_test)
         self.phase = Phase.TEST
         return [self._send(Msg.TEST_SET, self.test_set.serialize())]
@@ -318,11 +330,7 @@ class SenderSession(_Session):
     def _on_openings(self, payload: bytes) -> list[Frame]:
         p = self.config.params
         cp = self.config.commit_params
-        rec = 1 + cp.seed_bytes
-        count = struct.unpack(">I", payload[:4])[0]
-        if count != p.n_test or len(payload) != 4 + count * rec:
-            return self._abort(AbortReason.PROTOCOL_ERROR)
-        body = np.frombuffer(payload[4:], np.uint8).reshape(count, rec)
+        body = np.frombuffer(payload, np.uint8).reshape(p.n_test, 1 + cp.seed_bytes)
         msgs = np.stack([body[:, 0] >> 7, (body[:, 0] >> 6) & 1], axis=1)
         ok = commit.verify_batch(self.coms[self.test_set.indices], msgs,
                                  body[:, 1:], self.challenge, cp,
@@ -342,17 +350,15 @@ class SenderSession(_Session):
 
         rest = self.test_set.complement()
         self.phase = Phase.SEPARATE
-        return [self._send(Msg.BASES, extract(self.view.theta, rest).serialize())]
+        return [self._send(Msg.BASES, extract(self.view.theta, rest).payload)]
 
     def _on_sep(self, payload: bytes) -> list[Frame]:
         p = self.config.params
-        first, used = IndexSet.parse(payload, p.n0)
-        second, used2 = IndexSet.parse(payload[used:], p.n0)
-        if used + used2 != len(payload):
-            return self._abort(AbortReason.PROTOCOL_ERROR)
+        half = len(payload) // 2
+        first = IndexSet.parse(payload[:half], p.n0)
+        second = IndexSet.parse(payload[half:], p.n0)
         taken = self.test_set.membership_mask()
-        if (len(first) != p.n_raw or len(second) != p.n_raw
-                or taken[first.indices].any()):
+        if taken[first.indices].any():
             return self._abort(AbortReason.PROTOCOL_ERROR)
         taken[first.indices] = True  # second must avoid the test set and first
         if taken[second.indices].any():
@@ -365,7 +371,7 @@ class SenderSession(_Session):
         self.output = SenderOutput(pamp.hash_bits(seed, x0), pamp.hash_bits(seed, x1))
         self.phase = Phase.DONE
         return [self._send(Msg.SYNDROMES, s0.serialize() + s1.serialize()),
-                self._send(Msg.HASH_SEED, seed.serialize())]
+                self._send(Msg.HASH_SEED, seed.diag.payload)]
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +409,12 @@ class ReceiverSession(_Session):
         p = self.config.params
         self.phase = Phase.CHALLENGE
         return [self._send(Msg.HELLO_ACK,
-                           struct.pack(">QQQ", p.n_test, p.n_check, p.n_raw))]
+                           _ACK_STRUCT.pack(p.n_test, p.n_check, p.n_raw))]
 
     def _on_challenge(self, payload: bytes) -> list[Frame]:
         p = self.config.params
         cp = self.config.commit_params
-        r1, used = BitString.parse(payload)
-        if used != len(payload) or r1.length != cp.n_r:
-            return self._abort(AbortReason.PROTOCOL_ERROR)
-        self.challenge = commit.Challenge(r1)
+        self.challenge = commit.Challenge(BitString(payload, cp.n_r))
 
         self.msgs = np.stack([self.view.theta.bits(), self.view.x.bits()], axis=1)
         seeds = np.frombuffer(self.rng.bytes(p.n0 * cp.seed_bytes),
@@ -422,30 +425,21 @@ class ReceiverSession(_Session):
         coms = commit.commit_batch(self.msgs, seeds, self.challenge, cp,
                                    commit.HASH_AES128)
         self.phase = Phase.TEST
-        return [self._send(Msg.COMMITMENTS,
-                           struct.pack(">I", p.n0) + coms.tobytes())]
+        return [self._send(Msg.COMMITMENTS, coms.tobytes())]
 
     def _on_test_set(self, payload: bytes) -> list[Frame]:
-        p = self.config.params
-        cp = self.config.commit_params
-        test_set, used = IndexSet.parse(payload, p.n0)
-        if used != len(payload) or len(test_set) != p.n_test:
-            return self._abort(AbortReason.PROTOCOL_ERROR)
-        self.test_set = test_set
-        opened = self.msgs[test_set.indices]
+        self.test_set = IndexSet.parse(payload, self.config.params.n0)
+        tested = self.test_set.indices
+        opened = self.msgs[tested]
         msg_byte = (opened[:, 0] << 7 | opened[:, 1] << 6).astype(np.uint8)
-        records = np.concatenate([msg_byte[:, None], self.seeds[test_set.indices]],
-                                 axis=1)
+        records = np.concatenate([msg_byte[:, None], self.seeds[tested]], axis=1)
         self.phase = Phase.BASES
-        return [self._send(Msg.OPENINGS,
-                           struct.pack(">I", p.n_test) + records.tobytes())]
+        return [self._send(Msg.OPENINGS, records.tobytes())]
 
     def _on_bases(self, payload: bytes) -> list[Frame]:
         p = self.config.params
-        theta_a, used = BitString.parse(payload)
         rest = self.test_set.complement()
-        if used != len(payload) or theta_a.length != len(rest):
-            return self._abort(AbortReason.PROTOCOL_ERROR)
+        theta_a = BitString(payload, len(rest))
         match = theta_a.bits() == self.view.theta.bits()[rest.indices]
         matching = rest.indices[match]
         differing = rest.indices[~match]
@@ -462,8 +456,6 @@ class ReceiverSession(_Session):
     def _on_syndromes(self, payload: bytes) -> list[Frame]:
         ir = self.config.ir_params
         size = ir.record_bytes
-        if len(payload) != 2 * size:
-            return self._abort(AbortReason.PROTOCOL_ERROR)
         start = self.choice * size
         mine = recon.Syndrome.parse(payload[start:start + size], ir)
         decoded = recon.dec(mine, extract(self.view.x, self.i0), ir)
@@ -475,9 +467,7 @@ class ReceiverSession(_Session):
 
     def _on_hash_seed(self, payload: bytes) -> list[Frame]:
         p = self.config.params
-        seed = pamp.ToeplitzSeed.parse(payload)
-        if seed.n_in != p.n_raw or seed.n_out != p.n:
-            return self._abort(AbortReason.PROTOCOL_ERROR)
+        seed = pamp.ToeplitzSeed(p.n_raw, p.n, BitString(payload, p.n_raw + p.n - 1))
         self.output = ReceiverOutput(self.choice, pamp.hash_bits(seed, self.decoded))
         self.phase = Phase.DONE
         return []

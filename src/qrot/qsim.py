@@ -20,6 +20,8 @@ from qrot.bitcore import BitString, Rng
 
 # P(detected | multi-photon round): undetected ~= detected / 3
 _DETECT_GIVEN_MULTI = 0.75
+# the largest value Rng.uniform returns
+_UNIFORM_MAX = 1.0 - 2.0 ** -32
 
 
 class QsimError(ValueError):
@@ -40,6 +42,9 @@ class SourceModel:
                 raise QsimError(f"{name} outside [0, 1]")
         if self.p_err >= 0.5:
             raise QsimError("channel error rate must be below 1/2")
+        for name in ("p_loss", "p_dark"):
+            if getattr(self, name) > _UNIFORM_MAX:
+                raise QsimError(f"{name} above 1 - 2**-32: no round is ever accepted")
 
 
 def multi_photon_estimate(n_tot: int, n_multi: int) -> float:

@@ -69,11 +69,6 @@ class IrParams:
         return math.ceil(self.f * binary_entropy(self.p_design) * self.n_raw)
 
     @property
-    def leak_bits(self) -> int:
-        """Bits disclosed on the wire: syndrome plus verification tag."""
-        return self.syndrome_bits + self.tag_bits
-
-    @property
     def record_bytes(self) -> int:
         """Wire size of one syndrome record: packed syndrome, then packed tag."""
         return (self.syndrome_bits + 7) // 8 + (self.tag_bits + 7) // 8

@@ -124,10 +124,6 @@ class QueueConnection(Connection):
         except queue.Empty:
             raise Timeout from None
 
-    # fault-injection hook for transport tests
-    def inject_raw(self, raw: bytes) -> None:
-        self._outbox.put(raw)
-
 
 def queue_pair() -> tuple[QueueConnection, QueueConnection]:
     a_to_b: queue.Queue = queue.Queue()

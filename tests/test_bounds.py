@@ -154,7 +154,7 @@ class TestReportShape:
 
 
 def _eps_receiver_reference(params, experimental, seen):
-    """``eps_receiver`` with the block sizes read from the params properties
+    """``bounds.eps_max`` with the block sizes read from the params properties
     and the squash done per named component; adds to ``seen`` the label of
     every underflow, overflow and error branch it takes."""
     def squash(name, x):
@@ -242,10 +242,10 @@ class TestEpsReceiverOracle:
                 want = _eps_receiver_reference(params, experimental, seen).to_dict()
             except BoundsError as e:
                 with pytest.raises(BoundsError) as got:
-                    bounds.eps_receiver(params, experimental)
+                    bounds.eps_max(params, experimental)
                 assert str(got.value) == str(e), params
                 continue
-            assert bounds.eps_receiver(params, experimental).to_dict() == want, \
+            assert bounds.eps_max(params, experimental).to_dict() == want, \
                 (params, experimental)
         assert seen == {
             "eps_stat flushed", "eps_stat squashed", "eps_kl flushed",

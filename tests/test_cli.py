@@ -97,7 +97,18 @@ class TestSimulate:
             main(["simulate", "--n0", "10000000"])
         assert exc.value.code == 2
         out = capsys.readouterr()
-        assert out.err.startswith("error: COMMITMENTS payload is 70000004 B")
+        assert out.err.startswith("error: COMMITMENTS payload is 70000000 B")
+        assert out.out == ""
+
+    @pytest.mark.parametrize("flag,value", [("--p-err", "0.6"), ("--p-loss", "1"),
+                                            ("--p-dark", "1")])
+    def test_bad_source_model_is_an_error(self, capsys, flag, value):
+        # p_loss or p_dark of 1 once made the quantum phase loop forever
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n0", "4096", "--sessions", "1", flag, value])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
         assert out.out == ""
 
 

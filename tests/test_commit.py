@@ -26,17 +26,6 @@ class Opening:
     message: BitString
     seed: BitString
 
-    def serialize(self):
-        return self.message.serialize() + self.seed.serialize()
-
-    @classmethod
-    def parse(cls, raw):
-        message, used = BitString.parse(raw)
-        seed, used2 = BitString.parse(raw[used:])
-        if used + used2 != len(raw):
-            raise CommitError("trailing bytes in opening")
-        return cls(message, seed)
-
 
 def commit_one(m, s, r, params, hash_id=HASH_BLAKE2):
     if m.length != params.n_msg or s.length != params.n_s:
@@ -157,10 +146,6 @@ class TestCommitVerify:
         s = rng.bits(PARAMS.n_s)
         com = commit_one(BitString.zeros(2), s, r, PARAMS)
         assert com == owf_expand(HASH_BLAKE2, s.payload, PARAMS.n_c)
-
-    def test_opening_wire_round_trip(self):
-        o = Opening(BitString.from_bits([1, 0]), _rng(5).bits(32))
-        assert Opening.parse(o.serialize()) == o
 
 
 class TestBatch:

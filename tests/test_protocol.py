@@ -26,7 +26,9 @@ class TestSessionConfig:
 
     def test_bad_version_rejected(self):
         raw = bytearray(desk_config().serialize())
-        for version in (1, 99):  # 1: the HELLO with a hash id byte
+        # 1: the HELLO with a hash id byte; 2: the wire format with count
+        # and length headers
+        for version in (1, 2, 99):
             raw[0] = version
             with pytest.raises(protocol.ProtocolError):
                 SessionConfig.parse(bytes(raw))
@@ -39,7 +41,7 @@ class TestSessionConfig:
     def test_unsendable_frame_rejected_at_construction(self):
         # Table 1's COMMITMENTS message does not fit one wire frame
         with pytest.raises(protocol.ProtocolError,
-                           match=r"COMMITMENTS payload is 76180004 B"):
+                           match=r"COMMITMENTS payload is 76180000 B"):
             SessionConfig(TABLE1_PARAMS, ir_backend=recon.BACKEND_LDPC)
 
     def test_huge_finite_f_rejected_at_construction(self):
@@ -145,7 +147,7 @@ class TestDriver:
         conn_a, conn_b = wire.queue_pair()
         raw = bytearray(wire.Frame(Msg.HELLO, SMALL.serialize()).encode(0))
         raw[-1] ^= 0xFF  # checksum no longer matches
-        conn_a.inject_raw(bytes(raw))
+        conn_a._send_raw(bytes(raw))
         drive((sender, conn_a), (receiver, conn_b), timeout=0)
         assert receiver.abort_reason == AbortReason.TRANSPORT
         assert sender.abort_reason == AbortReason.TRANSPORT
@@ -185,16 +187,20 @@ class TestPhaseOrderSafety:
             assert receiver.abort_reason == AbortReason.PROTOCOL_ERROR
             assert out[0].type_code == Msg.ABORT
 
-    def test_cut_or_padded_syndromes_are_protocol_error(self):
+    @pytest.mark.parametrize("msg", [m for m in Msg if m != Msg.ABORT],
+                             ids=lambda m: m.name)
+    def test_cut_or_padded_payload_is_protocol_error(self, msg):
+        # the size check in on_frame is the only one: no handler reads a
+        # count or length from its payload
         cfg = desk_config(n0=8192, ir_backend=recon.BACKEND_LDPC)
-        receiver, payload = _receiver_at_syndromes(cfg, 23)
-        for bad in [payload[:k] for k in range(len(payload))] + [payload + b"\x00"]:
-            r = copy.copy(receiver)  # the phase and abort state are its own
-            out = r.on_frame(wire.Frame(Msg.SYNDROMES, bad))
-            assert r.abort_reason == AbortReason.PROTOCOL_ERROR
-            assert out[0].type_code == Msg.ABORT
-        receiver.on_frame(wire.Frame(Msg.SYNDROMES, payload))
-        assert receiver.phase == protocol.Phase.HASH
+        party, payload = _party_awaiting(cfg, 23, msg)
+        for bad in (payload[:-1], payload + b"\x00", b""):
+            p = copy.copy(party)  # the phase and abort state are its own
+            out = p.on_frame(wire.Frame(msg, bad))
+            assert p.abort_reason == AbortReason.PROTOCOL_ERROR
+            assert [f.type_code for f in out] == [Msg.ABORT]
+        party.on_frame(wire.Frame(msg, payload))
+        assert party.abort_reason is None
 
     def test_fuzzed_replays_never_complete_wrong(self):
         # collect one honest receiver-to-sender frame sequence, then replay
@@ -236,16 +242,17 @@ def _sender_at_sep(seed):
             pending.extend(sender.on_frame(out))
 
 
-def _receiver_at_syndromes(config, seed):
-    """An honest receiver waiting for SYNDROMES, and the sender's payload."""
+def _party_awaiting(config, seed, msg):
+    """The honest party about to receive ``msg`` in its own phase, and the
+    honest payload of that message."""
     sender, receiver = parties(config, NOISELESS, seed)
-    pending = sender.start()
+    peer = {sender: receiver, receiver: sender}
+    pending = [(receiver, frame) for frame in sender.start()]
     while True:
-        frame = pending.pop(0)
-        if frame.type_code == Msg.SYNDROMES:
-            return receiver, frame.payload
-        for out in receiver.on_frame(frame):
-            pending.extend(sender.on_frame(out))
+        to, frame = pending.pop(0)
+        if frame.type_code == msg:
+            return to, frame.payload
+        pending.extend((peer[to], out) for out in to.on_frame(frame))
 
 
 def _with_member(s: IndexSet, value: int) -> IndexSet:
@@ -257,9 +264,9 @@ class TestSepDisjointness:
     SEED = 40
 
     def _split(self, payload):
-        first, used = IndexSet.parse(payload, SMALL.params.n0)
-        second, _ = IndexSet.parse(payload[used:], SMALL.params.n0)
-        return first, second
+        half = len(payload) // 2
+        return (IndexSet.parse(payload[:half], SMALL.params.n0),
+                IndexSet.parse(payload[half:], SMALL.params.n0))
 
     def test_honest_pair_accepted(self):
         sender, payload = _sender_at_sep(self.SEED)
@@ -288,11 +295,12 @@ class TestSepDisjointness:
 class TestLeakLedger:
     def test_transcript_matches_declared_sizes(self):
         res = run_session(SMALL, NOISELESS, 20)
-        declared = declared_payload_sizes(SMALL)
-        for msg in (Msg.COMMITMENTS, Msg.OPENINGS, Msg.BASES, Msg.SEP,
-                    Msg.SYNDROMES, Msg.HASH_SEED):
-            assert res.sender_transcript.payload_bytes(msg) == declared[msg]
-            assert res.receiver_transcript.payload_bytes(msg) == declared[msg]
+        for msg, size in declared_payload_sizes(SMALL).items():
+            assert res.sender_transcript.payload_bytes(msg) == size
+            assert res.receiver_transcript.payload_bytes(msg) == size
+
+    def test_every_message_but_abort_is_sized(self):
+        assert set(declared_payload_sizes(SMALL)) == set(Msg) - {Msg.ABORT}
 
     def test_ldpc_leak_includes_syndrome(self):
         cfg = desk_config(n0=8192, ir_backend=recon.BACKEND_LDPC)
@@ -329,24 +337,24 @@ class TestLeakLedger:
 # Seeded desk-LDPC sessions at SourceModel(p_err=0.01): seed -> (choice bit,
 # m0, m1, blake2b-64 digest of every frame payload in session order).
 # Frame i has type code i + 1 and length _GOLDEN_LENGTHS[i].
-_GOLDEN_LENGTHS = [82, 24, 11, 458756, 65540, 49156, 6148, 184816, 1824, 2898]
+_GOLDEN_LENGTHS = [82, 24, 7, 458752, 65536, 49152, 6144, 184808, 1824, 2890]
 _GOLDEN_SENDER_DIRS = ["send", "recv"] * 4 + ["send", "send"]
 _GOLDEN_LDPC = {
     1: (0, 37177, 9305,
-        ["ee66334deb28569f", "f3d40a398a067c2a", "74157271ff0cbbe4",
-         "d5385bd30c9447de", "5908f531d522f984", "3be7741dd4fcb536",
-         "3aa6d1589ad141d8", "93b73b045e6486a6", "2ed4bf06e774bef2",
-         "bdebc9d7c5eb730d"]),
+        ["9ccbb77cbd5e3f19", "f3d40a398a067c2a", "99e421e504dc2134",
+         "4939d1a891340da2", "4f1d5772b8f4e992", "c85be9c97735b9f6",
+         "f58fa832acc30bf5", "0e31197741acedbc", "2ed4bf06e774bef2",
+         "82a69db48d59042c"]),
     2: (0, 16551, 60528,
-        ["ee66334deb28569f", "f3d40a398a067c2a", "f8249173d83f7d14",
-         "eae9bd990c5a6981", "a3f531f4825835b2", "16276af149761663",
-         "c4e3aab6df4d7989", "372a6ea88a612b7c", "290dc90b878e9a8d",
-         "9d2548fc054cccc7"]),
+        ["9ccbb77cbd5e3f19", "f3d40a398a067c2a", "35982e11b353bc2d",
+         "15d47ba32c48f99f", "98edda24e1cd2d88", "889b17447c47cb02",
+         "eadba61cc5233250", "c816f0a02da6c4d4", "290dc90b878e9a8d",
+         "8cfa2ecd9a1801f1"]),
     3: (1, 9346, 19966,
-        ["ee66334deb28569f", "f3d40a398a067c2a", "9317b493e92a32a6",
-         "af58596941a3b222", "75a15906a9c56100", "257d6da0c94c07b7",
-         "ec79de50eeeacf0c", "1720e6ecc9f8a5eb", "f20df1a11b183d01",
-         "04e713f1776ff198"]),
+        ["9ccbb77cbd5e3f19", "f3d40a398a067c2a", "67e1864d23d0c8dc",
+         "ff96bca73a9aa434", "cbe6797abbb1ba2a", "9c90c449fdd5cf15",
+         "ebef6c0d5d5bae66", "beff079d90daf277", "f20df1a11b183d01",
+         "4e7f5ce8ab4de6a1"]),
 }
 
 

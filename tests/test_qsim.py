@@ -82,6 +82,17 @@ class TestModel:
         with pytest.raises(QsimError):
             SourceModel(p_double=1.5)
 
+    @pytest.mark.parametrize("name", ["p_loss", "p_dark"])
+    def test_no_round_ever_accepted_is_refused(self, name):
+        # Rng.uniform never exceeds 1 - 2**-32, so above it no round passes
+        # and run_quantum_phase would never return
+        top = 1.0 - 2.0 ** -32
+        SourceModel(**{name: top})
+        for value in (np.nextafter(top, 1.0), 1.0):
+            with pytest.raises(QsimError, match=name):
+                SourceModel(**{name: value})
+        assert Rng.from_int(0).uniform(1 << 16).max() <= top
+
 
 class TestGenerateRound:
     def test_noiseless_matching_always_agree(self):
@@ -117,7 +128,8 @@ class TestGenerateRound:
 
     def test_loss_yields_no_click(self):
         rng = _rng(3)
-        r = generate_round(SourceModel(p_loss=1.0), rng)
+        # the largest p_loss a model accepts; 1.0 would never end a phase
+        r = generate_round(SourceModel(p_loss=1.0 - 2.0 ** -32), rng)
         assert r.bob_pattern == ClickPattern.NONE
 
 

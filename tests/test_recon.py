@@ -91,11 +91,10 @@ class TestIrParams:
     def test_syndrome_length_formula(self):
         h = -0.05 * math.log2(0.05) - 0.95 * math.log2(0.95)
         assert IR.syndrome_bits == math.ceil(1.3 * h * N)
-        assert IR.leak_bits == IR.syndrome_bits + 32
 
     def test_trivial_backend_leaks_only_tag(self):
         p = IrParams(n_raw=N, p_design=0.05, backend=BACKEND_TRIVIAL)
-        assert p.syndrome_bits == 0 and p.leak_bits == p.tag_bits
+        assert p.syndrome_bits == 0 and p.record_bytes == (p.tag_bits + 7) // 8
 
     def test_validation(self):
         with pytest.raises(ReconError):

@@ -45,7 +45,7 @@ class TestQueueBackend:
         a, b = queue_pair()
         raw = bytearray(Frame(0x03, b"hello world").encode(0))
         raw[7] ^= 0x40  # flip a payload bit, checksum now wrong
-        a.inject_raw(bytes(raw))
+        a._send_raw(bytes(raw))
         with pytest.raises(WireError):
             b.recv(timeout=1)
         with pytest.raises(WireError):  # connection is dead afterwards
@@ -53,13 +53,13 @@ class TestQueueBackend:
 
     def test_truncated_frame_kills_connection(self):
         a, b = queue_pair()
-        a.inject_raw(Frame(0x03, b"hello").encode(0)[:6])
+        a._send_raw(Frame(0x03, b"hello").encode(0)[:6])
         with pytest.raises(WireError):
             b.recv(timeout=1)
 
     def test_sequence_gap_detected(self):
         a, b = queue_pair()
-        a.inject_raw(Frame(0x03, b"x").encode(5))
+        a._send_raw(Frame(0x03, b"x").encode(5))
         with pytest.raises(WireError, match="sequence"):
             b.recv(timeout=1)
 
