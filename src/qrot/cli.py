@@ -123,7 +123,9 @@ def cmd_optimize(args) -> int:
 def _session_config(args) -> protocol.SessionConfig:
     backend = args.ir_backend
     if backend == "auto":
-        backend = recon.BACKEND_TRIVIAL if args.p_err == 0.0 else recon.BACKEND_LDPC
+        # an undetected double pair flips matched-basis bits like channel noise
+        noiseless = args.p_err == 0.0 and args.p_double == 0.0
+        backend = recon.BACKEND_TRIVIAL if noiseless else recon.BACKEND_LDPC
     else:
         backend = {"trivial": recon.BACKEND_TRIVIAL,
                    "ldpc": recon.BACKEND_LDPC}[backend]

@@ -1,24 +1,32 @@
 """Sender and receiver state machines for the randomized OT session.
 
-Message flow after the handshake: the sender issues the commitment challenge,
-the receiver commits to all basis/outcome pairs, the sender names a test
-subset, the receiver opens it, the sender checks the error rate and discloses
-her remaining bases, the receiver sends an ordered pair of index sets, the
-sender answers with syndromes for both halves plus the hashing seed.
+Both parties start from an agreed ``SessionConfig``. After the quantum phase
+the session is one fixed message sequence: the sender opens with HELLO (the
+serialized config) and the commitment challenge in one flight, the receiver
+commits to all basis/outcome pairs, the sender names a test subset, the
+receiver opens it, the sender checks the error rate and discloses her
+remaining bases, the receiver sends an ordered pair of index sets, the sender
+answers with syndromes for both halves plus the hashing seed. Each party
+declares the messages it reads, in order, as its ``reads`` tuple; any other
+message at any step ends the session.
+
+HELLO is the one handshake message and gets no reply: the receiver accepts it
+only if its bytes equal his own ``config.serialize()``, so he never builds
+parameters from the peer's numbers.
 
 Output convention: the sender's m_0 hashes the first element of the received
 pair and m_1 the second. The receiver places his matched-basis set at pair
 position c, so he can decode exactly the position-c string; the chosen-string
 relation receiver.m_c == sender.(m_0, m_1)[c] holds by construction.
 
-Wire format (``PROTOCOL_VERSION`` 3): no payload carries a count or length
+Wire format (``PROTOCOL_VERSION`` 4): no payload carries a count or length
 header. The config fixes the exact length of every message but ABORT
-(``declared_payload_sizes``); ``_Session.on_frame`` checks that length once,
-before any handler reads the payload, and each handler builds its bit strings
-and index sets at the sizes the config implies.
+(``declared_payload_sizes``); ``_Session.on_frame`` checks the type and that
+length once, before any handler reads the payload, and each handler builds
+its bit strings and index sets at the sizes the config implies.
 
-Every out-of-phase or malformed message ends the session with a typed abort;
-no path yields a DONE state with inconsistent outputs.
+Every unexpected or malformed message ends the session with a typed abort;
+no path finishes a session with inconsistent outputs.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import numpy as np
 
 from qrot import commit, pamp, qsim, recon, wire
 from qrot.bitcore import BitString, IndexSet, Rng, extract, sample_subset
-from qrot.bounds import BoundsError, ProtocolParams
+from qrot.bounds import ProtocolParams
 from qrot.wire import Frame
 
 
@@ -42,7 +50,6 @@ class ProtocolError(ValueError):
 
 class Msg(enum.IntEnum):
     HELLO = 0x01
-    HELLO_ACK = 0x02
     CHALLENGE = 0x03
     COMMITMENTS = 0x04
     TEST_SET = 0x05
@@ -63,26 +70,11 @@ class AbortReason(enum.IntEnum):
     TRANSPORT = 0x06
 
 
-class Phase(enum.Enum):
-    HELLO = "hello"
-    CHALLENGE = "challenge"
-    COMMIT = "commit"
-    TEST = "test"
-    BASES = "bases"
-    SEPARATE = "separate"
-    SYNDROME = "syndrome"
-    HASH = "hash"
-    DONE = "done"
-    ABORTED = "aborted"
-
-
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 _BACKEND_CODES = {recon.BACKEND_TRIVIAL: 0, recon.BACKEND_LDPC: 1}
-_BACKEND_OF_CODE = {v: k for k, v in _BACKEND_CODES.items()}
 
 _CONFIG_STRUCT = struct.Struct(">BBHHQI8d")
-_ACK_STRUCT = struct.Struct(">QQQ")  # N_test, N_check, N_raw
 
 
 @dataclass(frozen=True)
@@ -126,25 +118,6 @@ class SessionConfig:
             p.alpha, p.delta1, p.delta2, p.p_max, p.f, p.p_multi,
             p.eps_ir, p.eps_bind)
 
-    @classmethod
-    def parse(cls, raw: bytes) -> "SessionConfig":
-        if len(raw) != _CONFIG_STRUCT.size:
-            raise ProtocolError("bad handshake record length")
-        (ver, backend, k, tag_bits, n0, n,
-         alpha, d1, d2, p_max, f, p_multi, eps_ir, eps_bind) = _CONFIG_STRUCT.unpack(raw)
-        if ver != PROTOCOL_VERSION:
-            raise ProtocolError(f"protocol version mismatch: {ver}")
-        if backend not in _BACKEND_OF_CODE:
-            raise ProtocolError(f"unknown IR backend code {backend}")
-        try:
-            params = ProtocolParams(n0=n0, alpha=alpha, delta1=d1, delta2=d2,
-                                    p_max=p_max, n=n, f=f, p_multi=p_multi,
-                                    eps_ir=eps_ir, eps_bind=eps_bind)
-        except BoundsError as exc:
-            raise ProtocolError(str(exc)) from exc
-        return cls(params=params, k=k, tag_bits=tag_bits,
-                   ir_backend=_BACKEND_OF_CODE[backend])
-
 
 def declared_payload_sizes(config: SessionConfig) -> dict:
     """Exact payload length of every message but ABORT, from the config alone.
@@ -158,7 +131,6 @@ def declared_payload_sizes(config: SessionConfig) -> dict:
     cp = config.commit_params
     return {
         Msg.HELLO: _CONFIG_STRUCT.size,
-        Msg.HELLO_ACK: _ACK_STRUCT.size,
         Msg.CHALLENGE: (cp.n_r + 7) // 8,
         Msg.COMMITMENTS: p.n0 * cp.com_bytes,
         Msg.TEST_SET: 4 * p.n_test,
@@ -228,17 +200,23 @@ class RotOutput:
 # ---------------------------------------------------------------------------
 
 class _Session:
-    def __init__(self, config: SessionConfig, rng: Rng):
+    reads: tuple[Msg, ...]  # the messages this end receives, in order
+
+    def __init__(self, config: SessionConfig, view: qsim.AliceView | qsim.BobView,
+                 rng: Rng):
+        if view.theta.length != config.params.n0:
+            raise ProtocolError("quantum-phase view does not match N0")
         self.config = config
+        self.view = view
         self.rng = rng
-        self.phase = Phase.HELLO
         self.transcript = SessionTranscript()
         self.abort_reason: AbortReason | None = None
+        self._step = 0  # index into ``reads`` of the next expected message
         self._sizes = declared_payload_sizes(config)
 
     @property
     def finished(self) -> bool:
-        return self.phase in (Phase.DONE, Phase.ABORTED)
+        return self.abort_reason is not None or self._step == len(self.reads)
 
     def _send(self, type_code: int, payload: bytes) -> Frame:
         frame = Frame(type_code, payload)
@@ -250,7 +228,6 @@ class _Session:
         return []
 
     def _end(self, reason: AbortReason) -> None:
-        self.phase = Phase.ABORTED
         self.abort_reason = reason
 
     def _abort(self, reason: AbortReason) -> list[Frame]:
@@ -267,17 +244,15 @@ class _Session:
             except (IndexError, ValueError):  # no reason byte, or an unknown one
                 self._end(AbortReason.PROTOCOL_ERROR)
             return []
-        try:
-            handler = self._handlers().get((self.phase, frame.type_code))
-            if handler is None or len(frame.payload) != self._sizes[frame.type_code]:
-                return self._abort(AbortReason.PROTOCOL_ERROR)
-            return handler(frame.payload)
-        # a WireError here is a reply this end could not frame, not a link fault
-        except (ValueError, struct.error, wire.WireError):
+        msg = self.reads[self._step]
+        if frame.type_code != msg or len(frame.payload) != self._sizes[msg]:
             return self._abort(AbortReason.PROTOCOL_ERROR)
-
-    def _handlers(self) -> dict:
-        raise NotImplementedError
+        self._step += 1
+        try:
+            return getattr(self, f"_on_{msg.name.lower()}")(frame.payload)
+        # a WireError here is a reply this end could not frame, not a link fault
+        except (ValueError, wire.WireError):
+            return self._abort(AbortReason.PROTOCOL_ERROR)
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +260,10 @@ class _Session:
 # ---------------------------------------------------------------------------
 
 class SenderSession(_Session):
+    reads = (Msg.COMMITMENTS, Msg.OPENINGS, Msg.SEP)
+
     def __init__(self, config: SessionConfig, view: qsim.AliceView, rng: Rng):
-        super().__init__(config, rng)
-        if view.theta.length != config.params.n0:
-            raise ProtocolError("quantum-phase view does not match N0")
-        self.view = view
+        super().__init__(config, view, rng)
         self.challenge: commit.Challenge | None = None
         self.coms: np.ndarray | None = None
         self.test_set: IndexSet | None = None
@@ -297,40 +271,28 @@ class SenderSession(_Session):
         self.qber_estimate: float | None = None
 
     def start(self) -> list[Frame]:
-        return [self._send(Msg.HELLO, self.config.serialize())]
-
-    def _handlers(self):
-        return {
-            (Phase.HELLO, Msg.HELLO_ACK): self._on_hello_ack,
-            (Phase.COMMIT, Msg.COMMITMENTS): self._on_commitments,
-            (Phase.TEST, Msg.OPENINGS): self._on_openings,
-            (Phase.SEPARATE, Msg.SEP): self._on_sep,
-        }
-
-    def _on_hello_ack(self, payload: bytes) -> list[Frame]:
         p = self.config.params
-        if payload != _ACK_STRUCT.pack(p.n_test, p.n_check, p.n_raw):
-            return self._abort(AbortReason.PROTOCOL_ERROR)
         if p.p_multi > 0.0:
             est = qsim.multi_photon_estimate(self.view.n_tot, self.view.n_multi)
             if est >= p.p_multi:
                 return self._abort(AbortReason.MULTIPHOTON)
         self.challenge = commit.sample_challenge(self.rng, self.config.commit_params)
-        self.phase = Phase.COMMIT
-        return [self._send(Msg.CHALLENGE, self.challenge.r1.payload)]
+        return [self._send(Msg.HELLO, self.config.serialize()),
+                self._send(Msg.CHALLENGE, self.challenge.r1.payload)]
 
     def _on_commitments(self, payload: bytes) -> list[Frame]:
         p = self.config.params
         cp = self.config.commit_params
         self.coms = np.frombuffer(payload, np.uint8).reshape(p.n0, cp.com_bytes)
         self.test_set = sample_subset(self.rng, p.n0, p.n_test)
-        self.phase = Phase.TEST
         return [self._send(Msg.TEST_SET, self.test_set.serialize())]
 
     def _on_openings(self, payload: bytes) -> list[Frame]:
         p = self.config.params
         cp = self.config.commit_params
         body = np.frombuffer(payload, np.uint8).reshape(p.n_test, 1 + cp.seed_bytes)
+        if (body[:, 0] & 0x3F).any():  # the (basis, outcome) pair is bits 7 and 6
+            return self._abort(AbortReason.PROTOCOL_ERROR)
         msgs = np.stack([body[:, 0] >> 7, (body[:, 0] >> 6) & 1], axis=1)
         ok = commit.verify_batch(self.coms[self.test_set.indices], msgs,
                                  body[:, 1:], self.challenge, cp,
@@ -349,7 +311,6 @@ class SenderSession(_Session):
             return self._abort(AbortReason.TEST_FAILED)
 
         rest = self.test_set.complement()
-        self.phase = Phase.SEPARATE
         return [self._send(Msg.BASES, extract(self.view.theta, rest).payload)]
 
     def _on_sep(self, payload: bytes) -> list[Frame]:
@@ -369,7 +330,6 @@ class SenderSession(_Session):
         s0, s1 = recon.syn(x0, ir), recon.syn(x1, ir)
         seed = pamp.sample_seed(self.rng, p.n_raw, p.n)
         self.output = SenderOutput(pamp.hash_bits(seed, x0), pamp.hash_bits(seed, x1))
-        self.phase = Phase.DONE
         return [self._send(Msg.SYNDROMES, s0.serialize() + s1.serialize()),
                 self._send(Msg.HASH_SEED, seed.diag.payload)]
 
@@ -379,11 +339,11 @@ class SenderSession(_Session):
 # ---------------------------------------------------------------------------
 
 class ReceiverSession(_Session):
+    reads = (Msg.HELLO, Msg.CHALLENGE, Msg.TEST_SET, Msg.BASES, Msg.SYNDROMES,
+             Msg.HASH_SEED)
+
     def __init__(self, config: SessionConfig, view: qsim.BobView, rng: Rng):
-        super().__init__(config, rng)
-        if view.theta.length != config.params.n0:
-            raise ProtocolError("quantum-phase view does not match N0")
-        self.view = view
+        super().__init__(config, view, rng)
         self.challenge: commit.Challenge | None = None
         self.msgs: np.ndarray | None = None
         self.seeds: np.ndarray | None = None
@@ -392,24 +352,10 @@ class ReceiverSession(_Session):
         self.decoded: BitString | None = None
         self.output: ReceiverOutput | None = None
 
-    def _handlers(self):
-        return {
-            (Phase.HELLO, Msg.HELLO): self._on_hello,
-            (Phase.CHALLENGE, Msg.CHALLENGE): self._on_challenge,
-            (Phase.TEST, Msg.TEST_SET): self._on_test_set,
-            (Phase.BASES, Msg.BASES): self._on_bases,
-            (Phase.SYNDROME, Msg.SYNDROMES): self._on_syndromes,
-            (Phase.HASH, Msg.HASH_SEED): self._on_hash_seed,
-        }
-
     def _on_hello(self, payload: bytes) -> list[Frame]:
-        theirs = SessionConfig.parse(payload)
-        if theirs != self.config:
+        if payload != self.config.serialize():
             return self._abort(AbortReason.PROTOCOL_ERROR)
-        p = self.config.params
-        self.phase = Phase.CHALLENGE
-        return [self._send(Msg.HELLO_ACK,
-                           _ACK_STRUCT.pack(p.n_test, p.n_check, p.n_raw))]
+        return []
 
     def _on_challenge(self, payload: bytes) -> list[Frame]:
         p = self.config.params
@@ -424,7 +370,6 @@ class ReceiverSession(_Session):
         self.seeds = seeds
         coms = commit.commit_batch(self.msgs, seeds, self.challenge, cp,
                                    commit.HASH_AES128)
-        self.phase = Phase.TEST
         return [self._send(Msg.COMMITMENTS, coms.tobytes())]
 
     def _on_test_set(self, payload: bytes) -> list[Frame]:
@@ -433,7 +378,6 @@ class ReceiverSession(_Session):
         opened = self.msgs[tested]
         msg_byte = (opened[:, 0] << 7 | opened[:, 1] << 6).astype(np.uint8)
         records = np.concatenate([msg_byte[:, None], self.seeds[tested]], axis=1)
-        self.phase = Phase.BASES
         return [self._send(Msg.OPENINGS, records.tobytes())]
 
     def _on_bases(self, payload: bytes) -> list[Frame]:
@@ -450,7 +394,6 @@ class ReceiverSession(_Session):
         self.i0 = _pick(self.rng, matching, p.n_raw, p.n0)
         i1 = _pick(self.rng, differing, p.n_raw, p.n0)
         pair = (self.i0, i1) if self.choice == 0 else (i1, self.i0)
-        self.phase = Phase.SYNDROME
         return [self._send(Msg.SEP, pair[0].serialize() + pair[1].serialize())]
 
     def _on_syndromes(self, payload: bytes) -> list[Frame]:
@@ -462,14 +405,12 @@ class ReceiverSession(_Session):
         if decoded is None:
             return self._abort(AbortReason.IR_FAILED)
         self.decoded = decoded
-        self.phase = Phase.HASH
         return []
 
     def _on_hash_seed(self, payload: bytes) -> list[Frame]:
         p = self.config.params
         seed = pamp.ToeplitzSeed(p.n_raw, p.n, BitString(payload, p.n_raw + p.n - 1))
         self.output = ReceiverOutput(self.choice, pamp.hash_bits(seed, self.decoded))
-        self.phase = Phase.DONE
         return []
 
 
@@ -547,8 +488,12 @@ def drive(*ends: tuple[_Session, wire.Connection],
 
 def run_session(config: SessionConfig, model: qsim.SourceModel,
                 seed: int | Rng) -> SessionResult:
-    """Drive both state machines over an in-process framed transport."""
-    sender, receiver = parties(config, model, seed)
+    """One seeded session, both ends in this process."""
+    return run_parties(*parties(config, model, seed))
+
+
+def run_parties(sender: SenderSession, receiver: ReceiverSession) -> SessionResult:
+    """Drive two built ends over an in-process framed transport to the end."""
     conn_a, conn_b = wire.queue_pair()
     drive((sender, conn_a), (receiver, conn_b), timeout=0)
     reason = sender.abort_reason or receiver.abort_reason

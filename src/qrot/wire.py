@@ -135,16 +135,22 @@ class SocketConnection(Connection):
     """Length-prefixed frames over a connected stream socket.
 
     Each record on the stream is a 4-byte big-endian record length followed
-    by the encoded frame. A single version byte is exchanged at setup.
+    by the encoded frame. A single version byte is exchanged at setup; a
+    peer that sends none within ``timeout`` raises :class:`Timeout`, and a
+    failed exchange closes the socket.
     """
 
-    def __init__(self, sock: socket.socket):
+    def __init__(self, sock: socket.socket, timeout: float = DEFAULT_TIMEOUT):
         super().__init__()
         self._sock = sock
-        sock.sendall(bytes([WIRE_VERSION]))
-        peer = self._read_exact(1, DEFAULT_TIMEOUT)
-        if peer[0] != WIRE_VERSION:
-            raise WireError(f"wire version mismatch: peer speaks {peer[0]}")
+        try:
+            sock.sendall(bytes([WIRE_VERSION]))
+            peer = self._read_exact(1, timeout)[0]
+            if peer != WIRE_VERSION:
+                raise WireError(f"wire version mismatch: peer speaks {peer}")
+        except (OSError, Timeout):  # WireError is an OSError
+            sock.close()
+            raise
 
     def _send_raw(self, raw: bytes) -> None:
         try:
@@ -183,7 +189,7 @@ class SocketConnection(Connection):
 
 def connect(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> SocketConnection:
     sock = socket.create_connection((host, port), timeout=timeout)
-    return SocketConnection(sock)
+    return SocketConnection(sock, timeout)
 
 
 def listen_one(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> SocketConnection:
@@ -199,4 +205,4 @@ def listen_one(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> Socket
         raise Timeout from None
     finally:
         srv.close()
-    return SocketConnection(sock)
+    return SocketConnection(sock, timeout)

@@ -11,8 +11,8 @@ import numpy as np
 
 from qrot import qsim, wire
 from qrot.bitcore import BitString
-from qrot.protocol import (Msg, ReceiverSession, RotOutput, SenderSession,
-                           SessionConfig, SessionResult, drive, parties)
+from qrot.protocol import (Msg, ReceiverSession, SenderSession, SessionConfig,
+                           SessionResult, parties, run_parties)
 
 
 class FlippingReceiver(ReceiverSession):
@@ -71,16 +71,6 @@ def skewed_receiver(sender: SenderSession, receiver: ReceiverSession,
     return ReceiverSession(receiver.config, view, rng)
 
 
-def drive_pair(sender: SenderSession, receiver: ReceiverSession) -> SessionResult:
-    """Run two ends in-process to the end, collected as ``run_session`` does."""
-    conn_a, conn_b = wire.queue_pair()
-    drive((sender, conn_a), (receiver, conn_b), timeout=0)
-    reason = sender.abort_reason or receiver.abort_reason
-    output = RotOutput(sender.output, receiver.output) if reason is None else None
-    return SessionResult(output, reason, sender.transcript, receiver.transcript,
-                         qber_estimate=sender.qber_estimate)
-
-
 def run_cheat(config: SessionConfig, model: qsim.SourceModel, seed: int, *,
               sender_cls=SenderSession, receiver_cls=ReceiverSession,
               basis_match_prob: float | None = None) -> SessionResult:
@@ -88,5 +78,5 @@ def run_cheat(config: SessionConfig, model: qsim.SourceModel, seed: int, *,
     sender, receiver = parties(config, model, seed)
     if basis_match_prob is not None:
         receiver = skewed_receiver(sender, receiver, model, basis_match_prob)
-    return drive_pair(sender_cls(config, sender.view, sender.rng),
-                      receiver_cls(config, receiver.view, receiver.rng))
+    return run_parties(sender_cls(config, sender.view, sender.rng),
+                       receiver_cls(config, receiver.view, receiver.rng))

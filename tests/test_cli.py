@@ -111,6 +111,15 @@ class TestSimulate:
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
         assert out.out == ""
 
+    def test_auto_backend_corrects_double_pair_errors(self, capsys):
+        # undetected double pairs flip matched-basis bits even at p_err 0;
+        # the trivial backend once failed every such session with IR_FAILED
+        code, out, _ = _run(capsys, "simulate", "--sessions", "5",
+                            "--p-double", "0.05", "--seed", "3", "--json")
+        data = json.loads(out)
+        assert code == 0
+        assert data["successes"] == 5 and data["aborts"] == {}
+
 
 class TestRole:
     @pytest.mark.parametrize("role", ["sender", "receiver"])

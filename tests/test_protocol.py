@@ -1,4 +1,5 @@
 import copy
+import struct
 import threading
 from dataclasses import replace
 
@@ -11,27 +12,41 @@ from qrot.bitcore import BitString, IndexSet, Rng
 from qrot.bounds import TABLE1_PARAMS
 from qrot.protocol import (AbortReason, Msg, SessionConfig,
                            declared_payload_sizes, desk_config, drive, parties,
-                           run_session)
+                           run_parties, run_session)
 from cheats import (CorruptSyndromeSender, EarlySepReceiver, FlippingReceiver,
-                    OversizedCommitmentsReceiver, drive_pair, run_cheat)
+                    OversizedCommitmentsReceiver, run_cheat)
 
 SMALL = desk_config(n0=8192)
 NOISELESS = qsim.SourceModel()
 
+# the HELLO fields in _CONFIG_STRUCT order, with their struct codes
+_HELLO_FIELDS = (("version", "B"), ("backend", "B"), ("k", "H"),
+                 ("tag_bits", "H"), ("n0", "Q"), ("n", "I"), ("alpha", "d"),
+                 ("delta1", "d"), ("delta2", "d"), ("p_max", "d"), ("f", "d"),
+                 ("p_multi", "d"), ("eps_ir", "d"), ("eps_bind", "d"))
+
 
 class TestSessionConfig:
-    def test_wire_round_trip(self):
-        cfg = desk_config()
-        assert SessionConfig.parse(cfg.serialize()) == cfg
+    @pytest.mark.parametrize("field", range(len(_HELLO_FIELDS)),
+                             ids=[name for name, _ in _HELLO_FIELDS])
+    def test_hello_must_match_byte_for_byte(self, field):
+        # one flipped bit in the last byte of any field: the version (4 ->
+        # 5), the backend code (LDPC -> trivial), n0, or a float's lowest
+        # mantissa bit
+        cfg = desk_config(n0=8192, ir_backend=recon.BACKEND_LDPC)
+        codes = ">" + "".join(code for _, code in _HELLO_FIELDS)
+        assert struct.calcsize(codes) == len(cfg.serialize())
+        last = struct.calcsize(codes[:field + 2]) - 1
+        hello = bytearray(cfg.serialize())
+        _, receiver = parties(cfg, NOISELESS, 19)
+        assert receiver.on_frame(wire.Frame(Msg.HELLO, bytes(hello))) == []
+        assert receiver.abort_reason is None
 
-    def test_bad_version_rejected(self):
-        raw = bytearray(desk_config().serialize())
-        # 1: the HELLO with a hash id byte; 2: the wire format with count
-        # and length headers
-        for version in (1, 2, 99):
-            raw[0] = version
-            with pytest.raises(protocol.ProtocolError):
-                SessionConfig.parse(bytes(raw))
+        hello[last] ^= 0x01
+        _, receiver = parties(cfg, NOISELESS, 19)
+        out = receiver.on_frame(wire.Frame(Msg.HELLO, bytes(hello)))
+        assert receiver.abort_reason == AbortReason.PROTOCOL_ERROR
+        assert [f.type_code for f in out] == [Msg.ABORT]
 
     def test_derived_ir_params(self):
         cfg = desk_config(ir_backend=recon.BACKEND_LDPC)
@@ -114,7 +129,7 @@ class TestAbortPaths:
         # own fault, not a broken link: it aborts, and the sender hears why
         sender, receiver = parties(SMALL, NOISELESS, 6)
         cheat = OversizedCommitmentsReceiver(SMALL, receiver.view, receiver.rng)
-        drive_pair(sender, cheat)
+        run_parties(sender, cheat)
         assert cheat.abort_reason == AbortReason.PROTOCOL_ERROR
         assert sender.abort_reason == AbortReason.PROTOCOL_ERROR
         last = cheat.transcript.entries[-1]
@@ -123,6 +138,17 @@ class TestAbortPaths:
     def test_noise_above_p_max_fails_test(self):
         res = run_session(SMALL, qsim.SourceModel(p_err=0.06), 5)
         assert res.abort_reason == AbortReason.TEST_FAILED
+
+    def test_noncanonical_opening_is_protocol_error(self):
+        # the (basis, outcome) pair is bits 7 and 6; the low six bits are zero
+        sender, payload = _party_awaiting(SMALL, 9, Msg.OPENINGS)
+        record = 1 + SMALL.commit_params.seed_bytes
+        body = np.frombuffer(payload, np.uint8).reshape(-1, record).copy()
+        body[:, 0] |= 0x3F
+        out = sender.on_frame(wire.Frame(Msg.OPENINGS, body.tobytes()))
+        assert sender.abort_reason == AbortReason.PROTOCOL_ERROR
+        assert [f.type_code for f in out] == [Msg.ABORT]
+        assert sender.output is None
 
     def test_config_mismatch_aborts_in_handshake(self):
         sender, _ = parties(SMALL, NOISELESS, 11)
@@ -140,7 +166,7 @@ class TestDriver:
         conn, _ = wire.queue_pair()
         drive((actor, conn), timeout=0)
         assert actor.abort_reason == AbortReason.TRANSPORT
-        assert actor.phase == protocol.Phase.ABORTED
+        assert actor.finished and actor.output is None
 
     def test_corrupted_frame_is_transport_not_raised(self):
         sender, receiver = parties(SMALL, NOISELESS, 16)
@@ -195,7 +221,7 @@ class TestPhaseOrderSafety:
         cfg = desk_config(n0=8192, ir_backend=recon.BACKEND_LDPC)
         party, payload = _party_awaiting(cfg, 23, msg)
         for bad in (payload[:-1], payload + b"\x00", b""):
-            p = copy.copy(party)  # the phase and abort state are its own
+            p = copy.copy(party)  # the step and abort state are its own
             out = p.on_frame(wire.Frame(msg, bad))
             assert p.abort_reason == AbortReason.PROTOCOL_ERROR
             assert [f.type_code for f in out] == [Msg.ABORT]
@@ -213,8 +239,8 @@ class TestPhaseOrderSafety:
             for out in receiver.on_frame(frame):
                 collected.append(out)
                 pending.extend(sender.on_frame(out))
-        assert sender.phase == protocol.Phase.DONE
-        assert len(collected) == 4  # ACK, COMMITMENTS, OPENINGS, SEP
+        assert sender.abort_reason is None and sender.output is not None
+        assert [f.type_code for f in collected] == list(sender.reads)
 
         shuffler = Rng.from_int(99)
         tried = 0
@@ -227,7 +253,7 @@ class TestPhaseOrderSafety:
             fresh.start()
             for i in order:
                 fresh.on_frame(collected[int(i)])
-            assert fresh.phase == protocol.Phase.ABORTED
+            assert fresh.abort_reason == AbortReason.PROTOCOL_ERROR
             assert fresh.output is None
 
 
@@ -271,7 +297,7 @@ class TestSepDisjointness:
     def test_honest_pair_accepted(self):
         sender, payload = _sender_at_sep(self.SEED)
         sender.on_frame(wire.Frame(Msg.SEP, payload))
-        assert sender.phase == protocol.Phase.DONE
+        assert sender.abort_reason is None and sender.output is not None
 
     @pytest.mark.parametrize("overlap", ["first_second", "first_test",
                                          "second_test"])
@@ -336,25 +362,25 @@ class TestLeakLedger:
 
 # Seeded desk-LDPC sessions at SourceModel(p_err=0.01): seed -> (choice bit,
 # m0, m1, blake2b-64 digest of every frame payload in session order).
-# Frame i has type code i + 1 and length _GOLDEN_LENGTHS[i].
-_GOLDEN_LENGTHS = [82, 24, 7, 458752, 65536, 49152, 6144, 184808, 1824, 2890]
-_GOLDEN_SENDER_DIRS = ["send", "recv"] * 4 + ["send", "send"]
+# Frame i has type _GOLDEN_TYPES[i] and length _GOLDEN_LENGTHS[i].
+_GOLDEN_TYPES = [Msg.HELLO, Msg.CHALLENGE, Msg.COMMITMENTS, Msg.TEST_SET,
+                 Msg.OPENINGS, Msg.BASES, Msg.SEP, Msg.SYNDROMES, Msg.HASH_SEED]
+_GOLDEN_LENGTHS = [82, 7, 458752, 65536, 49152, 6144, 184808, 1824, 2890]
+_GOLDEN_SENDER_DIRS = ["send", "send", "recv", "send", "recv", "send", "recv",
+                       "send", "send"]
 _GOLDEN_LDPC = {
     1: (0, 37177, 9305,
-        ["9ccbb77cbd5e3f19", "f3d40a398a067c2a", "99e421e504dc2134",
-         "4939d1a891340da2", "4f1d5772b8f4e992", "c85be9c97735b9f6",
-         "f58fa832acc30bf5", "0e31197741acedbc", "2ed4bf06e774bef2",
-         "82a69db48d59042c"]),
+        ["b0534b880ad59437", "99e421e504dc2134", "4939d1a891340da2",
+         "4f1d5772b8f4e992", "c85be9c97735b9f6", "f58fa832acc30bf5",
+         "0e31197741acedbc", "2ed4bf06e774bef2", "82a69db48d59042c"]),
     2: (0, 16551, 60528,
-        ["9ccbb77cbd5e3f19", "f3d40a398a067c2a", "35982e11b353bc2d",
-         "15d47ba32c48f99f", "98edda24e1cd2d88", "889b17447c47cb02",
-         "eadba61cc5233250", "c816f0a02da6c4d4", "290dc90b878e9a8d",
-         "8cfa2ecd9a1801f1"]),
+        ["b0534b880ad59437", "35982e11b353bc2d", "15d47ba32c48f99f",
+         "98edda24e1cd2d88", "889b17447c47cb02", "eadba61cc5233250",
+         "c816f0a02da6c4d4", "290dc90b878e9a8d", "8cfa2ecd9a1801f1"]),
     3: (1, 9346, 19966,
-        ["9ccbb77cbd5e3f19", "f3d40a398a067c2a", "67e1864d23d0c8dc",
-         "ff96bca73a9aa434", "cbe6797abbb1ba2a", "9c90c449fdd5cf15",
-         "ebef6c0d5d5bae66", "beff079d90daf277", "f20df1a11b183d01",
-         "4e7f5ce8ab4de6a1"]),
+        ["b0534b880ad59437", "67e1864d23d0c8dc", "ff96bca73a9aa434",
+         "cbe6797abbb1ba2a", "9c90c449fdd5cf15", "ebef6c0d5d5bae66",
+         "beff079d90daf277", "f20df1a11b183d01", "4e7f5ce8ab4de6a1"]),
 }
 
 
@@ -374,8 +400,7 @@ class TestGoldenSessions:
         assert out.sender.m1 == BitString.from_int(m1, 16)
         assert out.receiver.m_c == (out.sender.m0, out.sender.m1)[c]
 
-        frames = [(i + 1, n, d) for i, (n, d)
-                  in enumerate(zip(_GOLDEN_LENGTHS, digests))]
+        frames = list(zip(_GOLDEN_TYPES, _GOLDEN_LENGTHS, digests))
         flip = {"send": "recv", "recv": "send"}
         assert [(e.direction, e.type_code, e.length, e.digest)
                 for e in res.sender_transcript.entries] == \

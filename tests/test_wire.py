@@ -1,5 +1,6 @@
 import socket
 import threading
+import time
 
 import pytest
 
@@ -120,3 +121,25 @@ class TestSocketBackend:
             b.recv(timeout=0.05)
         a.close()
         b.close()
+
+    def test_silent_peer_times_out_at_the_given_timeout(self):
+        # a listener that accepts nothing never sends its version byte
+        srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        srv.bind(("127.0.0.1", 0))
+        srv.listen(1)
+        start = time.monotonic()
+        with pytest.raises(Timeout):
+            wire.connect("127.0.0.1", srv.getsockname()[1], timeout=0.5)
+        assert time.monotonic() - start < 2.0
+        srv.close()
+
+    @pytest.mark.parametrize("peer_byte", [None, bytes([wire.WIRE_VERSION + 1])],
+                             ids=["silent", "other_version"])
+    def test_failed_handshake_closes_the_socket(self, peer_byte):
+        ours, theirs = socket.socketpair()
+        if peer_byte is not None:
+            theirs.sendall(peer_byte)
+        with pytest.raises((Timeout, WireError)):
+            wire.SocketConnection(ours, timeout=0.05)
+        assert ours.fileno() == -1
+        theirs.close()
