@@ -190,26 +190,18 @@ class Rng:
     the statistical tests are reproducible from one seed.
     """
 
-    _CHUNK = 1 << 16
-
     def __init__(self, seed: bytes):
         if len(seed) != 32:
             raise BitcoreError("seed must be exactly 32 bytes")
         self.seed = bytes(seed)
         self._enc = Cipher(algorithms.ChaCha20(self.seed, b"\x00" * 16), mode=None).encryptor()
-        self._pool = b""
-        self.position = 0
 
     @classmethod
     def from_int(cls, seed: int) -> "Rng":
         return cls(seed.to_bytes(32, "big"))
 
     def bytes(self, n: int) -> bytes:
-        while len(self._pool) < n:
-            self._pool += self._enc.update(b"\x00" * max(self._CHUNK, n - len(self._pool)))
-        out, self._pool = self._pool[:n], self._pool[n:]
-        self.position += n
-        return out
+        return self._enc.update(bytes(n))
 
     def bits(self, nbits: int) -> BitString:
         return BitString(self.bytes((nbits + 7) // 8), nbits)

@@ -162,19 +162,6 @@ class BoundReport:
         }
 
 
-def eps_correctness(params: ProtocolParams) -> float:
-    """Honest-run failure probability: 2^(-(N_raw-n)/2) + 2*eps_IR."""
-    return _eps_correctness(params, params.n_raw)
-
-
-def _eps_correctness(params: ProtocolParams, n_raw: int) -> float:
-    if n_raw <= params.n:
-        raise BoundsError("raw block not longer than the output")
-    exponent = -0.5 * (n_raw - params.n)
-    first = 0.0 if exponent < -1100 else 2.0 ** exponent
-    return first + 2.0 * params.eps_ir
-
-
 def eps_max(params: ProtocolParams, experimental: bool = False) -> BoundReport:
     """Total security bound, itemized: correctness plus the dishonest-receiver
     components.
@@ -213,7 +200,11 @@ def eps_max(params: ProtocolParams, experimental: bool = False) -> BoundReport:
     kl, kl_uf = _squash(kl, kl_uf)
     bind, bind_uf = _squash(params.eps_bind)
     lhl, lhl_uf = _squash(lhl, lhl_uf)
-    ec, ec_uf = _squash(_eps_correctness(params, n_raw))
+    # correctness, the honest-run failure probability: 2^(-(N_raw-n)/2) + 2*eps_IR
+    if n_raw <= params.n:
+        raise BoundsError("raw block not longer than the output")
+    ec_exp = -0.5 * (n_raw - params.n)
+    ec, ec_uf = _squash((0.0 if ec_exp < -1100 else 2.0 ** ec_exp) + 2.0 * params.eps_ir)
     underflowed = tuple(name for name, hit in (
         ("eps_stat", stat_uf), ("eps_kl", kl_uf), ("eps_bind", bind_uf),
         ("eps_lhl", lhl_uf), ("eps_correct", ec_uf)) if hit)

@@ -102,9 +102,13 @@ def cmd_figures(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    grid = tuple(int(v) for v in args.grid.split(","))
-    if len(grid) != 3:
-        print("error: --grid needs three comma-separated sizes", file=sys.stderr)
+    try:
+        grid = tuple(int(v) for v in args.grid.split(","))
+    except ValueError:
+        grid = ()
+    if len(grid) != 3 or min(grid) < 2:
+        print("error: --grid needs three comma-separated integer sizes of at "
+              "least 2", file=sys.stderr)
         return 2
     res = rates.n_crit(args.eps_target, args.p_max, args.f, args.p_multi,
                        args.n, grid=grid)

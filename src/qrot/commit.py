@@ -6,10 +6,8 @@ publishes H(seed) xor the basis combination selected by the message bits.
 An opening is the pair (message, seed) and verification recomputes the
 commitment.
 
-The hash is pluggable: a BLAKE2 instantiation for general use, a fixed-key
-AES instantiation whose batch mode makes the N0-fold protocol commitment
-cheap, and a tiny 16-bit toy permutation that makes brute-force binding
-experiments feasible.
+The one-way function is fixed-key AES-128, applied to the seed in counter
+mode.
 """
 
 from __future__ import annotations
@@ -23,9 +21,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from qrot.bitcore import BitString, Rng
 
-HASH_BLAKE2 = 0x01
 HASH_AES128 = 0x02
-HASH_TOY16 = 0x7F
 
 
 class CommitError(ValueError):
@@ -67,92 +63,43 @@ class CommitParams:
 
 
 # ---------------------------------------------------------------------------
-# one-way function instantiations
+# one-way function
 # ---------------------------------------------------------------------------
 
 _AES_FIXED_KEY = bytes(range(16))  # public fixed key: the permutation is the OWF
 
 
-def _toy_mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64-style finalizer; vectorized over uint64."""
-    z = (z + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-    z ^= z >> np.uint64(30)
-    z = (z * np.uint64(0xBF58476D1CE4E5B9)).astype(np.uint64)
-    z ^= z >> np.uint64(27)
-    z = (z * np.uint64(0x94D049BB133111EB)).astype(np.uint64)
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def owf_expand_batch(hash_id: int, seeds: np.ndarray, out_bits: int) -> np.ndarray:
-    """Hash each row of ``seeds`` (uint8, shape (N, seed_bytes)) to out_bits.
-
-    Returns a (N, ceil(out_bits/8)) uint8 array with pad bits zeroed.
-    """
-    out_bytes = (out_bits + 7) // 8
-    out = _owf_words(hash_id, seeds, out_bytes)[:, :out_bytes].copy()
-    _zero_pad_bits(out, out_bits)
-    return out
-
-
-def _owf_words(hash_id: int, seeds: np.ndarray, out_bytes: int) -> np.ndarray:
-    """The hash of each seed row as a (N, 8 * W) uint8 array, W >= 1 words.
+def _owf_words(seeds: np.ndarray, out_bytes: int) -> np.ndarray:
+    """The hash of each seed row as a (N, 16 * B) uint8 array, B >= 1 blocks.
 
     Its first ``out_bytes`` columns are the hash output, pad bits not yet
     zeroed; the columns after them are filler. Each row is a whole number of
-    64-bit words, so the array views as (N, W) uint64.
+    64-bit words, so the array views as (N, 2 * B) uint64.
     """
     n, sbytes = seeds.shape
-
-    if hash_id == HASH_AES128:
-        nblocks = (out_bytes + 15) // 16
-        # block c of a row: the seed, zero bytes, and c xored into byte 15;
-        # the seed goes in as the widest words that tile it, one column at a
-        # time (a copy of whole short rows is several times slower)
-        unit = np.dtype(f"u{math.gcd(sbytes, 8)}")
-        if seeds.strides[-1] != 1:  # viewing as wider words needs this
-            seeds = np.ascontiguousarray(seeds)
-        seed_words = seeds.view(unit)
-        blocks = np.zeros((n, nblocks, 16 // unit.itemsize), dtype=unit)
-        for j in range(seed_words.shape[1]):
-            blocks[:, :, j] = seed_words[:, j, None]
-        blocks = blocks.view(np.uint8)
-        blocks[:, :, 15] ^= np.arange(nblocks, dtype=np.uint8)[None, :]
-        enc = Cipher(algorithms.AES(_AES_FIXED_KEY), modes.ECB()).encryptor()
-        # update_into wants 15 bytes (block size - 1) of headroom past the output
-        ct = np.empty(blocks.size + 15, dtype=np.uint8)
-        enc.update_into(blocks, ct)
-        return ct[:blocks.size].reshape(n, nblocks * 16)
-    if hash_id == HASH_TOY16:
-        if sbytes > 8:
-            raise CommitError("toy hash takes seeds of at most 8 bytes")
-        z = np.zeros(n, dtype=np.uint64)
-        for b in range(sbytes):
-            z = (z << np.uint64(8)) | seeds[:, b].astype(np.uint64)
-        words = [(_toy_mix(z + np.uint64(c))) for c in range((out_bytes + 7) // 8)]
-        return np.stack(words, axis=1).astype(">u8").view(np.uint8).reshape(n, -1)
-    if hash_id == HASH_BLAKE2:
-        out = np.zeros((n, (out_bytes + 7) // 8 * 8), dtype=np.uint8)
-        for i in range(n):
-            out[i, :out_bytes] = np.frombuffer(
-                _blake2_expand(seeds[i].tobytes(), out_bytes), np.uint8)
-        return out
-    raise CommitError(f"unknown hash id {hash_id}")
+    nblocks = (out_bytes + 15) // 16
+    # block c of a row: the seed, zero bytes, and c xored into byte 15; the
+    # seed goes in as the widest words that tile it, one column at a time (a
+    # copy of whole short rows is several times slower)
+    unit = np.dtype(f"u{math.gcd(sbytes, 8)}")
+    if seeds.strides[-1] != 1:  # viewing as wider words needs this
+        seeds = np.ascontiguousarray(seeds)
+    seed_words = seeds.view(unit)
+    blocks = np.zeros((n, nblocks, 16 // unit.itemsize), dtype=unit)
+    for j in range(seed_words.shape[1]):
+        blocks[:, :, j] = seed_words[:, j, None]
+    blocks = blocks.view(np.uint8)
+    blocks[:, :, 15] ^= np.arange(nblocks, dtype=np.uint8)[None, :]
+    enc = Cipher(algorithms.AES(_AES_FIXED_KEY), modes.ECB()).encryptor()
+    # update_into wants 15 bytes (block size - 1) of headroom past the output
+    ct = np.empty(blocks.size + 15, dtype=np.uint8)
+    enc.update_into(blocks, ct)
+    return ct[:blocks.size].reshape(n, nblocks * 16)
 
 
 def _zero_pad_bits(out: np.ndarray, nbits: int) -> None:
     if nbits % 8:
         out[:, -1] &= (0xFF << (8 - nbits % 8)) & 0xFF
-
-
-def _blake2_expand(data: bytes, out_bytes: int) -> bytes:
-    chunks = []
-    counter = 0
-    while sum(map(len, chunks)) < out_bytes:
-        chunks.append(hashlib.blake2b(data + counter.to_bytes(4, "big"),
-                                      digest_size=64).digest())
-        counter += 1
-    return b"".join(chunks)[:out_bytes]
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +190,11 @@ def commit_batch(msgs: np.ndarray, seeds: np.ndarray, r: Challenge,
     message bit; XOR is associative, so the bytes are the same. Longer
     messages take one table per 8 bits.
     """
+    # hash_id is read only by perfbench's tracer; ROADMAP item 2 deletes it
+    if hash_id != HASH_AES128:
+        raise CommitError(f"unknown hash id {hash_id}")
     out_bytes = params.com_bytes
-    coms = _owf_words(hash_id, seeds, out_bytes)
+    coms = _owf_words(seeds, out_bytes)
     words = coms.view(np.uint64)
     basis = np.zeros((params.n_msg, coms.shape[1]), dtype=np.uint8)
     basis[:, :out_bytes] = _basis_words(r, params)
@@ -265,7 +215,7 @@ def commit_batch(msgs: np.ndarray, seeds: np.ndarray, r: Challenge,
 
 
 def verify_batch(coms: np.ndarray, msgs: np.ndarray, seeds: np.ndarray,
-                 r: Challenge, params: CommitParams, hash_id: int) -> np.ndarray:
+                 r: Challenge, params: CommitParams) -> np.ndarray:
     """Vectorized verify; returns a boolean accept mask."""
-    expected = commit_batch(msgs, seeds, r, params, hash_id)
+    expected = commit_batch(msgs, seeds, r, params, HASH_AES128)
     return np.all(expected == coms, axis=1)

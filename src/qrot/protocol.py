@@ -93,6 +93,13 @@ class SessionConfig:
     def __post_init__(self):
         if self.ir_backend not in _BACKEND_CODES:
             raise ProtocolError(f"unknown IR backend {self.ir_backend}")
+        p = self.params
+        if p.n_check < 1:
+            raise ProtocolError(f"N0 = {p.n0} gives N_check = {p.n_check}; "
+                                "the test needs at least 1")
+        if p.n_raw <= p.n:
+            raise ProtocolError(f"output length {p.n} is not below "
+                                f"N_raw = {p.n_raw}")
         for msg, size in declared_payload_sizes(self).items():
             if size > wire.MAX_FRAME:
                 raise ProtocolError(f"{msg.name} payload is {size} B, over the "
@@ -295,8 +302,7 @@ class SenderSession(_Session):
             return self._abort(AbortReason.PROTOCOL_ERROR)
         msgs = np.stack([body[:, 0] >> 7, (body[:, 0] >> 6) & 1], axis=1)
         ok = commit.verify_batch(self.coms[self.test_set.indices], msgs,
-                                 body[:, 1:], self.challenge, cp,
-                                 commit.HASH_AES128)
+                                 body[:, 1:], self.challenge, cp)
         if not ok.all():
             return self._abort(AbortReason.TEST_FAILED)
 

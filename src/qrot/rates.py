@@ -97,7 +97,7 @@ def _min_n0_at(alpha: float, delta1: float, delta2: float, eps_target: float,
     experimental = p_multi > 0.0
 
     def feasible(n0: int) -> bool:
-        try:  # n_raw <= n_target raises in eps_correctness
+        try:  # n_raw <= n_target raises in eps_max
             p = ProtocolParams(n0=n0, alpha=alpha, delta1=delta1, delta2=delta2,
                                p_max=p_max, n=n_target, f=f, p_multi=p_multi)
             return bounds.eps_max(p, experimental).eps_max <= eps_target

@@ -194,15 +194,13 @@ def connect(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> SocketCon
 
 def listen_one(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> SocketConnection:
     """Accept exactly one connection and hand back its framed endpoint."""
-    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    srv.bind((host, port))
-    srv.listen(1)
-    srv.settimeout(timeout)
-    try:
-        sock, _ = srv.accept()
-    except socket.timeout:
-        raise Timeout from None
-    finally:
-        srv.close()
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
+        srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        srv.bind((host, port))
+        srv.listen(1)
+        srv.settimeout(timeout)
+        try:
+            sock, _ = srv.accept()
+        except socket.timeout:
+            raise Timeout from None
     return SocketConnection(sock, timeout)

@@ -22,6 +22,29 @@ from cheats import CorruptSyndromeSender, FlippingReceiver, run_cheat
 from test_pamp import universality_probe
 
 
+def _toy_hash(seeds, out_bits):
+    """A 16-bit-seed one-way function small enough to enumerate: the
+    splitmix64 finalizer of the big-endian seed plus a word counter, as
+    big-endian 64-bit words, cut to out_bits with the pad bits zeroed."""
+    z = np.zeros(len(seeds), dtype=np.uint64)
+    for b in range(seeds.shape[1]):
+        z = (z << np.uint64(8)) | seeds[:, b].astype(np.uint64)
+    out_bytes = (out_bits + 7) // 8
+    words = []
+    for c in range((out_bytes + 7) // 8):
+        w = z + np.uint64(0x9E3779B97F4A7C15 + c)
+        w ^= w >> np.uint64(30)
+        w *= np.uint64(0xBF58476D1CE4E5B9)
+        w ^= w >> np.uint64(27)
+        w *= np.uint64(0x94D049BB133111EB)
+        w ^= w >> np.uint64(31)
+        words.append(w)
+    out = np.stack(words, axis=1).astype(">u8").view(np.uint8)[:, :out_bytes].copy()
+    if out_bits % 8:
+        out[:, -1] &= (0xFF << (8 - out_bits % 8)) & 0xFF
+    return out
+
+
 class _Budget:
     """Wall-clock guard; each criterion states its own limit."""
 
@@ -183,7 +206,7 @@ def test_criterion_8_scheme_property_suites():
     seeds = np.frombuffer(rng.bytes(n * cp.seed_bytes),
                           np.uint8).reshape(n, cp.seed_bytes)
     coms = commit.commit_batch(msgs, seeds, r, cp, commit.HASH_AES128)
-    ok = commit.verify_batch(coms, msgs, seeds, r, cp, commit.HASH_AES128)
+    ok = commit.verify_batch(coms, msgs, seeds, r, cp)
     assert int(ok.sum()) == n
 
     # binding brute force at k=16 with the enumerable toy hash: for each
@@ -192,7 +215,7 @@ def test_criterion_8_scheme_property_suites():
     all_seeds = np.zeros((1 << 16, 2), np.uint8)
     v = np.arange(1 << 16, dtype=np.uint32)
     all_seeds[:, 0], all_seeds[:, 1] = v >> 8, v & 0xFF
-    table = commit.owf_expand_batch(commit.HASH_TOY16, all_seeds, toy.n_c)
+    table = _toy_hash(all_seeds, toy.n_c)
 
     def key_of(row):
         padded = np.zeros(8, np.uint8)

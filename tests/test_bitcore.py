@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -201,6 +202,14 @@ class TestRng:
         with pytest.raises(BitcoreError):
             Rng(b"short")
 
+    def test_bytes_are_the_chacha20_stream(self):
+        # draws that start and end inside 64-byte ChaCha20 blocks
+        seed = bytes(range(32))
+        raw = Cipher(algorithms.ChaCha20(seed, bytes(16)), mode=None).encryptor()
+        rng = Rng(seed)
+        for n in (1, 63, 65, 65_537, 0, 1):
+            assert rng.bytes(n) == raw.update(bytes(n))
+
     def test_spawn_streams_differ(self):
         root = Rng.from_int(7)
         assert root.spawn(b"a").bytes(16) != root.spawn(b"a").bytes(16)
@@ -218,7 +227,7 @@ class TestRng:
         fast, slow = Rng.from_int(11), Rng.from_int(11)
         expect = _randbelow_reference(slow, bounds)
         assert np.array_equal(fast.randbelow_array(bounds), expect)
-        assert fast.position == slow.position
+        assert fast.bytes(16) == slow.bytes(16)
 
     @pytest.mark.parametrize("bound", [1, 3, 5, 1000, 2 ** 31 + 5, 2 ** 32 - 1, 2 ** 32])
     def test_randbelow_words_at_the_rejection_limit(self, bound):
@@ -243,7 +252,7 @@ class TestRng:
         a, b = Rng.from_int(2), Rng.from_int(2)
         got = a.uniform(1000)
         assert np.array_equal(got, b.words32(1000).astype(np.float64) / 2.0 ** 32)
-        assert got.dtype == np.float64 and a.position == b.position
+        assert got.dtype == np.float64 and a.bytes(16) == b.bytes(16)
 
     def test_uniform_range(self):
         u = Rng.from_int(2).uniform(10000)

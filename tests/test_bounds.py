@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qrot import bounds
 from qrot.bounds import (BoundsError, ProtocolParams, TABLE1_PARAMS,
                          binary_entropy, binary_kl, entropy_rate_bracket,
-                         eps_correctness, eps_max)
+                         eps_max)
 
 
 class TestEntropy:
@@ -117,12 +117,12 @@ class TestTable1Bound:
 
     def test_correctness_term(self):
         # lhs term underflows at the Table-1 gap; the 2*eps_IR floor remains
-        assert eps_correctness(TABLE1_PARAMS) == pytest.approx(2.0 ** -31, rel=1e-12)
+        assert eps_max(TABLE1_PARAMS).eps_correct == pytest.approx(2.0 ** -31, rel=1e-12)
 
     def test_output_longer_than_raw_rejected(self):
         p = TABLE1_PARAMS.with_n(TABLE1_PARAMS.n_raw)
-        with pytest.raises(BoundsError):
-            eps_correctness(p)
+        with pytest.raises(BoundsError, match="raw block not longer"):
+            eps_max(p)
 
 
 class TestReportShape:

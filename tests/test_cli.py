@@ -79,8 +79,11 @@ class TestOptimize:
         assert data["feasible"] and 3e5 < data["n_crit"] < 3e7
 
     def test_bad_grid_flag(self, capsys):
-        code, _, err = _run(capsys, "optimize", "--grid", "3,3")
-        assert code == 2 and "grid" in err
+        # a size of 1 once escaped a ZeroDivisionError, and 0 read "infeasible"
+        for grid in ("3,3", "1,6,4", "0,6,4", "3,3,-2", "a,b,c", "3,3,2.5", ""):
+            code, out, err = _run(capsys, "optimize", "--grid", grid)
+            assert code == 2 and out == "", grid
+            assert err.startswith("error: --grid") and err.count("\n") == 1, grid
 
 
 class TestSimulate:
@@ -90,6 +93,15 @@ class TestSimulate:
         assert code == 0
         data = json.loads(out)
         assert data["successes"] == 3 and data["aborts"] == {}
+
+    def test_empty_test_set_is_an_error(self, capsys):
+        # N0 = 1 once "succeeded" with two all-zero strings
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n0", "1"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: N0 = 1 gives N_check = 0")
+        assert out.err.count("\n") == 1
 
     def test_unsendable_config_is_an_error(self, capsys):
         # 10^7 signals make a 70 MB COMMITMENTS frame; no session may start

@@ -6,9 +6,9 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from qrot import commit
 from qrot.bitcore import BitString, Rng
-from qrot.commit import (HASH_AES128, HASH_BLAKE2, HASH_TOY16, Challenge,
-                         CommitError, CommitParams, commit_batch,
-                         derive_basis, sample_challenge, verify_batch)
+from qrot.commit import (HASH_AES128, Challenge, CommitError, CommitParams,
+                         commit_batch, derive_basis, sample_challenge,
+                         verify_batch)
 
 PARAMS = CommitParams(k=32, n_msg=2)
 
@@ -16,9 +16,9 @@ PARAMS = CommitParams(k=32, n_msg=2)
 # The scalar commitment path: one message at a time, the oracle for the
 # batch path the protocol uses.
 
-def owf_expand(hash_id, data, out_bits):
+def owf_expand(data, out_bits):
     arr = np.frombuffer(data, dtype=np.uint8).reshape(1, -1)
-    return BitString(commit.owf_expand_batch(hash_id, arr, out_bits)[0], out_bits)
+    return BitString(_owf_reference(arr, out_bits)[0], out_bits)
 
 
 @dataclass(frozen=True)
@@ -27,23 +27,23 @@ class Opening:
     seed: BitString
 
 
-def commit_one(m, s, r, params, hash_id=HASH_BLAKE2):
+def commit_one(m, s, r, params):
     if m.length != params.n_msg or s.length != params.n_s:
         raise CommitError("message or seed length mismatch")
     basis = derive_basis(r, params.n_msg)
-    com = owf_expand(hash_id, s.payload, params.n_c)
+    com = owf_expand(s.payload, params.n_c)
     for i, bit in enumerate(m.bits()):
         if bit:
             com = com ^ basis[i]
     return com
 
 
-def verify(com, opening, r, params, hash_id=HASH_BLAKE2):
+def verify(com, opening, r, params):
     """Recompute the commitment; returns the message, or None on reject."""
     try:
         if opening.message.length != params.n_msg or opening.seed.length != params.n_s:
             return None
-        expected = commit_one(opening.message, opening.seed, r, params, hash_id)
+        expected = commit_one(opening.message, opening.seed, r, params)
     except (CommitError, ValueError):
         return None
     return opening.message if expected == com else None
@@ -64,27 +64,22 @@ class TestParams:
 
 
 class TestOwf:
-    def test_deterministic_per_plugin(self):
-        for hid in (HASH_BLAKE2, HASH_AES128, HASH_TOY16):
-            a = owf_expand(hid, b"\x01\x02", 37)
-            b = owf_expand(hid, b"\x01\x02", 37)
-            assert a == b and a.length == 37
-
-    def test_plugins_disagree(self):
-        outs = {owf_expand(h, b"\x01\x02", 64).to_int()
-                for h in (HASH_BLAKE2, HASH_AES128, HASH_TOY16)}
-        assert len(outs) == 3
-
     def test_batch_matches_single(self):
+        # 20 bytes: two AES blocks per seed, the second with counter 1
         seeds = np.frombuffer(_rng().bytes(40), np.uint8).reshape(10, 4)
-        for hid in (HASH_BLAKE2, HASH_AES128, HASH_TOY16):
-            batch = commit.owf_expand_batch(hid, seeds, 50)
-            for i in range(10):
-                assert BitString(batch[i], 50) == owf_expand(hid, seeds[i].tobytes(), 50)
+        batch = commit._owf_words(seeds, 20)
+        assert batch.shape == (10, 32)
+        for i in range(10):
+            assert np.array_equal(batch[i, :20], _owf_reference(seeds[i:i + 1], 160)[0])
 
     def test_unknown_id_rejected(self):
-        with pytest.raises(CommitError):
-            owf_expand(0x42, b"\x00", 8)
+        rng = _rng()
+        r = sample_challenge(rng, PARAMS)
+        msgs = np.zeros((1, 2), np.uint8)
+        seeds = np.frombuffer(rng.bytes(PARAMS.seed_bytes), np.uint8).reshape(1, -1)
+        for hash_id in (0x01, 0x42, 0x7F):  # 0x01 and 0x7F were BLAKE2 and toy16
+            with pytest.raises(CommitError):
+                commit_batch(msgs, seeds, r, PARAMS, hash_id)
 
 
 class TestChallenge:
@@ -145,7 +140,7 @@ class TestCommitVerify:
         r = sample_challenge(rng, PARAMS)
         s = rng.bits(PARAMS.n_s)
         com = commit_one(BitString.zeros(2), s, r, PARAMS)
-        assert com == owf_expand(HASH_BLAKE2, s.payload, PARAMS.n_c)
+        assert com == owf_expand(s.payload, PARAMS.n_c)
 
 
 class TestBatch:
@@ -159,8 +154,7 @@ class TestBatch:
         coms = commit_batch(msgs, seeds, r, PARAMS, HASH_AES128)
         for i in range(n):
             single = commit_one(BitString.from_bits(msgs[i]),
-                                BitString(seeds[i], PARAMS.n_s), r, PARAMS,
-                                HASH_AES128)
+                                BitString(seeds[i], PARAMS.n_s), r, PARAMS)
             assert BitString(coms[i], PARAMS.n_c) == single
 
     def test_verify_batch_flags_tampering(self):
@@ -173,7 +167,7 @@ class TestBatch:
         coms = commit_batch(msgs, seeds, r, PARAMS, HASH_AES128)
         bad = msgs.copy()
         bad[5] ^= 1
-        ok = verify_batch(coms, bad, seeds, r, PARAMS, HASH_AES128)
+        ok = verify_batch(coms, bad, seeds, r, PARAMS)
         assert not ok[5] and ok.sum() == n - 1
 
 
@@ -181,10 +175,8 @@ class TestBatch:
 # each seed row (AES blocks encrypted one row at a time), then one masked
 # XOR of a basis vector per message bit.
 
-def _owf_reference(hash_id, seeds, out_bits):
+def _owf_reference(seeds, out_bits):
     out_bytes = (out_bits + 7) // 8
-    if hash_id != HASH_AES128:
-        return commit.owf_expand_batch(hash_id, seeds, out_bits)
     nblocks = (out_bytes + 15) // 16
     out = np.empty((len(seeds), out_bytes), dtype=np.uint8)
     for i, seed in enumerate(seeds):
@@ -201,8 +193,8 @@ def _owf_reference(hash_id, seeds, out_bits):
     return out
 
 
-def _commit_batch_reference(msgs, seeds, r, params, hash_id):
-    coms = _owf_reference(hash_id, seeds, params.n_c)
+def _commit_batch_reference(msgs, seeds, r, params):
+    coms = _owf_reference(seeds, params.n_c)
     basis = commit._basis_words(r, params)
     for i in range(params.n_msg):
         np.bitwise_xor(coms, basis[i][None, :], out=coms,
@@ -230,7 +222,7 @@ class TestTableXor:
             sizes = {CommitParams(k=k, n_msg=n_msg).com_bytes for k in _KS[:5]}
             assert sizes == {7, 8, 9, 16, 17}
 
-    @pytest.mark.parametrize("hash_id", [HASH_AES128, HASH_BLAKE2, HASH_TOY16])
+    @pytest.mark.parametrize("hash_id", [HASH_AES128])
     @pytest.mark.parametrize("n_msg", [1, 2, 3])
     @pytest.mark.parametrize("k", _KS)
     def test_equals_per_bit_xor(self, k, n_msg, hash_id):
@@ -242,7 +234,7 @@ class TestTableXor:
         msgs[:1 << n_msg] = (np.arange(1 << n_msg)[:, None] >> np.arange(n_msg)) & 1
         seeds = np.frombuffer(rng.bytes(n * params.seed_bytes),
                               np.uint8).reshape(n, params.seed_bytes)
-        expect = _commit_batch_reference(msgs, seeds, r, params, hash_id)
+        expect = _commit_batch_reference(msgs, seeds, r, params)
         for layout, given in _layouts(seeds).items():
             got = commit_batch(msgs, given, r, params, hash_id)
             assert got.dtype == np.uint8 and got.shape == (n, params.com_bytes)
@@ -261,11 +253,11 @@ class TestTableXor:
         seeds = np.frombuffer(rng.bytes(n * params.seed_bytes),
                               np.uint8).reshape(n, params.seed_bytes)
         coms = commit_batch(msgs, seeds, r, params, HASH_AES128)
-        assert verify_batch(coms, msgs, seeds, r, params, HASH_AES128).all()
+        assert verify_batch(coms, msgs, seeds, r, params).all()
         for col in range(params.com_bytes):
             bad = coms.copy()
             # every bit of the bytes before the last is a commitment bit,
             # and so is the top bit of the last byte
             bad[col, col] ^= 0x80 >> (col % 8 if col < params.com_bytes - 1 else 0)
-            ok = verify_batch(bad, msgs, seeds, r, params, HASH_AES128)
+            ok = verify_batch(bad, msgs, seeds, r, params)
             assert not ok[col] and ok.sum() == n - 1

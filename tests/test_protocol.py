@@ -59,6 +59,17 @@ class TestSessionConfig:
                            match=r"COMMITMENTS payload is 76180000 B"):
             SessionConfig(TABLE1_PARAMS, ir_backend=recon.BACKEND_LDPC)
 
+    @pytest.mark.parametrize("kw, match", [
+        ({"n0": 1}, "N_check = 0"), ({"n0": 8}, "N_check = 0"),
+        ({"n": 23_101}, "not below N_raw = 23101"),
+        ({"n": 30_000}, "not below N_raw = 23101")],
+        ids=["n0=1", "n0=8", "n=n_raw", "n=30000"])
+    def test_meaningless_point_rejected_at_construction(self, kw, match):
+        # N_check = 0 once made p_est the mean of an empty slice (NaN), which
+        # passed the p_max test
+        with pytest.raises(protocol.ProtocolError, match=match):
+            desk_config(**kw)
+
     def test_huge_finite_f_rejected_at_construction(self):
         params = replace(SMALL.params, f=1e308)
         with pytest.raises((protocol.ProtocolError, recon.ReconError)):

@@ -143,3 +143,19 @@ class TestSocketBackend:
             wire.SocketConnection(ours, timeout=0.05)
         assert ours.fileno() == -1
         theirs.close()
+
+    def test_port_in_use_closes_the_listening_socket(self, monkeypatch):
+        made = []
+
+        class Recording(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            monkeypatch.setattr(socket, "socket", Recording)
+            with pytest.raises(OSError):
+                wire.listen_one("127.0.0.1", taken.getsockname()[1], timeout=0.05)
+        assert len(made) == 1 and made[0].fileno() == -1
