@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +10,7 @@ from qrot.bitcore import BitString, Rng
 from qrot.commit import (HASH_AES128, Challenge, CommitError, CommitParams,
                          commit_batch, derive_basis, sample_challenge,
                          verify_batch)
+from test_acceptance import _toy_hash
 
 PARAMS = CommitParams(k=32, n_msg=2)
 
@@ -193,8 +195,23 @@ def _owf_reference(seeds, out_bits):
     return out
 
 
-def _commit_batch_reference(msgs, seeds, r, params):
-    coms = _owf_reference(seeds, params.n_c)
+def _blake2_reference(seeds, out_bits):
+    """BLAKE2b-512 of the seed and a 4-byte big-endian block counter, cut
+    to out_bits with the pad bits zeroed."""
+    out_bytes = (out_bits + 7) // 8
+    out = np.empty((len(seeds), out_bytes), dtype=np.uint8)
+    for i, seed in enumerate(seeds):
+        blocks = b"".join(hashlib.blake2b(seed.tobytes() + c.to_bytes(4, "big"),
+                                          digest_size=64).digest()
+                          for c in range((out_bytes + 63) // 64))
+        out[i] = np.frombuffer(blocks, np.uint8)[:out_bytes]
+    if out_bits % 8:
+        out[:, -1] &= (0xFF << (8 - out_bits % 8)) & 0xFF
+    return out
+
+
+def _commit_batch_reference(msgs, seeds, r, params, owf=_owf_reference):
+    coms = owf(seeds, params.n_c)
     basis = commit._basis_words(r, params)
     for i in range(params.n_msg):
         np.bitwise_xor(coms, basis[i][None, :], out=coms,
@@ -206,6 +223,13 @@ def _commit_batch_reference(msgs, seeds, r, params):
 # 64-bit word and of an AES block); k = 32 and 64 give seeds of 4 and 8
 # bytes, and k = 64 two AES blocks per commitment
 _KS = [16, 19, 22, 40, 43, 32, 64]
+
+# The hashes the table XOR is checked over, keyed by the ids commit gave
+# them when it offered all three: 2 is commit's own AES; BLAKE2b (1) and
+# criterion 8's toy hash (127) are patched in for it, since the table must
+# not depend on what filled the words. Like AES, they fill the columns past
+# the output with more hash bytes.
+_OWFS = {1: _blake2_reference, HASH_AES128: _owf_reference, 127: _toy_hash}
 
 
 def _layouts(seeds):
@@ -222,10 +246,14 @@ class TestTableXor:
             sizes = {CommitParams(k=k, n_msg=n_msg).com_bytes for k in _KS[:5]}
             assert sizes == {7, 8, 9, 16, 17}
 
-    @pytest.mark.parametrize("hash_id", [HASH_AES128])
+    @pytest.mark.parametrize("owf_id", sorted(_OWFS))
     @pytest.mark.parametrize("n_msg", [1, 2, 3])
     @pytest.mark.parametrize("k", _KS)
-    def test_equals_per_bit_xor(self, k, n_msg, hash_id):
+    def test_equals_per_bit_xor(self, k, n_msg, owf_id, monkeypatch):
+        owf = _OWFS[owf_id]
+        if owf_id != HASH_AES128:
+            monkeypatch.setattr(commit, "_owf_words", lambda seeds, out_bytes:
+                                owf(seeds, (out_bytes + 15) // 16 * 128))
         params = CommitParams(k=k, n_msg=n_msg)
         rng = _rng(k * 10 + n_msg)
         r = sample_challenge(rng, params)
@@ -234,9 +262,9 @@ class TestTableXor:
         msgs[:1 << n_msg] = (np.arange(1 << n_msg)[:, None] >> np.arange(n_msg)) & 1
         seeds = np.frombuffer(rng.bytes(n * params.seed_bytes),
                               np.uint8).reshape(n, params.seed_bytes)
-        expect = _commit_batch_reference(msgs, seeds, r, params)
+        expect = _commit_batch_reference(msgs, seeds, r, params, owf)
         for layout, given in _layouts(seeds).items():
-            got = commit_batch(msgs, given, r, params, hash_id)
+            got = commit_batch(msgs, given, r, params, HASH_AES128)
             assert got.dtype == np.uint8 and got.shape == (n, params.com_bytes)
             assert got.flags.c_contiguous
             assert np.array_equal(got, expect), layout
