@@ -181,11 +181,12 @@ def cmd_role(args) -> int:
     model = _model_from(args)
     # both ends replay the same source stream and keep only their own party
     actor = protocol.parties(config, model, args.seed)[0 if args.role == "sender" else 1]
+    max_payload = max(protocol.declared_payload_sizes(config).values())
     try:
         if args.role == "sender":
-            conn = wire.listen_one(args.host, args.port, timeout=args.timeout)
+            conn = wire.listen_one(args.host, args.port, max_payload, timeout=args.timeout)
         else:
-            conn = wire.connect(args.host, args.port, timeout=args.timeout)
+            conn = wire.connect(args.host, args.port, max_payload, timeout=args.timeout)
     except (OSError, wire.WireError, wire.Timeout) as exc:
         print(f"connection failed: {exc}", file=sys.stderr)
         return 3

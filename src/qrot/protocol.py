@@ -21,9 +21,11 @@ relation receiver.m_c == sender.(m_0, m_1)[c] holds by construction.
 
 Wire format (``PROTOCOL_VERSION`` 4): no payload carries a count or length
 header. The config fixes the exact length of every message but ABORT
-(``declared_payload_sizes``); ``_Session.on_frame`` checks the type and that
-length once, before any handler reads the payload, and each handler builds
-its bit strings and index sets at the sizes the config implies.
+(``declared_payload_sizes``), and nothing else bounds a message's size:
+``_Session.on_frame`` checks the type and that length once, before any
+handler reads the payload, each handler builds its bit strings and index
+sets at the sizes the config implies, and ``qrot role`` bounds its socket
+records by the largest declared payload.
 
 Every unexpected or malformed message ends the session with a typed abort;
 no path finishes a session with inconsistent outputs.
@@ -100,22 +102,15 @@ class SessionConfig:
         if p.n_raw <= p.n:
             raise ProtocolError(f"output length {p.n} is not below "
                                 f"N_raw = {p.n_raw}")
-        for msg, size in declared_payload_sizes(self).items():
-            if size > wire.MAX_FRAME:
-                raise ProtocolError(f"{msg.name} payload is {size} B, over the "
-                                    f"{wire.MAX_FRAME} B frame limit")
+        # derived once, so an IR point recon refuses is refused at construction
+        object.__setattr__(self, "ir_params", recon.IrParams(
+            n_raw=p.n_raw, p_design=p.p_max + p.delta1, f=p.f,
+            tag_bits=self.tag_bits, backend=self.ir_backend))
 
     @property
     def commit_params(self) -> commit.CommitParams:
         # per-round message is the (basis, outcome) pair
         return commit.CommitParams(k=self.k, n_msg=2)
-
-    @property
-    def ir_params(self) -> recon.IrParams:
-        p = self.params
-        return recon.IrParams(n_raw=p.n_raw, p_design=p.p_max + p.delta1,
-                              f=p.f, tag_bits=self.tag_bits,
-                              backend=self.ir_backend)
 
     def serialize(self) -> bytes:
         p = self.params
@@ -257,8 +252,7 @@ class _Session:
         self._step += 1
         try:
             return getattr(self, f"_on_{msg.name.lower()}")(frame.payload)
-        # a WireError here is a reply this end could not frame, not a link fault
-        except (ValueError, wire.WireError):
+        except ValueError:
             return self._abort(AbortReason.PROTOCOL_ERROR)
 
 

@@ -1,10 +1,11 @@
 """Framed duplex transport.
 
-A frame is a type code, a 4-byte big-endian payload length, the payload, and
-a CRC32 of everything before it. Two backends share the encoding: an
-in-process queue pair for tests and simulation, and a socket stream for
-two-machine runs. Both number frames sequentially so reordering or loss is
-detected, not silently tolerated.
+A frame is a 4-byte big-endian sequence number, a type byte, the payload and
+a CRC32 of type and payload; it carries no length of its own. Two backends
+share the encoding: an in-process queue pair for tests and simulation, where
+the length is the raw object's, and a socket stream for two-machine runs,
+where it is the record prefix, bounded by the endpoint's ``max_payload``.
+Both number frames sequentially so reordering or loss is detected.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-MAX_FRAME = 64 * 1024 * 1024
 DEFAULT_TIMEOUT = 30.0
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
-_HEADER = struct.Struct(">BI")
 _SEQ = struct.Struct(">I")
+_HEADER = struct.Struct(">B")
 _CRC = struct.Struct(">I")
+FRAME_OVERHEAD = _SEQ.size + _HEADER.size + _CRC.size  # every frame byte but the payload
 
 
 class WireError(ConnectionError):
@@ -40,31 +41,23 @@ class Frame:
     def __post_init__(self):
         if not 0 <= self.type_code <= 0xFF:
             raise WireError("type code must fit one byte")
-        if len(self.payload) > MAX_FRAME:
-            raise WireError("frame exceeds 64 MiB")
 
     def encode(self, seq: int) -> bytes:
-        head = _HEADER.pack(self.type_code, len(self.payload))
-        body = head + self.payload
-        return _SEQ.pack(seq & 0xFFFFFFFF) + body + _CRC.pack(zlib.crc32(body))
+        head = _HEADER.pack(self.type_code)
+        crc = _CRC.pack(zlib.crc32(self.payload, zlib.crc32(head)))
+        return b"".join((_SEQ.pack(seq & 0xFFFFFFFF), head, self.payload, crc))
 
 
 def _decode(raw: bytes, expect_seq: int) -> Frame:
-    if len(raw) < _SEQ.size + _HEADER.size + _CRC.size:
+    if len(raw) < FRAME_OVERHEAD:
         raise WireError("truncated frame")
     seq = _SEQ.unpack_from(raw)[0]
     if seq != expect_seq & 0xFFFFFFFF:
         raise WireError(f"frame sequence gap: got {seq}, wanted {expect_seq}")
-    body, crc = raw[_SEQ.size:-_CRC.size], _CRC.unpack(raw[-_CRC.size:])[0]
+    body, crc = memoryview(raw)[_SEQ.size:-_CRC.size], _CRC.unpack(raw[-_CRC.size:])[0]
     if zlib.crc32(body) != crc:
         raise WireError("frame checksum mismatch")
-    type_code, length = _HEADER.unpack_from(body)
-    payload = body[_HEADER.size:]
-    if length != len(payload):
-        raise WireError("frame length mismatch")
-    if length > MAX_FRAME:
-        raise WireError("frame exceeds 64 MiB")
-    return Frame(type_code, payload)
+    return Frame(body[0], bytes(body[_HEADER.size:]))
 
 
 class Connection:
@@ -135,14 +128,17 @@ class SocketConnection(Connection):
     """Length-prefixed frames over a connected stream socket.
 
     Each record on the stream is a 4-byte big-endian record length followed
-    by the encoded frame. A single version byte is exchanged at setup; a
-    peer that sends none within ``timeout`` raises :class:`Timeout`, and a
-    failed exchange closes the socket.
+    by the encoded frame; a length over ``max_payload + FRAME_OVERHEAD`` is
+    refused before the body is read. A single version byte is exchanged at
+    setup; a peer that sends none within ``timeout`` raises :class:`Timeout`,
+    and a failed exchange closes the socket.
     """
 
-    def __init__(self, sock: socket.socket, timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, sock: socket.socket, max_payload: int,
+                 timeout: float = DEFAULT_TIMEOUT):
         super().__init__()
         self._sock = sock
+        self._max_record = max_payload + FRAME_OVERHEAD
         try:
             sock.sendall(bytes([WIRE_VERSION]))
             peer = self._read_exact(1, timeout)[0]
@@ -160,8 +156,8 @@ class SocketConnection(Connection):
 
     def _recv_raw(self, timeout: float) -> bytes:
         size = struct.unpack(">I", self._read_exact(4, timeout))[0]
-        if size > MAX_FRAME + 16:
-            raise WireError("oversized record")
+        if size > self._max_record:
+            raise WireError(f"record of {size} B over the {self._max_record} B bound")
         return self._read_exact(size, timeout)
 
     def _read_exact(self, count: int, timeout: float) -> bytes:
@@ -187,12 +183,14 @@ class SocketConnection(Connection):
             pass
 
 
-def connect(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> SocketConnection:
+def connect(host: str, port: int, max_payload: int,
+            timeout: float = DEFAULT_TIMEOUT) -> SocketConnection:
     sock = socket.create_connection((host, port), timeout=timeout)
-    return SocketConnection(sock, timeout)
+    return SocketConnection(sock, max_payload, timeout)
 
 
-def listen_one(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> SocketConnection:
+def listen_one(host: str, port: int, max_payload: int,
+               timeout: float = DEFAULT_TIMEOUT) -> SocketConnection:
     """Accept exactly one connection and hand back its framed endpoint."""
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as srv:
         srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -203,4 +201,4 @@ def listen_one(host: str, port: int, timeout: float = DEFAULT_TIMEOUT) -> Socket
             sock, _ = srv.accept()
         except socket.timeout:
             raise Timeout from None
-    return SocketConnection(sock, timeout)
+    return SocketConnection(sock, max_payload, timeout)

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from qrot import qsim, wire
+from qrot import qsim
 from qrot.bitcore import BitString
 from qrot.protocol import (Msg, ReceiverSession, SenderSession, SessionConfig,
                            SessionResult, parties, run_parties)
@@ -46,13 +46,6 @@ class CorruptSyndromeSender(SenderSession):
             buf[-1] ^= 0xFF                 # second record's tag
             payload = bytes(buf)
         return super()._send(type_code, payload)
-
-
-class OversizedCommitmentsReceiver(ReceiverSession):
-    """Answers the challenge with a COMMITMENTS payload over ``wire.MAX_FRAME``."""
-
-    def _on_challenge(self, payload: bytes):
-        return [self._send(Msg.COMMITMENTS, bytes(wire.MAX_FRAME + 1))]
 
 
 def skewed_receiver(sender: SenderSession, receiver: ReceiverSession,

@@ -322,3 +322,25 @@ def test_criterion_9_oblivious_choice_exact_distribution():
     assert abort0 == abort1
     assert sum(d0.values()) + abort0 == 1
     budget.check()
+
+
+def test_table1_session_end_to_end():
+    """The paper's own point, Table 1 (N0 = 5.86M, LDPC), completes one
+    session at p_err = 0.01 with double pairs, so the multi-photon check has
+    work to do: the chosen-string relation holds, the QBER estimate is below
+    p_max, the multi-photon estimate lies in (0, p_multi), and every message
+    is exactly its declared size. run_session's own two steps, so the
+    sender's view can be read; budget about 10 s (LDPC graph build
+    included) and 0.7 GB peak RSS."""
+    cfg = protocol.SessionConfig(TABLE1_PARAMS, ir_backend=recon.BACKEND_LDPC)
+    sender, receiver = protocol.parties(
+        cfg, qsim.SourceModel(p_err=0.01, p_double=0.004), 1)
+    multi = qsim.multi_photon_estimate(sender.view.n_tot, sender.view.n_multi)
+    res = protocol.run_parties(sender, receiver)
+    assert res.success and res.output.correct
+    assert res.qber_estimate < TABLE1_PARAMS.p_max
+    assert 0.0 < multi < TABLE1_PARAMS.p_multi
+    declared = protocol.declared_payload_sizes(cfg)
+    for transcript in (res.sender_transcript, res.receiver_transcript):
+        assert sorted(e.type_code for e in transcript.entries) == sorted(declared)
+        assert all(e.length == declared[e.type_code] for e in transcript.entries)

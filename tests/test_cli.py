@@ -1,8 +1,15 @@
 import json
+import os
+import socket
+import subprocess
+import sys
+import time
 import weakref
+from pathlib import Path
 
 import pytest
 
+import qrot
 from qrot import protocol, wire
 from qrot.cli import main
 
@@ -103,15 +110,6 @@ class TestSimulate:
         assert out.out == "" and out.err.startswith("error: N0 = 1 gives N_check = 0")
         assert out.err.count("\n") == 1
 
-    def test_unsendable_config_is_an_error(self, capsys):
-        # 10^7 signals make a 70 MB COMMITMENTS frame; no session may start
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--n0", "10000000"])
-        assert exc.value.code == 2
-        out = capsys.readouterr()
-        assert out.err.startswith("error: COMMITMENTS payload is 70000000 B")
-        assert out.out == ""
-
     @pytest.mark.parametrize("flag,value", [("--p-err", "0.6"), ("--p-loss", "1"),
                                             ("--p-dark", "1")])
     def test_bad_source_model_is_an_error(self, capsys, flag, value):
@@ -162,3 +160,32 @@ class TestRole:
         code, out, _ = _run(capsys, "role", "--role", role, "--n0", "16384")
         assert code == 1 and out.startswith("aborted: TRANSPORT")
         assert seen == {"actor": True, "other collected": True}
+
+    def test_two_processes_over_loopback(self):
+        # one party per process over a real socket: the session completes
+        # only if both ends derive the same payload bound from the config
+        src = str(Path(qrot.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = str(probe.getsockname()[1])
+        argv = [sys.executable, "-m", "qrot.cli", "role", "--n0", "16384",
+                "--port", port, "--timeout", "20", "--json", "--role"]
+        sender = subprocess.Popen(argv + ["sender"], env=env, text=True,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            for _ in range(50):
+                receiver = subprocess.run(argv + ["receiver"], env=env, text=True,
+                                          capture_output=True, timeout=60)
+                if receiver.returncode != 3:  # 3: the sender is not listening yet
+                    break
+                time.sleep(0.1)
+            sent, err = sender.communicate(timeout=60)
+        finally:
+            sender.kill()
+            sender.wait()
+        assert receiver.returncode == 0, receiver.stderr
+        assert sender.returncode == 0, err
+        got, sent = json.loads(receiver.stdout), json.loads(sent)
+        assert got["m_c"] == (sent["m0"], sent["m1"])[got["c"]]

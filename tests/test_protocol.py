@@ -9,12 +9,11 @@ import scipy.stats
 
 from qrot import protocol, qsim, recon, wire
 from qrot.bitcore import BitString, IndexSet, Rng
-from qrot.bounds import TABLE1_PARAMS
 from qrot.protocol import (AbortReason, Msg, SessionConfig,
                            declared_payload_sizes, desk_config, drive, parties,
                            run_parties, run_session)
 from cheats import (CorruptSyndromeSender, EarlySepReceiver, FlippingReceiver,
-                    OversizedCommitmentsReceiver, run_cheat)
+                    run_cheat)
 
 SMALL = desk_config(n0=8192)
 NOISELESS = qsim.SourceModel()
@@ -52,12 +51,6 @@ class TestSessionConfig:
         cfg = desk_config(ir_backend=recon.BACKEND_LDPC)
         assert cfg.ir_params.n_raw == cfg.params.n_raw
         assert cfg.ir_params.p_design == pytest.approx(0.04)
-
-    def test_unsendable_frame_rejected_at_construction(self):
-        # Table 1's COMMITMENTS message does not fit one wire frame
-        with pytest.raises(protocol.ProtocolError,
-                           match=r"COMMITMENTS payload is 76180000 B"):
-            SessionConfig(TABLE1_PARAMS, ir_backend=recon.BACKEND_LDPC)
 
     @pytest.mark.parametrize("kw, match", [
         ({"n0": 1}, "N_check = 0"), ({"n0": 8}, "N_check = 0"),
@@ -134,17 +127,6 @@ class TestAbortPaths:
     def test_early_message_is_protocol_error(self):
         res = run_cheat(SMALL, NOISELESS, 4, receiver_cls=EarlySepReceiver)
         assert res.abort_reason == AbortReason.PROTOCOL_ERROR
-
-    def test_unframeable_reply_is_protocol_error(self):
-        # Frame() refuses the reply with a WireError, which is the cheater's
-        # own fault, not a broken link: it aborts, and the sender hears why
-        sender, receiver = parties(SMALL, NOISELESS, 6)
-        cheat = OversizedCommitmentsReceiver(SMALL, receiver.view, receiver.rng)
-        run_parties(sender, cheat)
-        assert cheat.abort_reason == AbortReason.PROTOCOL_ERROR
-        assert sender.abort_reason == AbortReason.PROTOCOL_ERROR
-        last = cheat.transcript.entries[-1]
-        assert (last.direction, last.type_code) == ("send", Msg.ABORT)
 
     def test_noise_above_p_max_fails_test(self):
         res = run_session(SMALL, qsim.SourceModel(p_err=0.06), 5)
@@ -449,6 +431,7 @@ class TestSocketEquivalence:
         assert base.success
 
         sender, receiver = parties(cfg, NOISELESS, 33)
+        max_payload = max(declared_payload_sizes(cfg).values())
 
         import socket as socketlib
         srv = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_STREAM)
@@ -460,12 +443,12 @@ class TestSocketEquivalence:
 
         def serve():
             sock, _ = srv.accept()
-            holder["conn"] = wire.SocketConnection(sock)
+            holder["conn"] = wire.SocketConnection(sock, max_payload)
             drive((sender, holder["conn"]), timeout=10)
 
         t = threading.Thread(target=serve)
         t.start()
-        conn = wire.connect("127.0.0.1", port)
+        conn = wire.connect("127.0.0.1", port, max_payload)
         drive((receiver, conn), timeout=10)
         t.join()
         conn.close()

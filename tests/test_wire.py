@@ -1,4 +1,5 @@
 import socket
+import struct
 import threading
 import time
 
@@ -64,13 +65,9 @@ class TestQueueBackend:
         with pytest.raises(WireError, match="sequence"):
             b.recv(timeout=1)
 
-    def test_oversized_frame_rejected_at_build(self):
-        with pytest.raises(WireError):
-            Frame(0x01, b"\x00" * (wire.MAX_FRAME + 1))
-
 
 class TestSocketBackend:
-    def _pair(self):
+    def _pair(self, max_payload=1 << 16):
         srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         srv.bind(("127.0.0.1", 0))
@@ -80,11 +77,11 @@ class TestSocketBackend:
 
         def accept():
             sock, _ = srv.accept()
-            result["conn"] = wire.SocketConnection(sock)
+            result["conn"] = wire.SocketConnection(sock, max_payload)
 
         t = threading.Thread(target=accept)
         t.start()
-        client = wire.connect("127.0.0.1", port)
+        client = wire.connect("127.0.0.1", port, max_payload)
         t.join()
         srv.close()
         return client, result["conn"]
@@ -95,6 +92,24 @@ class TestSocketBackend:
         assert b.recv(timeout=5) == Frame(0x09, b"\x00\x01\x02" * 1000)
         b.send(Frame(0x02, b""))
         assert a.recv(timeout=5).type_code == 0x02
+        a.close()
+        b.close()
+
+    def test_payload_at_the_bound_round_trips(self):
+        a, b = self._pair(max_payload=1000)
+        a.send(Frame(0x04, bytes(range(250)) * 4))
+        assert b.recv(timeout=5) == Frame(0x04, bytes(range(250)) * 4)
+        a.close()
+        b.close()
+
+    def test_record_over_the_bound_refused_before_its_body(self):
+        # only the prefix is sent: reading a body would time out instead
+        a, b = self._pair(max_payload=1000)
+        a._sock.sendall(struct.pack(">I", 1000 + wire.FRAME_OVERHEAD + 1))
+        with pytest.raises(WireError, match="over the 1009 B bound"):
+            b.recv(timeout=1)
+        with pytest.raises(WireError):  # connection is dead afterwards
+            b.recv(timeout=1)
         a.close()
         b.close()
 
@@ -129,18 +144,19 @@ class TestSocketBackend:
         srv.listen(1)
         start = time.monotonic()
         with pytest.raises(Timeout):
-            wire.connect("127.0.0.1", srv.getsockname()[1], timeout=0.5)
+            wire.connect("127.0.0.1", srv.getsockname()[1], 64, timeout=0.5)
         assert time.monotonic() - start < 2.0
         srv.close()
 
-    @pytest.mark.parametrize("peer_byte", [None, bytes([wire.WIRE_VERSION + 1])],
-                             ids=["silent", "other_version"])
+    @pytest.mark.parametrize("peer_byte", [None, bytes([wire.WIRE_VERSION + 1]),
+                                           bytes([wire.WIRE_VERSION - 1])],
+                             ids=["silent", "other_version", "older_version"])
     def test_failed_handshake_closes_the_socket(self, peer_byte):
         ours, theirs = socket.socketpair()
         if peer_byte is not None:
             theirs.sendall(peer_byte)
         with pytest.raises((Timeout, WireError)):
-            wire.SocketConnection(ours, timeout=0.05)
+            wire.SocketConnection(ours, 64, timeout=0.05)
         assert ours.fileno() == -1
         theirs.close()
 
@@ -157,5 +173,5 @@ class TestSocketBackend:
             taken.listen(1)
             monkeypatch.setattr(socket, "socket", Recording)
             with pytest.raises(OSError):
-                wire.listen_one("127.0.0.1", taken.getsockname()[1], timeout=0.05)
+                wire.listen_one("127.0.0.1", taken.getsockname()[1], 64, timeout=0.05)
         assert len(made) == 1 and made[0].fileno() == -1
