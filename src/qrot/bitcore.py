@@ -242,10 +242,6 @@ class Rng:
             pending = pending[~ok]
         return out
 
-    def uniform(self, n: int) -> np.ndarray:
-        """n floats uniform in [0, 1) with 32-bit resolution."""
-        return np.frombuffer(self.bytes(4 * n), dtype=">u4") / np.float64(1 << 32)
-
 
 def sample_subset(rng: Rng, universe: int, size: int) -> IndexSet:
     """Uniform ``size``-subset of {0..universe-1} via a partial Fisher-Yates shuffle."""

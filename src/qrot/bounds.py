@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 _COMPONENT_CAP = 2.0
 _UNDERFLOW = 1e-300
+_EPS_DEFAULT = 2.0 ** -32
 
 
 class BoundsError(ValueError):
@@ -41,6 +42,25 @@ def binary_kl(q: float, p: float) -> float:
     return q * math.log(q / p) + (1.0 - q) * math.log((1.0 - q) / (1.0 - p))
 
 
+def _check_point(alpha: float, delta1: float, delta2: float, p_max: float,
+                 f: float, p_multi: float, eps_ir: float, eps_bind: float) -> None:
+    """Refuse a parameter point at which the bound is not defined."""
+    fin = math.isfinite
+    if not (fin(alpha) and fin(delta1) and fin(delta2) and fin(p_max)
+            and fin(f) and fin(p_multi) and fin(eps_ir) and fin(eps_bind)):
+        raise BoundsError("parameters must be finite")
+    if not 0.0 < alpha < 1.0:
+        raise BoundsError("test ratio must be in (0, 1)")
+    if delta1 < 0.0 or delta2 < 0.0 or delta2 >= 0.5:
+        raise BoundsError("bad statistical tolerances")
+    if not 0.0 <= p_max < 0.5:
+        raise BoundsError("max error rate must be in [0, 1/2)")
+    if f < 1.0:
+        raise BoundsError("IR efficiency below the Shannon limit")
+    if p_multi < 0.0:
+        raise BoundsError("multi-photon ratio must be non-negative")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Full protocol parameter record with derived block sizes.
@@ -57,28 +77,14 @@ class ProtocolParams:
     n: int
     f: float = 1.0
     p_multi: float = 0.0
-    eps_ir: float = 2.0 ** -32
-    eps_bind: float = 2.0 ** -32
+    eps_ir: float = _EPS_DEFAULT
+    eps_bind: float = _EPS_DEFAULT
 
     def __post_init__(self):
-        # one call per field, no iterator: the optimizer builds one per probe
-        fin = math.isfinite
-        if not (fin(self.alpha) and fin(self.delta1) and fin(self.delta2)
-                and fin(self.p_max) and fin(self.f) and fin(self.p_multi)
-                and fin(self.eps_ir) and fin(self.eps_bind)):
-            raise BoundsError("parameters must be finite")
+        _check_point(self.alpha, self.delta1, self.delta2, self.p_max, self.f,
+                     self.p_multi, self.eps_ir, self.eps_bind)
         if self.n0 < 1:
             raise BoundsError("signal count N0 must be at least 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise BoundsError("test ratio must be in (0, 1)")
-        if self.delta1 < 0.0 or self.delta2 < 0.0 or self.delta2 >= 0.5:
-            raise BoundsError("bad statistical tolerances")
-        if not 0.0 <= self.p_max < 0.5:
-            raise BoundsError("max error rate must be in [0, 1/2)")
-        if self.f < 1.0:
-            raise BoundsError("IR efficiency below the Shannon limit")
-        if self.p_multi < 0.0:
-            raise BoundsError("multi-photon ratio must be non-negative")
         if self.n < 1:
             raise BoundsError("output length must be at least 1 bit")
 
@@ -109,25 +115,12 @@ def rate_bracket(p_max: float, f: float, delta1: float = 0.0,
             - f * binary_entropy(p_max + delta1))
 
 
-def entropy_rate_bracket(params: ProtocolParams, experimental: bool) -> float:
-    """``rate_bracket`` at the parameter point.
-
-    The experimental variant additionally charges the multi-photon leak.
-    """
-    bracket = rate_bracket(params.p_max, params.f, params.delta1, params.delta2)
-    if bracket == -math.inf:
-        raise BoundsError("rate bracket undefined: effective error rate >= 1/2")
-    if experimental:
-        bracket -= params.p_multi / (0.5 - params.delta2)
-    return bracket
-
-
 def _squash(x: float, flushed: bool = False) -> tuple[float, bool]:
     """Cap at the vacuous bound 2 and flush denormal-range values to zero;
     the flag says whether this, or an earlier ``flushed`` step, dropped x."""
     if x < _UNDERFLOW:
         return (0.0, flushed or x > 0.0)
-    return (min(x, _COMPONENT_CAP), False)
+    return (x if x <= _COMPONENT_CAP else _COMPONENT_CAP, False)
 
 
 @dataclass(frozen=True)
@@ -162,55 +155,110 @@ class BoundReport:
         }
 
 
+class PointBound:
+    """``eps_max`` at one parameter point, for any signal count and output
+    length.
+
+    A point is (alpha, delta1, delta2, p_max, f, p_multi, eps_ir, eps_bind)
+    and the experimental flag. Building one validates the point and computes
+    what does not depend on N0 or n: the rate bracket (charged the
+    multi-photon leak when ``experimental``), the KL rate, the block-size
+    coefficients, the squashed ``eps_bind`` and ``2 * eps_ir``. ``report``
+    and ``total`` then take (N0, n) and do only the floors, exponents and
+    squashes, so the optimizer probes many N0 at one point for the cost of
+    those alone.
+    """
+
+    __slots__ = ("alpha", "check_frac", "raw_frac", "stat_coef", "d1sq",
+                 "kl_rate", "bracket", "eps_bind", "bind_uf", "ir_floor",
+                 "experimental")
+
+    def __init__(self, alpha: float, delta1: float, delta2: float, p_max: float,
+                 f: float = 1.0, p_multi: float = 0.0,
+                 eps_ir: float = _EPS_DEFAULT, eps_bind: float = _EPS_DEFAULT,
+                 experimental: bool = False):
+        _check_point(alpha, delta1, delta2, p_max, f, p_multi, eps_ir, eps_bind)
+        bracket = rate_bracket(p_max, f, delta1, delta2)
+        if bracket == -math.inf:
+            raise BoundsError("rate bracket undefined: effective error rate >= 1/2")
+        if experimental:
+            bracket -= p_multi / (0.5 - delta2)
+        self.bracket = bracket
+        # block sizes are floor(coefficient * N0); each coefficient is the
+        # leading product of the closed form, so every float rounds as there
+        self.alpha = alpha
+        self.check_frac = (0.5 - delta2) * alpha
+        self.raw_frac = (0.5 - delta2) * (1.0 - alpha)
+        self.stat_coef = -0.5 * (1.0 - alpha) ** 2
+        self.d1sq = delta1 * delta1
+        self.kl_rate = -binary_kl(0.5 - delta2, 0.5) * (1.0 - alpha)
+        self.eps_bind, self.bind_uf = _squash(eps_bind)
+        self.ir_floor = 2.0 * eps_ir
+        self.experimental = experimental
+
+    @classmethod
+    def of(cls, params: ProtocolParams, experimental: bool = False) -> "PointBound":
+        return cls(params.alpha, params.delta1, params.delta2, params.p_max,
+                   params.f, params.p_multi, params.eps_ir, params.eps_bind,
+                   experimental)
+
+    def _terms(self, n0: int, n: int) -> tuple:
+        """(eps_correct, eps_stat, eps_kl, eps_lhl), each squashed, then
+        their underflow flags in the same order.
+
+        Statistical term, KL concentration term, the leftover-hash term with
+        the entropy-rate bracket, and correctness, the honest-run failure
+        probability 2^(-(N_raw-n)/2) + 2*eps_IR.
+        """
+        if n < 1:
+            raise BoundsError("output length must be at least 1 bit")
+        n_raw = math.floor(self.raw_frac * n0)
+        if n_raw <= n:
+            raise BoundsError("raw block not longer than the output")
+        d1sq = self.d1sq
+        e1 = self.stat_coef * math.floor(self.alpha * n0) * d1sq
+        e2 = -0.5 * math.floor(self.check_frac * n0) * d1sq
+        # log-space: sqrt(2) * sqrt(e^e1 + e^e2)
+        big = max(e1, e2)
+        if big < -1400:
+            stat, stat_uf = 0.0, True
+        else:
+            stat, stat_uf = _squash(math.sqrt(2.0) * math.exp(0.5 * big) *
+                                    math.sqrt(math.exp(e1 - big) + math.exp(e2 - big)))
+
+        kl_exp = self.kl_rate * n0
+        kl, kl_uf = (0.0, True) if kl_exp < -700 else _squash(math.exp(kl_exp))
+
+        lhl_exp = 0.5 * (n - n_raw * self.bracket)
+        if lhl_exp < -1070:
+            lhl, lhl_uf = 0.0, True
+        else:
+            lhl, lhl_uf = _squash(math.inf if lhl_exp > 64 else 0.5 * 2.0 ** lhl_exp)
+
+        ec_exp = -0.5 * (n_raw - n)
+        ec, ec_uf = _squash((0.0 if ec_exp < -1100 else 2.0 ** ec_exp) + self.ir_floor)
+        return ec, stat, kl, lhl, ec_uf, stat_uf, kl_uf, lhl_uf
+
+    def total(self, n0: int, n: int) -> float:
+        """``report(n0, n).eps_max``, to the bit, without the report."""
+        ec, stat, kl, lhl = self._terms(n0, n)[:4]
+        return ec + (stat + kl + self.eps_bind + lhl)
+
+    def report(self, n0: int, n: int) -> "BoundReport":
+        ec, stat, kl, lhl, ec_uf, stat_uf, kl_uf, lhl_uf = self._terms(n0, n)
+        underflowed = tuple(name for name, hit in (
+            ("eps_stat", stat_uf), ("eps_kl", kl_uf), ("eps_bind", self.bind_uf),
+            ("eps_lhl", lhl_uf), ("eps_correct", ec_uf)) if hit)
+        return BoundReport(eps_correct=ec, eps_stat=stat, eps_kl=kl,
+                           eps_bind=self.eps_bind, eps_lhl=lhl,
+                           experimental=self.experimental, underflowed=underflowed)
+
+
 def eps_max(params: ProtocolParams, experimental: bool = False) -> BoundReport:
     """Total security bound, itemized: correctness plus the dishonest-receiver
-    components.
-
-    Statistical term, KL concentration term, commitment binding, and the
-    leftover-hash term with the entropy-rate bracket. The block sizes are
-    the ``ProtocolParams`` properties, computed once per call.
-    """
-    alpha, n0, delta2 = params.alpha, params.n0, params.delta2
-    n_test = math.floor(alpha * n0)
-    n_check = math.floor((0.5 - delta2) * alpha * n0)
-    n_raw = math.floor((0.5 - delta2) * (1.0 - alpha) * n0)
-    d1sq = params.delta1 * params.delta1
-    e1 = -0.5 * (1.0 - alpha) ** 2 * n_test * d1sq
-    e2 = -0.5 * n_check * d1sq
-    # log-space: sqrt(2) * sqrt(e^e1 + e^e2)
-    big = max(e1, e2)
-    if big < -1400:
-        stat = 0.0
-        stat_uf = True
-    else:
-        stat = math.sqrt(2.0) * math.exp(0.5 * big) * \
-            math.sqrt(math.exp(e1 - big) + math.exp(e2 - big))
-        stat_uf = False
-
-    kl_exp = -binary_kl(0.5 - delta2, 0.5) * (1.0 - alpha) * n0
-    kl_uf = kl_exp < -700
-    kl = 0.0 if kl_uf else math.exp(kl_exp)
-
-    bracket = entropy_rate_bracket(params, experimental)
-    lhl_exp = 0.5 * (params.n - n_raw * bracket)
-    lhl_uf = lhl_exp < -1070
-    lhl = math.inf if lhl_exp > 64 else (0.0 if lhl_uf else 0.5 * 2.0 ** lhl_exp)
-
-    stat, stat_uf = _squash(stat, stat_uf)
-    kl, kl_uf = _squash(kl, kl_uf)
-    bind, bind_uf = _squash(params.eps_bind)
-    lhl, lhl_uf = _squash(lhl, lhl_uf)
-    # correctness, the honest-run failure probability: 2^(-(N_raw-n)/2) + 2*eps_IR
-    if n_raw <= params.n:
-        raise BoundsError("raw block not longer than the output")
-    ec_exp = -0.5 * (n_raw - params.n)
-    ec, ec_uf = _squash((0.0 if ec_exp < -1100 else 2.0 ** ec_exp) + 2.0 * params.eps_ir)
-    underflowed = tuple(name for name, hit in (
-        ("eps_stat", stat_uf), ("eps_kl", kl_uf), ("eps_bind", bind_uf),
-        ("eps_lhl", lhl_uf), ("eps_correct", ec_uf)) if hit)
-    return BoundReport(eps_correct=ec, eps_stat=stat, eps_kl=kl, eps_bind=bind,
-                       eps_lhl=lhl, experimental=experimental,
-                       underflowed=underflowed)
+    components (statistical, KL concentration, commitment binding and
+    leftover hash)."""
+    return PointBound.of(params, experimental).report(params.n0, params.n)
 
 
 TABLE1_PARAMS = ProtocolParams(

@@ -175,12 +175,9 @@ def _basis_words(r: Challenge, params: CommitParams) -> np.ndarray:
 _TABLE_BITS = 8  # message bits per combination table: at most 256 rows
 
 
-def commit_batch(msgs: np.ndarray, seeds: np.ndarray, r: Challenge,
-                 params: CommitParams, hash_id: int) -> np.ndarray:
-    """Commit N messages at once.
-
-    msgs: (N, n_msg) 0/1 uint8; seeds: (N, seed_bytes) uint8.
-    Returns (N, com_bytes) uint8.
+def _commit_rows(msgs: np.ndarray, seeds: np.ndarray, r: Challenge,
+                 params: CommitParams) -> np.ndarray:
+    """Commitments as the (N, 16 * B) uint8 rows of ``_owf_words``.
 
     A commitment is H(seed) xor the sum of the basis vectors whose message
     bit is set. That sum depends only on the message, so the 2**n_msg sums
@@ -189,10 +186,10 @@ def commit_batch(msgs: np.ndarray, seeds: np.ndarray, r: Challenge,
     table row into the hash, on 64-bit words, instead of one masked XOR per
     message bit; XOR is associative, so the bytes are the same. Longer
     messages take one table per 8 bits.
+
+    The first ``com_bytes`` columns of a row are the commitment, pad bits
+    not yet zeroed; the columns after them are filler.
     """
-    # hash_id is read only by perfbench's tracer; ROADMAP item 2 deletes it
-    if hash_id != HASH_AES128:
-        raise CommitError(f"unknown hash id {hash_id}")
     out_bytes = params.com_bytes
     coms = _owf_words(seeds, out_bytes)
     words = coms.view(np.uint64)
@@ -209,13 +206,40 @@ def commit_batch(msgs: np.ndarray, seeds: np.ndarray, r: Challenge,
             row |= (msgs[:, lo + i] != 0).view(np.uint8) << np.uint8(i)
         # np.take gathers rows several times faster than table[row]
         words ^= np.take(table, row, axis=0)
-    coms = coms[:, :out_bytes].copy()
+    return coms
+
+
+def commit_batch(msgs: np.ndarray, seeds: np.ndarray, r: Challenge,
+                 params: CommitParams, hash_id: int) -> np.ndarray:
+    """Commit N messages at once.
+
+    msgs: (N, n_msg) 0/1 uint8; seeds: (N, seed_bytes) uint8.
+    Returns (N, com_bytes) uint8.
+    """
+    # hash_id is read only by perfbench's tracer; ROADMAP item 2 deletes it
+    if hash_id != HASH_AES128:
+        raise CommitError(f"unknown hash id {hash_id}")
+    coms = _commit_rows(msgs, seeds, r, params)[:, :params.com_bytes].copy()
     _zero_pad_bits(coms, params.n_c)
     return coms
 
 
 def verify_batch(coms: np.ndarray, msgs: np.ndarray, seeds: np.ndarray,
                  r: Challenge, params: CommitParams) -> np.ndarray:
-    """Vectorized verify; returns a boolean accept mask."""
-    expected = commit_batch(msgs, seeds, r, params, HASH_AES128)
-    return np.all(expected == coms, axis=1)
+    """Vectorized verify; returns a boolean accept mask.
+
+    Compares the recomputed rows with the received ones zero-extended to the
+    same width, one 64-bit word at a time, before the cut: a mask keeps the
+    commitment bits of each word and clears the pad bits and the filler.
+    """
+    want = _commit_rows(msgs, seeds, r, params)
+    got = np.zeros_like(want)
+    got[:, :params.com_bytes] = coms
+    keep = np.zeros(want.shape[1], dtype=np.uint8)
+    keep[:params.com_bytes] = 0xFF
+    _zero_pad_bits(keep[None, :params.com_bytes], params.n_c)
+    want, got, keep = want.view(np.uint64), got.view(np.uint64), keep.view(np.uint64)
+    ok = (want[:, 0] & keep[0]) == got[:, 0]
+    for j in range(1, want.shape[1]):
+        ok &= (want[:, j] & keep[j]) == got[:, j]
+    return ok

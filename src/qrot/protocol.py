@@ -34,7 +34,6 @@ no path finishes a session with inconsistent outputs.
 from __future__ import annotations
 
 import enum
-import hashlib
 import struct
 from dataclasses import dataclass, field
 
@@ -153,7 +152,6 @@ class TranscriptEntry:
     direction: str  # "send" | "recv"
     type_code: int
     length: int
-    digest: str
 
 
 @dataclass
@@ -161,9 +159,8 @@ class SessionTranscript:
     entries: list = field(default_factory=list)
 
     def record(self, direction: str, frame: Frame) -> None:
-        dig = hashlib.blake2b(frame.payload, digest_size=8).hexdigest()
         self.entries.append(TranscriptEntry(direction, frame.type_code,
-                                            len(frame.payload), dig))
+                                            len(frame.payload)))
 
     def payload_bytes(self, type_code: int) -> int:
         return sum(e.length for e in self.entries if e.type_code == type_code)

@@ -12,6 +12,7 @@ four-detector model) pass through flagged, for leak-accounting tests only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +21,17 @@ from qrot.bitcore import BitString, Rng
 
 # P(detected | multi-photon round): undetected ~= detected / 3
 _DETECT_GIVEN_MULTI = 0.75
-# the largest value Rng.uniform returns
+# the largest draw w / 2**32 of a 32-bit word w
 _UNIFORM_MAX = 1.0 - 2.0 ** -32
+
+
+def _below(p: float) -> int:
+    """The threshold t with w < t exactly when w / 2**32 < p, for 32-bit w.
+
+    Scaling by a power of two is exact, so comparing the raw words with t
+    decides every draw as the float comparison would.
+    """
+    return math.ceil(p * 2.0 ** 32)
 
 
 class QsimError(ValueError):
@@ -91,21 +101,25 @@ def run_quantum_phase(model: SourceModel, n0: int, rng: Rng,
     undet = np.empty(0, bool)
     n_tot = 0
     n_multi = 0
+    # a draw is the word w over 2**32; compare the words, not the floats
+    t_loss, t_double, t_detect, t_dark, t_err = (
+        _below(p) for p in (model.p_loss, model.p_double, _DETECT_GIVEN_MULTI,
+                            model.p_dark, model.p_err))
 
     while theta_a.size < n0:
         chunk = max(1024, int((n0 - theta_a.size) * 1.3))
-        u = rng.uniform(4 * chunk).reshape(4, chunk)
+        w = rng.words32(4 * chunk).reshape(4, chunk)
         rb = np.frombuffer(rng.bytes(4 * chunk), np.uint8).reshape(4, chunk) & 1
         ta, tb, xa, unif = rb
 
-        coincidence = u[0] >= model.p_loss
-        multi = coincidence & (u[1] < model.p_double)
-        detected_multi = multi & (u[2] < _DETECT_GIVEN_MULTI)
+        coincidence = w[0] >= t_loss
+        multi = coincidence & (w[1] < t_double)
+        detected_multi = multi & (w[2] < t_detect)
         undetected = multi & ~detected_multi
-        dark = u[3] < model.p_dark
+        dark = w[3] < t_dark
 
         match = ta == tb
-        noise = (rng.uniform(chunk) < model.p_err).astype(np.uint8)
+        noise = (rng.words32(chunk) < t_err).astype(np.uint8)
         # an undetected double click reports a uniform bit even in the
         # matching basis: one of the two clicks is reported at random
         xb = np.where(match & ~undetected, xa ^ noise, unif)

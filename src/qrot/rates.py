@@ -17,9 +17,9 @@ class RatesError(ValueError):
     pass
 
 
-def _eps_for_n(params: ProtocolParams, n: int) -> float:
+def _eps_for_n(point: bounds.PointBound, n0: int, n: int) -> float:
     try:
-        return bounds.eps_max(params.with_n(n)).eps_max
+        return point.total(n0, n)
     except BoundsError:
         return math.inf
 
@@ -27,12 +27,19 @@ def _eps_for_n(params: ProtocolParams, n: int) -> float:
 def n_max(params: ProtocolParams, eps_target: float) -> int:
     """Largest n with total security within eps_target; 0 if none."""
     hi = params.n_raw - 1
-    if hi < 1 or _eps_for_n(params, 1) > eps_target:
+    if hi < 1:
+        return 0
+    try:
+        point = bounds.PointBound.of(params)
+    except BoundsError:  # no output length is secure here
+        return 0
+    n0 = params.n0
+    if _eps_for_n(point, n0, 1) > eps_target:
         return 0
     lo = 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _eps_for_n(params, mid) <= eps_target:
+        if _eps_for_n(point, n0, mid) <= eps_target:
             lo = mid
         else:
             hi = mid - 1
@@ -94,19 +101,21 @@ def _min_n0_at(alpha: float, delta1: float, delta2: float, eps_target: float,
     The answer lies above every infeasible probe ``lo``, so the search stops
     with None once ``lo >= cap``: its probes are the uncapped ones, cut short.
     """
-    experimental = p_multi > 0.0
-
-    def feasible(n0: int) -> bool:
-        try:  # n_raw <= n_target raises in eps_max
-            p = ProtocolParams(n0=n0, alpha=alpha, delta1=delta1, delta2=delta2,
-                               p_max=p_max, n=n_target, f=f, p_multi=p_multi)
-            return bounds.eps_max(p, experimental).eps_max <= eps_target
-        except BoundsError:
-            return False
-
     lo, hi = 4 * n_target + 8, None
     if lo > cap:  # the first probe is the smallest possible answer
         return None
+    try:  # the N0-free part of the bound, once per point
+        total = bounds.PointBound(alpha, delta1, delta2, p_max, f, p_multi,
+                                  experimental=p_multi > 0.0).total
+    except BoundsError:  # no N0 is feasible at an invalid point
+        return None
+
+    def feasible(n0: int) -> bool:
+        try:  # n_raw <= n_target raises
+            return total(n0, n_target) <= eps_target
+        except BoundsError:
+            return False
+
     probe = lo
     while probe <= _N0_CAP:
         if feasible(probe):

@@ -13,6 +13,7 @@ from qrot import qsim
 from qrot.bitcore import BitString
 from qrot.protocol import (Msg, ReceiverSession, SenderSession, SessionConfig,
                            SessionResult, parties, run_parties)
+from draws import uniform
 
 
 class FlippingReceiver(ReceiverSession):
@@ -22,7 +23,7 @@ class FlippingReceiver(ReceiverSession):
 
     def _on_challenge(self, payload: bytes):
         honest = self.view
-        flips = self.rng.uniform(self.config.params.n0) < self.flip_rate
+        flips = uniform(self.rng, self.config.params.n0) < self.flip_rate
         self.view = replace(honest, x=honest.x ^ BitString.from_bits(flips))
         out = super()._on_challenge(payload)
         self.view = honest
@@ -55,8 +56,8 @@ def skewed_receiver(sender: SenderSession, receiver: ReceiverSession,
     rng = receiver.rng
     alice = sender.view
     n = alice.theta.length
-    mism = (rng.uniform(n) >= match_prob).astype(np.uint8)
-    noise = (rng.uniform(n) < model.p_err).astype(np.uint8)
+    mism = (uniform(rng, n) >= match_prob).astype(np.uint8)
+    noise = (uniform(rng, n) < model.p_err).astype(np.uint8)
     unif = np.frombuffer(rng.bytes(n), np.uint8) & 1
     x_b = np.where(mism == 0, alice.x.bits() ^ noise, unif)
     view = qsim.BobView(BitString.from_bits(alice.theta.bits() ^ mism),

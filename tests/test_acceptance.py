@@ -331,12 +331,17 @@ def test_table1_session_end_to_end():
     p_max, the multi-photon estimate lies in (0, p_multi), and every message
     is exactly its declared size. run_session's own two steps, so the
     sender's view can be read; budget about 10 s (LDPC graph build
-    included) and 0.7 GB peak RSS."""
+    included) and 0.7 GB peak RSS. The Table-1 code graph (about 89 MB)
+    leaves recon's cache when the session ends, so the tests after this one
+    do not carry it."""
     cfg = protocol.SessionConfig(TABLE1_PARAMS, ir_backend=recon.BACKEND_LDPC)
     sender, receiver = protocol.parties(
         cfg, qsim.SourceModel(p_err=0.01, p_double=0.004), 1)
     multi = qsim.multi_photon_estimate(sender.view.n_tot, sender.view.n_multi)
-    res = protocol.run_parties(sender, receiver)
+    try:
+        res = protocol.run_parties(sender, receiver)
+    finally:
+        recon._code_structure.cache_clear()
     assert res.success and res.output.correct
     assert res.qber_estimate < TABLE1_PARAMS.p_max
     assert 0.0 < multi < TABLE1_PARAMS.p_multi

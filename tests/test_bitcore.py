@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from qrot.bitcore import (BitString, BitcoreError, IndexSet, Rng, extract,
                           sample_subset)
+from draws import uniform
 
 
 def relative_hamming(x: BitString) -> float:
@@ -250,12 +251,12 @@ class TestRng:
 
     def test_uniform_is_word_over_2_to_32(self):
         a, b = Rng.from_int(2), Rng.from_int(2)
-        got = a.uniform(1000)
+        got = uniform(a, 1000)
         assert np.array_equal(got, b.words32(1000).astype(np.float64) / 2.0 ** 32)
         assert got.dtype == np.float64 and a.bytes(16) == b.bytes(16)
 
     def test_uniform_range(self):
-        u = Rng.from_int(2).uniform(10000)
+        u = uniform(Rng.from_int(2), 10000)
         assert np.all((u >= 0) & (u < 1))
         assert abs(u.mean() - 0.5) < 0.02
 

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrot import bounds
-from qrot.bounds import (BoundsError, ProtocolParams, TABLE1_PARAMS,
-                         binary_entropy, binary_kl, entropy_rate_bracket,
-                         eps_max)
+from qrot.bounds import (BoundsError, PointBound, ProtocolParams, TABLE1_PARAMS,
+                         binary_entropy, binary_kl, eps_max, rate_bracket)
 
 
 class TestEntropy:
@@ -83,19 +82,19 @@ class TestParams:
 class TestBracket:
     def test_table1_value(self):
         # oracle: 1/2 - 2d2/(1-2d2) - h((pm+d1)/(1/2-d2)) - f h(pm+d1) - pmu/(1/2-d2)
-        assert entropy_rate_bracket(TABLE1_PARAMS, experimental=True) == \
+        assert PointBound.of(TABLE1_PARAMS, experimental=True).bracket == \
             pytest.approx(0.0038743936412884506, rel=1e-12)
 
     def test_experimental_charges_multi_leak(self):
-        theo = entropy_rate_bracket(TABLE1_PARAMS, experimental=False)
-        exp = entropy_rate_bracket(TABLE1_PARAMS, experimental=True)
+        theo = PointBound.of(TABLE1_PARAMS, experimental=False).bracket
+        exp = PointBound.of(TABLE1_PARAMS, experimental=True).bracket
         assert theo - exp == pytest.approx(3.67e-3 / (0.5 - 3e-3), rel=1e-12)
 
     def test_undefined_beyond_half(self):
         p = ProtocolParams(n0=1000, alpha=0.3, delta1=0.01, delta2=0.01,
                            p_max=0.48, n=1)
         with pytest.raises(BoundsError, match="rate bracket undefined"):
-            entropy_rate_bracket(p, experimental=False)
+            PointBound.of(p, experimental=False)
 
 
 class TestTable1Bound:
@@ -183,11 +182,12 @@ def _eps_receiver_reference(params, experimental, seen):
     if kl_uf:
         seen.add("eps_kl flushed")
 
-    try:
-        bracket = entropy_rate_bracket(params, experimental)
-    except BoundsError:
+    bracket = rate_bracket(params.p_max, params.f, params.delta1, params.delta2)
+    if bracket == -math.inf:
         seen.add("bracket error")
-        raise
+        raise BoundsError("rate bracket undefined: effective error rate >= 1/2")
+    if experimental:
+        bracket -= params.p_multi / (0.5 - params.delta2)
     lhl_exp = 0.5 * (params.n - params.n_raw * bracket)
     lhl_uf = lhl_exp < -1070
     lhl = math.inf if lhl_exp > 64 else (0.0 if lhl_uf else 0.5 * 2.0 ** lhl_exp)
@@ -252,3 +252,34 @@ class TestEpsReceiverOracle:
             "eps_kl squashed", "eps_bind squashed", "eps_lhl flushed",
             "eps_lhl squashed", "eps_lhl capped", "eps_correct squashed",
             "bracket error", "correctness error"}
+
+    def test_point_total_is_eps_max_to_the_bit(self):
+        # the optimizer's probe: the point's part built once, then the
+        # per-size part at several N0; a BoundsError on either path must
+        # read as infeasible on the other
+        rng = random.Random(20261)
+        outcomes = set()
+        for _ in range(3000):
+            params, experimental = _random_params(rng), rng.random() < 0.5
+            try:
+                point = PointBound.of(params, experimental)
+            except BoundsError:
+                point = None
+            n = params.n if rng.random() < 0.95 else rng.choice((0, -1))
+            for n0 in (params.n0, 1, 4 * n + 8, 2 * params.n0 + 1,
+                       int(10 ** rng.uniform(0, 12))):
+                try:
+                    want = eps_max(replace(params, n0=n0, n=n), experimental).eps_max
+                except BoundsError:
+                    want = None
+                try:
+                    got = point.total(n0, n) if point is not None else None
+                except BoundsError:
+                    got = None
+                outcomes.add(want is None)
+                if want is None:
+                    assert got is None, (params, n0, n, experimental)
+                else:
+                    assert got is not None and got.hex() == want.hex(), \
+                        (params, n0, n, experimental)
+        assert outcomes == {True, False}

@@ -289,3 +289,28 @@ class TestTableXor:
             bad[col, col] ^= 0x80 >> (col % 8 if col < params.com_bytes - 1 else 0)
             ok = verify_batch(bad, msgs, seeds, r, params)
             assert not ok[col] and ok.sum() == n - 1
+
+    @pytest.mark.parametrize("k", _KS)
+    def test_verify_rejects_a_row_tampered_in_any_byte_column(self, k):
+        # verify compares 64-bit words: a change in any byte column, on
+        # either side of a word boundary, and a set pad bit must all show
+        params = CommitParams(k=k, n_msg=2)
+        rng = _rng(300 + k)
+        r = sample_challenge(rng, params)
+        cols = params.com_bytes
+        n = 3 * cols + 2
+        msgs = (np.frombuffer(rng.bytes(2 * n), np.uint8) & 1).reshape(n, 2)
+        seeds = np.frombuffer(rng.bytes(n * params.seed_bytes),
+                              np.uint8).reshape(n, params.seed_bytes)
+        coms = commit_batch(msgs, seeds, r, params, HASH_AES128)
+        bad = coms.copy()
+        pad = cols * 8 - params.n_c
+        for i in range(3 * cols):
+            col, flips = i % cols, (0xFF, 0x01, rng.bytes(1)[0] | 0x80)[i // cols]
+            if col == cols - 1:  # only the data bits of the last byte
+                flips = flips & (0xFF << pad) & 0xFF or 0x80
+            bad[i, col] ^= flips
+        bad[3 * cols, -1] |= (1 << pad) - 1  # pad bits set, data intact
+        ok = verify_batch(bad, msgs, seeds, r, params)
+        assert not ok[:3 * cols + 1].any()
+        assert ok[-1]

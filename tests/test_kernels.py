@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qrot import _kernels, recon
 from qrot.bitcore import Rng
 from qrot.protocol import desk_config
+from draws import uniform
 from test_recon import edge_form
 
 _DESK = desk_config(ir_backend=recon.BACKEND_LDPC).ir_params
@@ -81,7 +82,7 @@ def _slot_form(chk_rows, var_of_edge, var_edges):
 def _noisy_target(graph, n, rng, p):
     """Syndrome of a random flip pattern at rate p: the decoder's target."""
     chk_rows, var_of_edge, _ = edge_form(*graph)
-    flips = np.append(rng.uniform(n) < p, False).astype(np.uint8)
+    flips = np.append(uniform(rng, n) < p, False).astype(np.uint8)
     return np.bitwise_xor.reduce(flips[var_of_edge[chk_rows]], axis=1)
 
 
@@ -174,7 +175,7 @@ class TestBpKernel:
         ir = recon.IrParams(n_raw=n, p_design=0.04, f=1.3, tag_bits=16)
         code_seed = rng.bytes(32)
         x = np.frombuffer(rng.bytes(n), np.uint8) & 1
-        noise = (rng.uniform(n) < p).astype(np.uint8)
+        noise = (uniform(rng, n) < p).astype(np.uint8)
         graph = recon._code_structure(code_seed, n, ir.syndrome_bits)
         target = recon._syndrome_bits_of(x ^ noise, code_seed, n, ir.syndrome_bits) \
             ^ recon._syndrome_bits_of(x, code_seed, n, ir.syndrome_bits)
@@ -243,9 +244,9 @@ class TestBpKernel:
         chk_rows = np.full((m, dmax), e_tot, dtype=np.int64)
         start = np.cumsum(row_deg) - row_deg
         for i in range(m):
-            at = np.argsort(rng.uniform(dmax))[:row_deg[i]]
+            at = np.argsort(uniform(rng, dmax))[:row_deg[i]]
             chk_rows[i, np.sort(at)] = start[i] + np.arange(row_deg[i])
-        var_of_edge = np.append(np.argsort(rng.uniform(e_tot)) // 3, n)
+        var_of_edge = np.append(np.argsort(uniform(rng, e_tot)) // 3, n)
         var_edges = np.argsort(var_of_edge[:-1], kind="stable").reshape(n, 3)
         var_of_slot, var_slots = _slot_form(chk_rows, var_of_edge, var_edges)
         if fortran:

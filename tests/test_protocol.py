@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import struct
 import threading
 from dataclasses import replace
@@ -14,9 +15,33 @@ from qrot.protocol import (AbortReason, Msg, SessionConfig,
                            run_parties, run_session)
 from cheats import (CorruptSyndromeSender, EarlySepReceiver, FlippingReceiver,
                     run_cheat)
+from draws import uniform
 
 SMALL = desk_config(n0=8192)
 NOISELESS = qsim.SourceModel()
+
+
+class _DigestTranscript(protocol.SessionTranscript):
+    """A transcript that also keeps the blake2b-64 digest of every payload
+    it records, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.digests = []
+
+    def record(self, direction, frame):
+        super().record(direction, frame)
+        self.digests.append(hashlib.blake2b(frame.payload, digest_size=8).hexdigest())
+
+    def rows(self):
+        return [(e.direction, e.type_code, e.length, d)
+                for e, d in zip(self.entries, self.digests)]
+
+
+@pytest.fixture
+def digests(monkeypatch):
+    """Sessions started under this fixture record payload digests."""
+    monkeypatch.setattr(protocol, "SessionTranscript", _DigestTranscript)
 
 # the HELLO fields in _CONFIG_STRUCT order, with their struct codes
 _HELLO_FIELDS = (("version", "B"), ("backend", "B"), ("k", "H"),
@@ -238,7 +263,7 @@ class TestPhaseOrderSafety:
         shuffler = Rng.from_int(99)
         tried = 0
         while tried < 10:
-            order = np.argsort(shuffler.uniform(len(collected)))
+            order = np.argsort(uniform(shuffler, len(collected)))
             if np.array_equal(order, np.arange(len(collected))):
                 continue
             tried += 1
@@ -344,13 +369,11 @@ class TestLeakLedger:
             assert run_session(cfg, qsim.SourceModel(p_err=0.01), seed).success
         assert recon._code_structure.cache_info().misses - before <= 1
 
-    def test_transcripts_mirror_each_other(self):
+    def test_transcripts_mirror_each_other(self, digests):
         res = run_session(SMALL, NOISELESS, 22)
-        sent = [(e.type_code, e.length, e.digest)
-                for e in res.sender_transcript.entries if e.direction == "send"]
-        seen = [(e.type_code, e.length, e.digest)
-                for e in res.receiver_transcript.entries if e.direction == "recv"]
-        assert sent == seen
+        sent = [row[1:] for row in res.sender_transcript.rows() if row[0] == "send"]
+        seen = [row[1:] for row in res.receiver_transcript.rows() if row[0] == "recv"]
+        assert sent and sent == seen
 
 
 # Seeded desk-LDPC sessions at SourceModel(p_err=0.01): seed -> (choice bit,
@@ -382,7 +405,7 @@ class TestGoldenSessions:
     frame either party recorded."""
 
     @pytest.mark.parametrize("seed", sorted(_GOLDEN_LDPC))
-    def test_ldpc_session_pinned(self, seed):
+    def test_ldpc_session_pinned(self, seed, digests):
         c, m0, m1, digests = _GOLDEN_LDPC[seed]
         cfg = desk_config(ir_backend=recon.BACKEND_LDPC)
         res = run_session(cfg, qsim.SourceModel(p_err=0.01), seed)
@@ -395,11 +418,9 @@ class TestGoldenSessions:
 
         frames = list(zip(_GOLDEN_TYPES, _GOLDEN_LENGTHS, digests))
         flip = {"send": "recv", "recv": "send"}
-        assert [(e.direction, e.type_code, e.length, e.digest)
-                for e in res.sender_transcript.entries] == \
+        assert res.sender_transcript.rows() == \
             [(d,) + f for d, f in zip(_GOLDEN_SENDER_DIRS, frames)]
-        assert [(e.direction, e.type_code, e.length, e.digest)
-                for e in res.receiver_transcript.entries] == \
+        assert res.receiver_transcript.rows() == \
             [(flip[d],) + f for d, f in zip(_GOLDEN_SENDER_DIRS, frames)]
 
 

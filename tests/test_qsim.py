@@ -4,9 +4,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from qrot.bitcore import Rng
-from qrot.qsim import (_DETECT_GIVEN_MULTI, QsimError, SourceModel,
-                       multi_photon_estimate, run_quantum_phase)
+from qrot.bitcore import BitString, Rng
+from qrot.qsim import (_DETECT_GIVEN_MULTI, AliceView, BobView, QsimError,
+                       SourceModel, _below, multi_photon_estimate,
+                       run_quantum_phase)
+from draws import uniform
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +41,7 @@ class RoundOutcome:
 
 def generate_round(model: SourceModel, rng: Rng) -> RoundOutcome:
     """One raw source round; scalar twin of the vectorized phase runner."""
-    u = rng.uniform(4)
+    u = uniform(rng, 4)
     raw = rng.bytes(4)
     theta_a, theta_b, x_a, flip_or_uniform = (b & 1 for b in raw)
     if u[0] < model.p_loss:
@@ -47,7 +49,7 @@ def generate_round(model: SourceModel, rng: Rng) -> RoundOutcome:
     multi = u[1] < model.p_double
     alice_multi = multi and u[2] < _DETECT_GIVEN_MULTI
     if theta_a == theta_b:
-        noise = int(rng.uniform(1)[0] < model.p_err)
+        noise = int(uniform(rng, 1)[0] < model.p_err)
         x_b = x_a ^ noise
     else:
         x_b = flip_or_uniform
@@ -73,6 +75,37 @@ def _rng(i=0):
     return Rng.from_int(4000 + i)
 
 
+def _run_quantum_phase_float(model: SourceModel, n0: int, rng: Rng):
+    """``run_quantum_phase`` with the adversarial view, deciding every event
+    on the float draw w / 2**32 instead of the raw word: same bytes, same
+    order, the reference the word comparisons must match."""
+    parts = {name: [] for name in ("ta", "tb", "xa", "xb", "undet")}
+    n_tot = n_multi = done = 0
+    while done < n0:
+        chunk = max(1024, int((n0 - done) * 1.3))
+        u = uniform(rng, 4 * chunk).reshape(4, chunk)
+        ta, tb, xa, unif = np.frombuffer(rng.bytes(4 * chunk), np.uint8).reshape(4, chunk) & 1
+        coincidence = u[0] >= model.p_loss
+        multi = coincidence & (u[1] < model.p_double)
+        detected_multi = multi & (u[2] < _DETECT_GIVEN_MULTI)
+        undetected = multi & ~detected_multi
+        dark = u[3] < model.p_dark
+        noise = (uniform(rng, chunk) < model.p_err).astype(np.uint8)
+        xb = np.where((ta == tb) & ~undetected, xa ^ noise, unif)
+        accepted = coincidence & ~detected_multi & ~dark
+        acc_idx = np.nonzero(accepted)[0]
+        cut = int(acc_idx[n0 - done - 1]) + 1 if acc_idx.size > n0 - done else chunk
+        accepted = accepted[:cut]
+        n_tot += int((coincidence & ~dark)[:cut].sum())
+        n_multi += int((detected_multi & ~dark)[:cut].sum())
+        for name, arr in zip(parts, (ta, tb, xa, xb, undetected)):
+            parts[name].append(arr[:cut][accepted])
+        done += int(accepted.sum())
+    ta, tb, xa, xb, undet = (np.concatenate(v) for v in parts.values())
+    return (AliceView(BitString.from_bits(ta), BitString.from_bits(xa), n_tot, n_multi),
+            BobView(BitString.from_bits(tb), BitString.from_bits(xb), undet))
+
+
 class TestModel:
     def test_probability_domains(self):
         with pytest.raises(QsimError):
@@ -84,14 +117,14 @@ class TestModel:
 
     @pytest.mark.parametrize("name", ["p_loss", "p_dark"])
     def test_no_round_ever_accepted_is_refused(self, name):
-        # Rng.uniform never exceeds 1 - 2**-32, so above it no round passes
+        # a draw w / 2**32 never exceeds 1 - 2**-32, so above it no round passes
         # and run_quantum_phase would never return
         top = 1.0 - 2.0 ** -32
         SourceModel(**{name: top})
         for value in (np.nextafter(top, 1.0), 1.0):
             with pytest.raises(QsimError, match=name):
                 SourceModel(**{name: value})
-        assert Rng.from_int(0).uniform(1 << 16).max() <= top
+        assert uniform(Rng.from_int(0), 1 << 16).max() <= top
 
 
 class TestGenerateRound:
@@ -131,6 +164,40 @@ class TestGenerateRound:
         # the largest p_loss a model accepts; 1.0 would never end a phase
         r = generate_round(SourceModel(p_loss=1.0 - 2.0 ** -32), rng)
         assert r.bob_pattern == ClickPattern.NONE
+
+
+# each edge of the draw: never, the smallest nonzero chance, a half, the
+# largest chance below one, always
+_EDGE_P = (0.0, 2.0 ** -32, 0.5, 1.0 - 2.0 ** -32, 1.0)
+
+
+class TestWordDomain:
+    """The runner compares raw words with integer thresholds; the float
+    comparison it replaces decides every draw the same way."""
+
+    @pytest.mark.parametrize("p", _EDGE_P + (_DETECT_GIVEN_MULTI, 0.01, 1 / 3))
+    def test_threshold_matches_float_compare(self, p):
+        t = _below(p)
+        near = [w for w in (0, 1, t - 2, t - 1, t, t + 1, 2 ** 32 - 1) if 0 <= w < 2 ** 32]
+        words = np.concatenate([np.array(near, np.uint32), _rng(20).words32(4096)])
+        assert np.array_equal(words < t, words / 2.0 ** 32 < p)
+        assert np.array_equal(words >= t, words / 2.0 ** 32 >= p)
+
+    @pytest.mark.parametrize("model", [
+        SourceModel(p_err=0.01, p_double=0.004, p_loss=0.3, p_dark=0.02),
+        SourceModel(p_err=2.0 ** -32, p_double=1.0, p_loss=2.0 ** -32, p_dark=0.5),
+        SourceModel(p_double=1.0 - 2.0 ** -32, p_loss=0.5, p_dark=2.0 ** -32),
+        SourceModel(p_err=0.49, p_double=0.5),
+    ])
+    def test_views_match_float_reference(self, model):
+        for seed in range(3):
+            for n0 in (1, 3000):
+                alice, bob = run_quantum_phase(model, n0, _rng(30 + seed),
+                                               adversarial_multi_view=True)
+                ref_alice, ref_bob = _run_quantum_phase_float(model, n0, _rng(30 + seed))
+                assert vars(alice) == vars(ref_alice)
+                assert (bob.theta, bob.x) == (ref_bob.theta, ref_bob.x)
+                assert np.array_equal(bob.undetected_multi, ref_bob.undetected_multi)
 
 
 class TestReport:

@@ -190,6 +190,16 @@ def _n_crit_reference(eps_target, p_max, f, p_multi, n_target, grid=(8, 10, 6)):
     return OptimizeResult(n0, a, d1, d2, achieved, n_target, True)
 
 
+def _patch_bound(monkeypatch, step):
+    """Make the bound ``step(N0)`` at every point: at the per-point seam the
+    optimizer probes through, and in ``eps_max``, which the references and
+    ``n_crit``'s reported value read."""
+    monkeypatch.setattr(bounds, "PointBound", lambda *point, **kw:
+                        SimpleNamespace(total=lambda n0, n: step(n0)))
+    monkeypatch.setattr(bounds, "eps_max", lambda p, experimental=False:
+                        SimpleNamespace(eps_max=step(p.n0)))
+
+
 class TestPrunedSearch:
     """The capped search returns what the exhaustive one does, to the bit."""
 
@@ -252,12 +262,11 @@ class TestPrunedSearch:
         for tail, scattered in cases:
             probes = []
 
-            def eps_max(p, experimental=False):
-                probes.append(p.n0)
-                hit = p.n0 >= tail or p.n0 in scattered
-                return SimpleNamespace(eps_max=0.0 if hit else 1.0)
+            def step(n0):
+                probes.append(n0)
+                return 0.0 if n0 >= tail or n0 in scattered else 1.0
 
-            monkeypatch.setattr(bounds, "eps_max", eps_max)
+            _patch_bound(monkeypatch, step)
             exact = _min_n0_reference(*point)
             for cap in sorted({c + d for c in probes for d in (-1, 0, 1)}):
                 got = rates._min_n0_at(*point, cap=cap)
@@ -268,8 +277,7 @@ class TestPrunedSearch:
         # every point needs the same N0, so the answer is decided by the
         # (alpha, delta1, delta2) comparison alone, and the fine pass must
         # still search the points that only tie the coarse best
-        monkeypatch.setattr(bounds, "eps_max", lambda p, experimental=False:
-                            SimpleNamespace(eps_max=0.0 if p.n0 >= 100003 else 1.0))
+        _patch_bound(monkeypatch, lambda n0: 0.0 if n0 >= 100003 else 1.0)
         args = (1e-7, 0.0114, 1.0, 3.67e-3, 128)
         res = n_crit(*args, grid=(3, 3, 3))
         assert (res.n_crit, res.alpha) == (100003, 0.02)

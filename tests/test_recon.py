@@ -9,6 +9,7 @@ from qrot.bitcore import BitString, Rng
 from qrot.protocol import desk_config
 from qrot.recon import (BACKEND_LDPC, BACKEND_TRIVIAL, IrParams, ReconError,
                         Syndrome, dec, syn)
+from draws import uniform
 
 N = 4096
 IR = IrParams(n_raw=N, p_design=0.05, f=1.3, tag_bits=32)
@@ -83,7 +84,7 @@ def _pair(seed, n=N, p=0.025):
     """Sender string x and receiver string y differing at rate p."""
     rng = Rng.from_int(seed)
     x = np.frombuffer(rng.bytes(n), np.uint8) & 1
-    noise = (rng.uniform(n) < p).astype(np.uint8)
+    noise = (uniform(rng, n) < p).astype(np.uint8)
     return BitString.from_bits(x), BitString.from_bits(x ^ noise), rng
 
 
