@@ -110,8 +110,12 @@ def cmd_optimize(args) -> int:
         print("error: --grid needs three comma-separated integer sizes of at "
               "least 2", file=sys.stderr)
         return 2
-    res = rates.n_crit(args.eps_target, args.p_max, args.f, args.p_multi,
-                       args.n, grid=grid)
+    try:
+        res = rates.n_crit(args.eps_target, args.p_max, args.f, args.p_multi,
+                           args.n, grid=grid)
+    except rates.RatesError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     data = {"n_crit": res.n_crit, "alpha": res.alpha, "delta1": res.delta1,
             "delta2": res.delta2, "eps_achieved": res.eps_achieved,
             "n_target": res.n_target, "feasible": res.feasible}

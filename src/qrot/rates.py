@@ -98,11 +98,23 @@ def _min_n0_at(alpha: float, delta1: float, delta2: float, eps_target: float,
                cap: int = _N0_CAP) -> int | None:
     """Smallest N0 making an n_target-bit key feasible; None if over ``cap``.
 
-    The answer lies above every infeasible probe ``lo``, so the search stops
-    with None once ``lo >= cap``: its probes are the uncapped ones, cut short.
+    N0 is sought from ``lo = 4 * n_target + 8`` up to the largest
+    ``lo * 2**k`` within ``_N0_CAP`` (the range of a doubling search from
+    ``lo``), so ``cap`` is clamped to that first. Feasibility is monotone in
+    N0, so a point infeasible at the cap, which cannot beat the best N0 so
+    far, costs one probe; otherwise ``lo`` is probed, then ``[lo, cap]`` is
+    bisected.
+
+    It is monotone for ``eps_target <= 1/2``, which ``n_crit`` enforces. With
+    a positive rate bracket, ``PointBound.total`` falls or stays level as N0
+    grows: floors of N0 enter every exponent with a negative coefficient,
+    ``exp``, ``2**`` and the squashes are non-decreasing, the raw-length
+    refusal covers only the smallest N0, and rounding can lift the
+    statistical term only where it exceeds 1.4. With a non-positive bracket,
+    the leftover-hash term alone is at least ``2**-0.5`` at every N0.
     """
-    lo, hi = 4 * n_target + 8, None
-    if lo > cap:  # the first probe is the smallest possible answer
+    lo = 4 * n_target + 8
+    if lo > min(cap, _N0_CAP):  # the first probe is the smallest possible answer
         return None
     try:  # the N0-free part of the bound, once per point
         total = bounds.PointBound(alpha, delta1, delta2, p_max, f, p_multi,
@@ -116,25 +128,17 @@ def _min_n0_at(alpha: float, delta1: float, delta2: float, eps_target: float,
         except BoundsError:
             return False
 
-    probe = lo
-    while probe <= _N0_CAP:
-        if feasible(probe):
-            hi = probe
-            break
-        lo = probe
-        if lo >= cap:
-            return None
-        probe *= 2
-    if hi is None:
+    hi = min(cap, lo << ((_N0_CAP // lo).bit_length() - 1))
+    if not feasible(hi):
         return None
+    if feasible(lo):
+        return lo
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if feasible(mid):
             hi = mid
         else:
             lo = mid
-            if lo >= cap:
-                return None
     return hi
 
 
@@ -148,10 +152,19 @@ def n_crit(eps_target: float, p_max: float, f: float, p_multi: float,
     whenever p_multi > 0.
 
     Branch and bound: each point's search is capped at the best N0 found so
-    far (the fine pass starts from the coarse best), and stops once it can
-    only return a strictly larger N0. Such a point could not win even a tie,
-    so the result is that of searching every point to the end, to the bit.
+    far (the fine pass starts from the coarse best). A point infeasible at
+    its cap could only return a strictly larger N0 and could not win even a
+    tie, so it costs one probe, and the result is that of searching every
+    point to the end, to the bit. Input outside this contract (see
+    ``_min_n0_at``) raises RatesError: ``n_target < 1``, ``eps_target``
+    outside (0, 1/2] or NaN, and a non-finite ``p_max``.
     """
+    if n_target < 1:
+        raise RatesError("output length must be at least 1 bit")
+    if not 0.0 < eps_target <= 0.5:
+        raise RatesError("target bound must be in (0, 1/2]")
+    if not math.isfinite(p_max):
+        raise RatesError("max error rate must be finite")
     gap = p_crit(f) - p_max
     if gap <= 0.0:
         return OptimizeResult(0, 0.0, 0.0, 0.0, math.inf, n_target, False)

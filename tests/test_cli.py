@@ -20,6 +20,14 @@ def _run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _subprocess_env():
+    """The environment for a ``python -m qrot.cli`` child that imports this
+    checkout's package."""
+    src = str(Path(qrot.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestBounds:
     def test_default_is_reference_row(self, capsys):
         code, out, _ = _run(capsys, "bounds", "--experimental", "--json")
@@ -91,6 +99,17 @@ class TestOptimize:
             code, out, err = _run(capsys, "optimize", "--grid", grid)
             assert code == 2 and out == "", grid
             assert err.startswith("error: --grid") and err.count("\n") == 1, grid
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--n", "-2"), ("--n", "0"), ("--eps-target", "0"), ("--eps-target", "0.9"),
+        ("--f", "0.9"), ("--p-max", "nan")])
+    def test_bad_input_is_an_error(self, flag, value):
+        # --n -2 once never returned, and --f 0.9 escaped with a traceback
+        done = subprocess.run([sys.executable, "-m", "qrot.cli", "optimize",
+                               "--grid", "2,2,2", flag, value], env=_subprocess_env(),
+                              text=True, capture_output=True, timeout=60)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 class TestSimulate:
@@ -164,9 +183,7 @@ class TestRole:
     def test_two_processes_over_loopback(self):
         # one party per process over a real socket: the session completes
         # only if both ends derive the same payload bound from the config
-        src = str(Path(qrot.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _subprocess_env()
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = str(probe.getsockname()[1])

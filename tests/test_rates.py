@@ -5,6 +5,8 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qrot import bounds, rates
 from qrot.bounds import BoundsError, ProtocolParams, binary_entropy
@@ -104,6 +106,74 @@ class TestOptimizer:
     def test_infeasible_p_max(self):
         res = n_crit(1e-7, 0.05, 1.0, 0.0, 128, grid=(3, 3, 3))
         assert not res.feasible and res.n_crit == 0
+
+    @pytest.mark.parametrize("eps_target, p_max, n_target", [
+        (1e-7, 0.0114, 0), (1e-7, 0.0114, -2), (0.0, 0.0114, 128),
+        (-1e-7, 0.0114, 128), (0.9, 0.0114, 128), (math.nan, 0.0114, 128),
+        (1e-7, math.nan, 128), (1e-7, math.inf, 128), (1e-7, -math.inf, 128),
+    ])
+    def test_refuses_input_outside_contract(self, eps_target, p_max, n_target):
+        # n_target -2 once never returned, and a NaN p_max read "infeasible"
+        with pytest.raises(RatesError):
+            n_crit(eps_target, p_max, 1.0, 0.0, n_target, grid=(2, 2, 2))
+
+    def test_loosest_target_accepted(self):
+        assert n_crit(0.5, 0.0114, 1.0, 0.0, 1, grid=(2, 2, 2)).feasible
+
+
+# (alpha, delta1, delta2, p_max, f, p_multi) within the optimizer's ranges,
+# where the rate bracket is mostly positive
+_POINTS = st.tuples(st.floats(0.02, 0.5), st.floats(1e-5, 0.01), st.floats(1e-5, 0.05),
+                    st.floats(0.0, 0.015), st.floats(1.0, 1.3),
+                    st.one_of(st.just(0.0), st.floats(0.0, 0.005)))
+
+
+def _point_bound(point):
+    return bounds.PointBound(*point, experimental=point[-1] > 0.0)
+
+
+class TestMonotoneContract:
+    """Feasibility is monotone in N0 for targets up to 1/2, which
+    ``_min_n0_at`` relies on: it probes the cap first, then bisects."""
+
+    @given(point=_POINTS, n=st.integers(1, 1000),
+           extra=st.integers(0, 36).flatmap(lambda b: st.integers(0, 2 ** b)))
+    @settings(max_examples=300, deadline=None)
+    def test_total_falls_as_n0_grows(self, point, n, extra):
+        n0 = 4 * n + 8 + extra
+        try:
+            pb = _point_bound(point)
+            assume(pb.bracket > 0.0)
+            eps = pb.total(n0, n)
+        except BoundsError:  # an undefined bracket, or n_raw <= n
+            assume(False)
+        assert pb.total(n0 + 1, n) <= eps
+        assert pb.total(2 * n0, n) <= eps
+
+    def test_nonpositive_bracket_never_feasible(self):
+        # the leftover-hash term alone is 2**(0.5 * (n - n_raw * bracket) - 1)
+        rng = random.Random(7)
+        seen = 0
+        while seen < 200:
+            point = (rng.uniform(0.02, 0.5), rng.uniform(1e-5, 0.05),
+                     rng.uniform(1e-5, 0.08), rng.uniform(0.0, 0.1),
+                     rng.uniform(1.0, 2.0), rng.choice((0.0, rng.uniform(0.0, 0.2))))
+            try:
+                pb = _point_bound(point)
+            except BoundsError:
+                continue
+            if pb.bracket > 0.0:
+                continue
+            seen += 1
+            n = rng.choice((1, 16, 128))
+            for n0 in (4 * n + 8, rng.randrange(4 * n + 8, 10 ** 7),
+                       rng.randrange(10 ** 7, rates._N0_CAP), rates._N0_CAP):
+                try:
+                    assert pb.total(n0, n) >= 2 ** -0.5, (point, n, n0)
+                except BoundsError:  # n_raw <= n
+                    pass
+            args = point[:3] + (0.5,) + point[3:] + (n,)
+            assert rates._min_n0_at(*args) is None, point
 
 
 def _min_n0_reference(alpha, delta1, delta2, eps_target, p_max, f, p_multi,
@@ -250,28 +320,65 @@ class TestPrunedSearch:
                 assert got == exact, cap
 
     def test_cap_exact_on_any_feasible_set(self, monkeypatch):
-        # feasibility as a step at `tail` plus scattered points below it, so
-        # that it is not monotone in N0; caps at, and next to, every probe
+        # feasibility as a step at `tail`, the monotone shape the real bound
+        # has (TestMonotoneContract); caps at, and next to, every probe, and
+        # _N0_CAP. A tail of _N0_CAP lies past the top doubling probe, where
+        # the search returns None
         point = (0.3, 0.01, 0.01, 0.5, 0.01, 1.2, 0.0, 16)
         start = 4 * 16 + 8
         rng = random.Random(11)
-        cases = [(t, set()) for t in (start, start + 1, 2 * start + 1, 4 * start - 1,
-                                      4 * start + 1, 1000, 10 ** 12)]
-        cases += [(rng.randrange(start, 20000), set(rng.sample(range(start, 20000), 60)))
-                  for _ in range(30)]
-        for tail, scattered in cases:
+        tails = [start, start + 1, 2 * start + 1, 4 * start - 1, 4 * start + 1, 1000,
+                 rates._N0_CAP, 10 ** 12]
+        tails += [rng.randrange(start, 20000) for _ in range(30)]
+        for tail in tails:
             probes = []
 
             def step(n0):
                 probes.append(n0)
-                return 0.0 if n0 >= tail or n0 in scattered else 1.0
+                return 0.0 if n0 >= tail else 1.0
 
             _patch_bound(monkeypatch, step)
             exact = _min_n0_reference(*point)
-            for cap in sorted({c + d for c in probes for d in (-1, 0, 1)}):
+            caps = {c + d for c in probes for d in (-1, 0, 1)} | {rates._N0_CAP}
+            for cap in sorted(caps):
                 got = rates._min_n0_at(*point, cap=cap)
                 assert got == (exact if exact is not None and exact <= cap else None), \
                     (tail, cap)
+
+    def test_matches_reference_over_random_points(self):
+        # targets are the bound itself at a random N0, a quarter of them past
+        # the top doubling probe, so answers fall all the way up to _N0_CAP
+        rng = random.Random(21)
+        past_top = 0
+        for _ in range(1000):
+            n_target = rng.choice((1, 16, 128, rng.randrange(1, 2000)))
+            lo = 4 * n_target + 8
+            top = lo << ((rates._N0_CAP // lo).bit_length() - 1)
+            p_multi = rng.choice((0.0, rng.uniform(0.0, 0.01)))
+            point = (rng.uniform(0.02, 0.5), 10 ** rng.uniform(-5, -1.3),
+                     rng.uniform(1e-5, 0.08), rng.uniform(0.0, 0.03),
+                     rng.uniform(1.0, 1.4), p_multi)
+            n0 = (rng.randrange(top + 1, rates._N0_CAP + 1) if rng.random() < 0.25
+                  else round(lo * (rates._N0_CAP / lo) ** rng.random()))
+            try:
+                eps = _point_bound(point).total(n0, n_target)
+            except BoundsError:
+                eps = 0.0
+            reached = 0.0 < eps <= 0.5  # n0 itself is feasible
+            if not reached:
+                eps = 10 ** -rng.uniform(1, 12)
+            args = point[:3] + (eps,) + point[3:] + (n_target,)
+            exact = _min_n0_reference(*args)
+            past_top += reached and exact is None  # the answer is past `top`
+            caps = [lo, rng.randrange(lo, top + 1), top, top + 1,
+                    rng.randrange(top + 1, rates._N0_CAP + 1), rates._N0_CAP]
+            if exact is not None:
+                caps += [exact - 1, exact]
+            for cap in caps:
+                got = rates._min_n0_at(*args, cap=cap)
+                assert got == (exact if exact is not None and exact <= cap else None), \
+                    (args, cap)
+        assert past_top >= 10
 
     def test_ties_fall_to_the_key_comparison(self, monkeypatch):
         # every point needs the same N0, so the answer is decided by the
