@@ -1,4 +1,4 @@
-"""Bit-level primitives: packed bit strings, index sets and seeded randomness.
+"""Bit-level primitives: packed bit strings, subset bitmaps and seeded randomness.
 
 Bits are packed MSB-first within each byte, on the wire and in hash inputs.
 All types are immutable after construction except :class:`Rng`.
@@ -7,7 +7,7 @@ All types are immutable after construction except :class:`Rng`.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
@@ -114,73 +114,30 @@ class BitString:
         return struct.pack(">I", self.length) + self.payload
 
 
-class IndexSet:
-    """Sorted duplicate-free indices into a bit string of universe size N."""
-
-    __slots__ = ("universe", "indices")
-
-    def __init__(self, indices: Iterable[int] | np.ndarray, universe: int):
-        # always a copy: a set never shares memory with its caller's array
-        arr = np.array(indices if isinstance(indices, np.ndarray) else list(indices),
-                       dtype=np.int64)
-        # most sets arrive sorted (complements, sub-pools, wire bodies), and
-        # checking that is far cheaper than sorting; a strictly increasing
-        # array has no duplicates
-        resorted = not np.all(arr[1:] > arr[:-1])
-        if resorted:
-            arr.sort()
-        if arr.size:
-            if arr[0] < 0 or arr[-1] >= universe:
-                raise BitcoreError("index out of declared universe")
-            if resorted and np.any(arr[1:] == arr[:-1]):
-                raise BitcoreError("duplicate index")
-        arr.setflags(write=False)
-        self.universe = universe
-        self.indices = arr
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-    def __iter__(self):
-        return iter(self.indices.tolist())
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, IndexSet) and other.universe == self.universe
-                and bool(np.array_equal(other.indices, self.indices)))
-
-    def __hash__(self) -> int:
-        return hash((self.universe, self.indices.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"IndexSet({self.indices.tolist()[:16]}, N={self.universe})"
-
-    def complement(self) -> "IndexSet":
-        mask = np.ones(self.universe, dtype=bool)
-        mask[self.indices] = False
-        return IndexSet(np.nonzero(mask)[0], self.universe)
-
-    def membership_mask(self) -> np.ndarray:
-        mask = np.zeros(self.universe, dtype=bool)
-        mask[self.indices] = True
-        return mask
-
-    # -- wire form: 4-byte big-endian indices; the config fixes the count --
-
-    def serialize(self) -> bytes:
-        return self.indices.astype(">u4").tobytes()
-
-    @classmethod
-    def parse(cls, raw: bytes, universe: int) -> "IndexSet":
-        return cls(np.frombuffer(raw, dtype=">u4"), universe)
+def pack_subset(mask: np.ndarray) -> bytes:
+    """Wire form of a subset: its bool mask as a bitmap, MSB-first, pad zero."""
+    return np.packbits(mask).tobytes()
 
 
-def extract(x: BitString, s: IndexSet) -> BitString:
-    """Restriction of ``x`` to the positions in ``s``, in ascending order."""
-    if s.universe > x.length or (len(s) and s.indices[-1] >= x.length):
-        raise BitcoreError("index set exceeds bit string length")
-    if len(s) == 0:
-        return BitString.zeros(0)
-    return BitString.from_bits(x.bits()[s.indices])
+def parse_subset(raw: bytes, universe: int, size: int) -> np.ndarray:
+    """Bool mask of a received subset bitmap over ``universe`` positions.
+
+    Refuses a payload of the wrong length, a set pad bit and a subset of any
+    size but ``size``.
+    """
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    if buf.size != (universe + 7) // 8:
+        raise BitcoreError(f"{buf.size} bytes cannot hold a bitmap of {universe} bits")
+    if universe % 8 and buf[-1] & (0xFF >> universe % 8):
+        raise BitcoreError("pad bit set in a subset bitmap")
+    if _bit_count(buf) != size:
+        raise BitcoreError(f"subset bitmap does not hold {size} members")
+    return np.unpackbits(buf, count=universe).view(bool)
+
+
+def extract(x: BitString, idx: np.ndarray) -> BitString:
+    """Restriction of ``x`` to the positions ``idx``, in their order."""
+    return BitString.from_bits(x.bits()[idx])
 
 
 class Rng:
@@ -243,16 +200,19 @@ class Rng:
         return out
 
 
-def sample_subset(rng: Rng, universe: int, size: int) -> IndexSet:
-    """Uniform ``size``-subset of {0..universe-1} via a partial Fisher-Yates shuffle."""
+def sample_subset(rng: Rng, universe: int, size: int) -> np.ndarray:
+    """Bool mask of a uniform ``size``-subset of {0..universe-1}, drawn by a
+    partial Fisher-Yates shuffle."""
     if size > universe:
         raise BitcoreError("subset larger than universe")
+    mask = np.zeros(universe, dtype=bool)
     if size == 0:
-        return IndexSet([], universe)
+        return mask
     from qrot._kernels import fisher_yates_partial
 
     perm = np.arange(universe, dtype=np.int64)
     # j[i] uniform in [i, universe)
     j = np.arange(size, dtype=np.int64) + rng.randbelow_array(universe - np.arange(size))
     fisher_yates_partial(perm, j)
-    return IndexSet(perm[:size], universe)
+    mask[perm[:size]] = True
+    return mask

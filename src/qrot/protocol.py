@@ -5,10 +5,10 @@ the session is one fixed message sequence: the sender opens with HELLO (the
 serialized config) and the commitment challenge in one flight, the receiver
 commits to all basis/outcome pairs, the sender names a test subset, the
 receiver opens it, the sender checks the error rate and discloses her
-remaining bases, the receiver sends an ordered pair of index sets, the sender
-answers with syndromes for both halves plus the hashing seed. Each party
-declares the messages it reads, in order, as its ``reads`` tuple; any other
-message at any step ends the session.
+remaining bases, the receiver sends an ordered pair of subsets of the untested
+rounds, the sender answers with syndromes for both halves plus the hashing
+seed. Each party declares the messages it reads, in order, as its ``reads``
+tuple; any other message at any step ends the session.
 
 HELLO is the one handshake message and gets no reply: the receiver accepts it
 only if its bytes equal his own ``config.serialize()``, so he never builds
@@ -19,13 +19,15 @@ pair and m_1 the second. The receiver places his matched-basis set at pair
 position c, so he can decode exactly the position-c string; the chosen-string
 relation receiver.m_c == sender.(m_0, m_1)[c] holds by construction.
 
-Wire format (``PROTOCOL_VERSION`` 4): no payload carries a count or length
+Wire format (``PROTOCOL_VERSION`` 5): no payload carries a count or length
 header. The config fixes the exact length of every message but ABORT
 (``declared_payload_sizes``), and nothing else bounds a message's size:
 ``_Session.on_frame`` checks the type and that length once, before any
-handler reads the payload, each handler builds its bit strings and index
-sets at the sizes the config implies, and ``qrot role`` bounds its socket
-records by the largest declared payload.
+handler reads the payload, each handler builds its bit strings and subset
+bitmaps at the sizes the config implies, and ``qrot role`` bounds its socket
+records by the largest declared payload. A subset travels as a bitmap: the
+test set over all N0 rounds, each separation half over the untested rounds
+in ascending order, the order of the BASES bit string.
 
 Every unexpected or malformed message ends the session with a typed abort;
 no path finishes a session with inconsistent outputs.
@@ -40,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from qrot import commit, pamp, qsim, recon, wire
-from qrot.bitcore import BitString, IndexSet, Rng, extract, sample_subset
+from qrot.bitcore import (BitString, Rng, extract, pack_subset, parse_subset,
+                           sample_subset)
 from qrot.bounds import ProtocolParams
 from qrot.wire import Frame
 
@@ -71,7 +74,7 @@ class AbortReason(enum.IntEnum):
     TRANSPORT = 0x06
 
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 _BACKEND_CODES = {recon.BACKEND_TRIVIAL: 0, recon.BACKEND_LDPC: 1}
 
@@ -125,8 +128,8 @@ def declared_payload_sizes(config: SessionConfig) -> dict:
 
     ``_Session.on_frame`` ends the session with PROTOCOL_ERROR on a payload
     of any other length, and the leak-ledger tests check the transcript
-    against these numbers. Bit strings are packed MSB-first; index sets are
-    4-byte big-endian indices.
+    against these numbers. Bit strings and subset bitmaps are packed
+    MSB-first.
     """
     p = config.params
     cp = config.commit_params
@@ -134,10 +137,10 @@ def declared_payload_sizes(config: SessionConfig) -> dict:
         Msg.HELLO: _CONFIG_STRUCT.size,
         Msg.CHALLENGE: (cp.n_r + 7) // 8,
         Msg.COMMITMENTS: p.n0 * cp.com_bytes,
-        Msg.TEST_SET: 4 * p.n_test,
+        Msg.TEST_SET: (p.n0 + 7) // 8,
         Msg.OPENINGS: p.n_test * (1 + cp.seed_bytes),
         Msg.BASES: (p.n0 - p.n_test + 7) // 8,
-        Msg.SEP: 2 * 4 * p.n_raw,
+        Msg.SEP: 2 * ((p.n0 - p.n_test + 7) // 8),
         Msg.SYNDROMES: 2 * config.ir_params.record_bytes,
         Msg.HASH_SEED: (p.n_raw + p.n - 1 + 7) // 8,
     }
@@ -264,7 +267,8 @@ class SenderSession(_Session):
         super().__init__(config, view, rng)
         self.challenge: commit.Challenge | None = None
         self.coms: np.ndarray | None = None
-        self.test_set: IndexSet | None = None
+        self.tested: np.ndarray | None = None  # round indices, ascending
+        self.untested: np.ndarray | None = None
         self.output: SenderOutput | None = None
         self.qber_estimate: float | None = None
 
@@ -282,8 +286,10 @@ class SenderSession(_Session):
         p = self.config.params
         cp = self.config.commit_params
         self.coms = np.frombuffer(payload, np.uint8).reshape(p.n0, cp.com_bytes)
-        self.test_set = sample_subset(self.rng, p.n0, p.n_test)
-        return [self._send(Msg.TEST_SET, self.test_set.serialize())]
+        test_mask = sample_subset(self.rng, p.n0, p.n_test)
+        self.tested = np.flatnonzero(test_mask)
+        self.untested = np.flatnonzero(~test_mask)
+        return [self._send(Msg.TEST_SET, pack_subset(test_mask))]
 
     def _on_openings(self, payload: bytes) -> list[Frame]:
         p = self.config.params
@@ -292,13 +298,13 @@ class SenderSession(_Session):
         if (body[:, 0] & 0x3F).any():  # the (basis, outcome) pair is bits 7 and 6
             return self._abort(AbortReason.PROTOCOL_ERROR)
         msgs = np.stack([body[:, 0] >> 7, (body[:, 0] >> 6) & 1], axis=1)
-        ok = commit.verify_batch(self.coms[self.test_set.indices], msgs,
+        ok = commit.verify_batch(self.coms[self.tested], msgs,
                                  body[:, 1:], self.challenge, cp)
         if not ok.all():
             return self._abort(AbortReason.TEST_FAILED)
 
-        theta_a = self.view.theta.bits()[self.test_set.indices]
-        x_a = self.view.x.bits()[self.test_set.indices]
+        theta_a = self.view.theta.bits()[self.tested]
+        x_a = self.view.x.bits()[self.tested]
         matched = msgs[:, 0] == theta_a
         if int(matched.sum()) < p.n_check:
             return self._abort(AbortReason.TEST_FAILED)
@@ -307,22 +313,18 @@ class SenderSession(_Session):
         if p_est > p.p_max:
             return self._abort(AbortReason.TEST_FAILED)
 
-        rest = self.test_set.complement()
-        return [self._send(Msg.BASES, extract(self.view.theta, rest).payload)]
+        return [self._send(Msg.BASES, extract(self.view.theta, self.untested).payload)]
 
     def _on_sep(self, payload: bytes) -> list[Frame]:
         p = self.config.params
         half = len(payload) // 2
-        first = IndexSet.parse(payload[:half], p.n0)
-        second = IndexSet.parse(payload[half:], p.n0)
-        taken = self.test_set.membership_mask()
-        if taken[first.indices].any():
-            return self._abort(AbortReason.PROTOCOL_ERROR)
-        taken[first.indices] = True  # second must avoid the test set and first
-        if taken[second.indices].any():
+        first = parse_subset(payload[:half], self.untested.size, p.n_raw)
+        second = parse_subset(payload[half:], self.untested.size, p.n_raw)
+        if (first & second).any():
             return self._abort(AbortReason.PROTOCOL_ERROR)
 
-        x0, x1 = extract(self.view.x, first), extract(self.view.x, second)
+        x0 = extract(self.view.x, self.untested[np.flatnonzero(first)])
+        x1 = extract(self.view.x, self.untested[np.flatnonzero(second)])
         ir = self.config.ir_params
         s0, s1 = recon.syn(x0, ir), recon.syn(x1, ir)
         seed = pamp.sample_seed(self.rng, p.n_raw, p.n)
@@ -344,7 +346,8 @@ class ReceiverSession(_Session):
         self.challenge: commit.Challenge | None = None
         self.msgs: np.ndarray | None = None
         self.seeds: np.ndarray | None = None
-        self.i0: IndexSet | None = None
+        self.untested: np.ndarray | None = None  # round indices, ascending
+        self.i0: np.ndarray | None = None  # the matched-basis rounds he keeps
         self.choice: int | None = None
         self.decoded: BitString | None = None
         self.output: ReceiverOutput | None = None
@@ -370,8 +373,10 @@ class ReceiverSession(_Session):
         return [self._send(Msg.COMMITMENTS, coms.tobytes())]
 
     def _on_test_set(self, payload: bytes) -> list[Frame]:
-        self.test_set = IndexSet.parse(payload, self.config.params.n0)
-        tested = self.test_set.indices
+        p = self.config.params
+        test_mask = parse_subset(payload, p.n0, p.n_test)
+        tested = np.flatnonzero(test_mask)
+        self.untested = np.flatnonzero(~test_mask)
         opened = self.msgs[tested]
         msg_byte = (opened[:, 0] << 7 | opened[:, 1] << 6).astype(np.uint8)
         records = np.concatenate([msg_byte[:, None], self.seeds[tested]], axis=1)
@@ -379,19 +384,22 @@ class ReceiverSession(_Session):
 
     def _on_bases(self, payload: bytes) -> list[Frame]:
         p = self.config.params
-        rest = self.test_set.complement()
-        theta_a = BitString(payload, len(rest))
-        match = theta_a.bits() == self.view.theta.bits()[rest.indices]
-        matching = rest.indices[match]
-        differing = rest.indices[~match]
+        rest = self.untested.size
+        theta_a = BitString(payload, rest)
+        match = theta_a.bits() == self.view.theta.bits()[self.untested]
+        # positions among the untested rounds, the universe of a SEP half
+        matching, differing = np.flatnonzero(match), np.flatnonzero(~match)
         if matching.size < p.n_raw or differing.size < p.n_raw:
             return self._abort(AbortReason.INSUFFICIENT_BASES)
 
         self.choice = self.rng.bytes(1)[0] & 1
-        self.i0 = _pick(self.rng, matching, p.n_raw, p.n0)
-        i1 = _pick(self.rng, differing, p.n_raw, p.n0)
-        pair = (self.i0, i1) if self.choice == 0 else (i1, self.i0)
-        return [self._send(Msg.SEP, pair[0].serialize() + pair[1].serialize())]
+        i0 = _pick(self.rng, matching, p.n_raw)
+        i1 = _pick(self.rng, differing, p.n_raw)
+        self.i0 = self.untested[i0]
+        halves = [np.zeros(rest, dtype=bool) for _ in range(2)]
+        halves[self.choice][i0] = True
+        halves[1 - self.choice][i1] = True
+        return [self._send(Msg.SEP, pack_subset(halves[0]) + pack_subset(halves[1]))]
 
     def _on_syndromes(self, payload: bytes) -> list[Frame]:
         ir = self.config.ir_params
@@ -411,10 +419,9 @@ class ReceiverSession(_Session):
         return []
 
 
-def _pick(rng: Rng, pool: np.ndarray, size: int, universe: int) -> IndexSet:
-    """Uniform size-subset of the candidate pool, as global indices."""
-    sub = sample_subset(rng, pool.size, size)
-    return IndexSet(pool[sub.indices], universe)
+def _pick(rng: Rng, pool: np.ndarray, size: int) -> np.ndarray:
+    """Uniform size-subset of the ascending candidate pool, ascending."""
+    return pool[np.flatnonzero(sample_subset(rng, pool.size, size))]
 
 
 # ---------------------------------------------------------------------------

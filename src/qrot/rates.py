@@ -59,8 +59,9 @@ def asymptotic_key_rate(p_max: float, f: float, alpha: float = 0.0,
 
 def p_crit(f: float) -> float:
     """Error rate at which the asymptotic key rate hits zero (bisection)."""
-    if f < 1.0:
-        raise RatesError("IR efficiency below the Shannon limit")
+    if not 1.0 <= f < math.inf:  # NaN fails both comparisons
+        raise RatesError("IR efficiency must be finite and at least 1, "
+                         "the Shannon limit")
     lo, hi = 0.0, 0.25 - 1e-9
 
     def g(p: float) -> float:
@@ -157,7 +158,8 @@ def n_crit(eps_target: float, p_max: float, f: float, p_multi: float,
     tie, so it costs one probe, and the result is that of searching every
     point to the end, to the bit. Input outside this contract (see
     ``_min_n0_at``) raises RatesError: ``n_target < 1``, ``eps_target``
-    outside (0, 1/2] or NaN, and a non-finite ``p_max``.
+    outside (0, 1/2] or NaN, a non-finite ``p_max``, a ``p_multi`` that is
+    negative or not finite, and an ``f`` that ``p_crit`` refuses.
     """
     if n_target < 1:
         raise RatesError("output length must be at least 1 bit")
@@ -165,6 +167,8 @@ def n_crit(eps_target: float, p_max: float, f: float, p_multi: float,
         raise RatesError("target bound must be in (0, 1/2]")
     if not math.isfinite(p_max):
         raise RatesError("max error rate must be finite")
+    if not 0.0 <= p_multi < math.inf:
+        raise RatesError("multi-photon rate must be finite and non-negative")
     gap = p_crit(f) - p_max
     if gap <= 0.0:
         return OptimizeResult(0, 0.0, 0.0, 0.0, math.inf, n_target, False)

@@ -1,11 +1,12 @@
 """Framed duplex transport.
 
-A frame is a 4-byte big-endian sequence number, a type byte, the payload and
-a CRC32 of type and payload; it carries no length of its own. Two backends
-share the encoding: an in-process queue pair for tests and simulation, where
-the length is the raw object's, and a socket stream for two-machine runs,
-where it is the record prefix, bounded by the endpoint's ``max_payload``.
-Both number frames sequentially so reordering or loss is detected.
+A frame is a type byte, the payload and a CRC32 of type and payload; it
+carries no length or sequence number of its own. Two backends share the
+encoding: an in-process queue pair for tests and simulation, where the length
+is the raw object's, and a socket stream for two-machine runs, where it is the
+record prefix, bounded by the endpoint's ``max_payload``. Neither reorders
+frames, and each protocol end reads a fixed script of distinct message types,
+so a lost or repeated frame ends the session there.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ import zlib
 from dataclasses import dataclass
 
 DEFAULT_TIMEOUT = 30.0
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
-_SEQ = struct.Struct(">I")
 _HEADER = struct.Struct(">B")
 _CRC = struct.Struct(">I")
-FRAME_OVERHEAD = _SEQ.size + _HEADER.size + _CRC.size  # every frame byte but the payload
+FRAME_OVERHEAD = _HEADER.size + _CRC.size  # every frame byte but the payload
 
 
 class WireError(ConnectionError):
@@ -42,19 +42,16 @@ class Frame:
         if not 0 <= self.type_code <= 0xFF:
             raise WireError("type code must fit one byte")
 
-    def encode(self, seq: int) -> bytes:
+    def encode(self) -> bytes:
         head = _HEADER.pack(self.type_code)
         crc = _CRC.pack(zlib.crc32(self.payload, zlib.crc32(head)))
-        return b"".join((_SEQ.pack(seq & 0xFFFFFFFF), head, self.payload, crc))
+        return b"".join((head, self.payload, crc))
 
 
-def _decode(raw: bytes, expect_seq: int) -> Frame:
+def _decode(raw: bytes) -> Frame:
     if len(raw) < FRAME_OVERHEAD:
         raise WireError("truncated frame")
-    seq = _SEQ.unpack_from(raw)[0]
-    if seq != expect_seq & 0xFFFFFFFF:
-        raise WireError(f"frame sequence gap: got {seq}, wanted {expect_seq}")
-    body, crc = memoryview(raw)[_SEQ.size:-_CRC.size], _CRC.unpack(raw[-_CRC.size:])[0]
+    body, crc = memoryview(raw)[:-_CRC.size], _CRC.unpack(raw[-_CRC.size:])[0]
     if zlib.crc32(body) != crc:
         raise WireError("frame checksum mismatch")
     return Frame(body[0], bytes(body[_HEADER.size:]))
@@ -64,33 +61,25 @@ class Connection:
     """One endpoint of a duplex framed stream."""
 
     def __init__(self):
-        self._send_seq = 0
-        self._recv_seq = 0
         self._dead = False
 
     def send(self, frame: Frame) -> None:
         if self._dead:
             raise WireError("connection closed")
         try:
-            self._send_raw(frame.encode(self._send_seq))
+            self._send_raw(frame.encode())
         except WireError:
             self._dead = True
             raise
-        self._send_seq += 1
 
     def recv(self, timeout: float = DEFAULT_TIMEOUT) -> Frame:
         if self._dead:
             raise WireError("connection closed")
         try:
-            raw = self._recv_raw(timeout)
-            frame = _decode(raw, self._recv_seq)
-        except Timeout:
-            raise
-        except WireError:
+            return _decode(self._recv_raw(timeout))
+        except WireError:  # a Timeout leaves the connection usable
             self._dead = True
             raise
-        self._recv_seq += 1
-        return frame
 
     def close(self) -> None:
         self._dead = True

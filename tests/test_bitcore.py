@@ -4,8 +4,8 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrot.bitcore import (BitString, BitcoreError, IndexSet, Rng, extract,
-                          sample_subset)
+from qrot.bitcore import (BitString, BitcoreError, Rng, extract, pack_subset,
+                          parse_subset, sample_subset)
 from draws import uniform
 
 
@@ -69,85 +69,54 @@ class TestBitString:
                 BitString(raw, 9)
 
 
-class TestIndexSet:
-    def test_sorted_unique(self):
-        s = IndexSet([4, 1, 7], 10)
-        assert s.indices.tolist() == [1, 4, 7]
+class TestSubsetBitmap:
+    @given(st.lists(st.booleans(), max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, members):
+        m = np.array(members, dtype=bool)
+        assert np.array_equal(parse_subset(pack_subset(m), len(m), int(m.sum())), m)
 
-    def test_rejects_duplicates_and_range(self):
-        with pytest.raises(BitcoreError):
-            IndexSet([1, 1], 4)
-        with pytest.raises(BitcoreError):
-            IndexSet([4], 4)
+    def test_msb_first_with_zero_pad(self):
+        m = np.zeros(10, dtype=bool)
+        m[[0, 3, 9]] = True
+        assert pack_subset(m) == bytes([0b10010000, 0b01000000])
 
-    def test_complement_partitions(self):
-        s = IndexSet([0, 2, 5], 6)
-        c = s.complement()
-        assert c.indices.tolist() == [1, 3, 4]
-        assert np.all(s.membership_mask() ^ c.membership_mask())
-
-    def test_wire_round_trip(self):
-        s = IndexSet([3, 0, 9], 16)
-        assert s.serialize() == np.array([0, 3, 9], ">u4").tobytes()
-        assert IndexSet.parse(s.serialize(), 16) == s
-
-    # a strictly increasing input skips the sort and the duplicate check
-
-    def test_sorted_input_is_copied(self):
-        arr = np.array([1, 4, 7], dtype=np.int64)
-        s = IndexSet(arr, 10)
-        arr[0] = 9
-        assert s.indices.tolist() == [1, 4, 7]
-        assert not np.shares_memory(s.indices, arr)
-        assert not s.indices.flags.writeable
-
-    @pytest.mark.parametrize("indices", [[7, 1, 4], [1, 7, 4], [7, 4, 1], [4, 5, 1]])
-    def test_unsorted_input_comes_out_sorted(self, indices):
-        s = IndexSet(np.array(indices), 10)
-        assert s.indices.tolist() == sorted(indices)
-        assert s.indices.dtype == np.int64
-
-    @pytest.mark.parametrize("indices", [[1, 1], [0, 3, 3, 5], [3, 1, 3], [5, 0, 5, 2]])
-    def test_duplicate_rejected_sorted_or_not(self, indices):
-        for form in (indices, np.array(indices)):
-            with pytest.raises(BitcoreError, match="duplicate"):
-                IndexSet(form, 10)
-
-    @pytest.mark.parametrize("indices", [[10], [0, 10], [-1], [-1, 3], [3, -1], [12, 2]])
-    def test_out_of_range_rejected_sorted_or_not(self, indices):
-        for form in (indices, np.array(indices)):
-            with pytest.raises(BitcoreError, match="universe"):
-                IndexSet(form, 10)
-
-    def test_parse_sorts_an_unsorted_body(self):
-        body = np.array([9, 0, 3], dtype=">u4").tobytes()
-        parsed = IndexSet.parse(body, 16)
-        assert parsed.indices.tolist() == [0, 3, 9]
-        assert parsed == IndexSet([3, 0, 9], 16)
-        with pytest.raises(BitcoreError, match="duplicate"):
-            IndexSet.parse(np.array([9, 0, 9], ">u4").tobytes(), 16)
+    # a bitmap over 10 positions holding {0, 3, 9} is 0b10010000 0b01000000
+    @pytest.mark.parametrize("raw, size, match", [
+        (bytes([0b10010000, 0b01100000]), 4, "pad"),
+        (bytes([0b10010000, 0b01000001]), 4, "pad"),
+        (bytes([0b10010000, 0b01000000]), 2, "members"),
+        (bytes([0b10010000, 0b01000000]), 4, "members"),
+        (bytes([0b10010000]), 3, "bytes"),
+        (bytes([0b10010000, 0b01000000, 0]), 3, "bytes"),
+    ], ids=["pad_bit_10", "pad_bit_15", "one_too_many", "one_too_few",
+            "byte_short", "byte_over"])
+    def test_malformed_bitmap_refused(self, raw, size, match):
+        assert parse_subset(bytes([0b10010000, 0b01000000]), 10, 3).sum() == 3
+        with pytest.raises(BitcoreError, match=match):
+            parse_subset(raw, 10, size)
 
 
 class TestExtract:
     def test_restriction_reads_positions_in_order(self):
         x = BitString.from_bits([1, 0, 1, 1, 0])
-        got = extract(x, IndexSet([0, 2, 4], 5))
+        got = extract(x, np.array([0, 2, 4]))
         assert got.bits().tolist() == [1, 1, 0]
 
     def test_empty_selection(self):
-        assert extract(BitString.from_bits([1, 1]), IndexSet([], 2)).length == 0
+        assert extract(BitString.from_bits([1, 1]), np.array([], np.int64)).length == 0
 
     def test_out_of_range(self):
-        with pytest.raises(BitcoreError):
-            extract(BitString.from_bits([1]), IndexSet([0], 5))
+        with pytest.raises(IndexError):
+            extract(BitString.from_bits([1]), np.array([0, 1]))
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=64),
            st.data())
     @settings(max_examples=100, deadline=None)
     def test_matches_direct_indexing(self, bits, data):
-        idx = data.draw(st.lists(st.integers(0, len(bits) - 1), unique=True))
-        got = extract(BitString.from_bits(bits), IndexSet(idx, len(bits)))
-        assert got.bits().tolist() == [bits[i] for i in sorted(idx)]
+        idx = sorted(data.draw(st.lists(st.integers(0, len(bits) - 1), unique=True)))
+        got = extract(BitString.from_bits(bits), np.array(idx, np.int64))
+        assert got.bits().tolist() == [bits[i] for i in idx]
 
 
 class TestRelativeHamming:
@@ -264,7 +233,7 @@ class TestRng:
 class TestSampleSubset:
     def test_size_and_range(self):
         s = sample_subset(Rng.from_int(3), 100, 10)
-        assert len(s) == 10 and s.universe == 100
+        assert s.dtype == bool and s.size == 100 and s.sum() == 10
 
     def test_all_subsets_near_uniform(self):
         # C(4,2)=6 outcomes; chi-square-ish tolerance over 6000 draws
@@ -272,15 +241,15 @@ class TestSampleSubset:
         counts = {}
         trials = 6000
         for _ in range(trials):
-            key = tuple(sample_subset(rng, 4, 2).indices.tolist())
+            key = tuple(np.flatnonzero(sample_subset(rng, 4, 2)).tolist())
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 6
         for v in counts.values():
             assert abs(v - trials / 6) < 4 * (trials / 6) ** 0.5
 
     def test_full_and_empty(self):
-        assert len(sample_subset(Rng.from_int(5), 7, 7)) == 7
-        assert len(sample_subset(Rng.from_int(5), 7, 0)) == 0
+        assert sample_subset(Rng.from_int(5), 7, 7).all()
+        assert not sample_subset(Rng.from_int(5), 7, 0).any()
 
     def test_oversized_rejected(self):
         with pytest.raises(BitcoreError):

@@ -102,9 +102,11 @@ class TestOptimize:
 
     @pytest.mark.parametrize("flag,value", [
         ("--n", "-2"), ("--n", "0"), ("--eps-target", "0"), ("--eps-target", "0.9"),
-        ("--f", "0.9"), ("--p-max", "nan")])
+        ("--f", "0.9"), ("--p-max", "nan"), ("--f", "nan"), ("--f", "inf"),
+        ("--p-multi", "-1"), ("--p-multi", "nan"), ("--p-multi", "inf")])
     def test_bad_input_is_an_error(self, flag, value):
-        # --n -2 once never returned, and --f 0.9 escaped with a traceback
+        # --n -2 once never returned, --f 0.9 escaped with a traceback, and
+        # --f nan and --p-multi -1 read "infeasible"
         done = subprocess.run([sys.executable, "-m", "qrot.cli", "optimize",
                                "--grid", "2,2,2", flag, value], env=_subprocess_env(),
                               text=True, capture_output=True, timeout=60)

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import queue
 import struct
 import threading
 from dataclasses import replace
@@ -9,7 +10,8 @@ import pytest
 import scipy.stats
 
 from qrot import protocol, qsim, recon, wire
-from qrot.bitcore import BitString, IndexSet, Rng
+from qrot.bitcore import BitString, Rng, pack_subset, parse_subset
+from qrot.bounds import TABLE1_PARAMS
 from qrot.protocol import (AbortReason, Msg, SessionConfig,
                            declared_payload_sizes, desk_config, drive, parties,
                            run_parties, run_session)
@@ -54,8 +56,8 @@ class TestSessionConfig:
     @pytest.mark.parametrize("field", range(len(_HELLO_FIELDS)),
                              ids=[name for name, _ in _HELLO_FIELDS])
     def test_hello_must_match_byte_for_byte(self, field):
-        # one flipped bit in the last byte of any field: the version (4 ->
-        # 5), the backend code (LDPC -> trivial), n0, or a float's lowest
+        # one flipped bit in the last byte of any field: the version (5 ->
+        # 4), the backend code (LDPC -> trivial), n0, or a float's lowest
         # mantissa bit
         cfg = desk_config(n0=8192, ir_backend=recon.BACKEND_LDPC)
         codes = ">" + "".join(code for _, code in _HELLO_FIELDS)
@@ -189,12 +191,28 @@ class TestDriver:
     def test_corrupted_frame_is_transport_not_raised(self):
         sender, receiver = parties(SMALL, NOISELESS, 16)
         conn_a, conn_b = wire.queue_pair()
-        raw = bytearray(wire.Frame(Msg.HELLO, SMALL.serialize()).encode(0))
+        raw = bytearray(wire.Frame(Msg.HELLO, SMALL.serialize()).encode())
         raw[-1] ^= 0xFF  # checksum no longer matches
         conn_a._send_raw(bytes(raw))
         drive((sender, conn_a), (receiver, conn_b), timeout=0)
         assert receiver.abort_reason == AbortReason.TRANSPORT
         assert sender.abort_reason == AbortReason.TRANSPORT
+        assert sender.output is None and receiver.output is None
+
+    def test_duplicated_frames_are_protocol_error(self):
+        # a frame has no sequence number: each end's script of distinct
+        # message types refuses the repeat
+        class Doubling(wire.QueueConnection):
+            def _send_raw(self, raw):
+                super()._send_raw(raw)
+                super()._send_raw(raw)
+
+        a_to_b, b_to_a = queue.Queue(), queue.Queue()
+        sender, receiver = parties(SMALL, NOISELESS, 16)
+        drive((sender, Doubling(b_to_a, a_to_b)),
+              (receiver, Doubling(a_to_b, b_to_a)), timeout=0)
+        assert receiver.abort_reason == AbortReason.PROTOCOL_ERROR
+        assert sender.abort_reason == AbortReason.PROTOCOL_ERROR
         assert sender.output is None and receiver.output is None
 
     @pytest.mark.parametrize("payload", [b"", b"\x99"])
@@ -299,41 +317,64 @@ def _party_awaiting(config, seed, msg):
         pending.extend((peer[to], out) for out in to.on_frame(frame))
 
 
-def _with_member(s: IndexSet, value: int) -> IndexSet:
-    """``s`` with its first index replaced by ``value``; same size."""
-    return IndexSet(np.concatenate([[value], s.indices[1:]]), s.universe)
+class TestTestSetBitmap:
+    ODD = desk_config(n0=8191)  # N0 % 8 != 0, so the bitmap has a pad bit
+
+    @pytest.mark.parametrize("fault", ["pad_bit", "one_more_member"])
+    def test_malformed_test_set_aborts(self, fault):
+        p = self.ODD.params
+        receiver, payload = _party_awaiting(self.ODD, 41, Msg.TEST_SET)
+        if fault == "pad_bit":
+            bad = payload[:-1] + bytes([payload[-1] | 1])
+        else:
+            mask = parse_subset(payload, p.n0, p.n_test).copy()
+            mask[np.flatnonzero(~mask)[0]] = True
+            bad = pack_subset(mask)
+        assert len(bad) == len(payload)
+        cheated = copy.copy(receiver)
+        out = cheated.on_frame(wire.Frame(Msg.TEST_SET, bad))
+        assert cheated.abort_reason == AbortReason.PROTOCOL_ERROR
+        assert [f.type_code for f in out] == [Msg.ABORT]
+        assert [f.type_code for f in receiver.on_frame(
+            wire.Frame(Msg.TEST_SET, payload))] == [Msg.OPENINGS]
 
 
 class TestSepDisjointness:
     SEED = 40
 
     def _split(self, payload):
+        p = SMALL.params
         half = len(payload) // 2
-        return (IndexSet.parse(payload[:half], SMALL.params.n0),
-                IndexSet.parse(payload[half:], SMALL.params.n0))
+        return [parse_subset(part, p.n0 - p.n_test, p.n_raw).copy()
+                for part in (payload[:half], payload[half:])]
+
+    def _assert_refused(self, sender, halves):
+        out = sender.on_frame(wire.Frame(Msg.SEP, b"".join(map(pack_subset, halves))))
+        assert sender.abort_reason == AbortReason.PROTOCOL_ERROR
+        assert out[0].type_code == Msg.ABORT and sender.output is None
 
     def test_honest_pair_accepted(self):
         sender, payload = _sender_at_sep(self.SEED)
         sender.on_frame(wire.Frame(Msg.SEP, payload))
         assert sender.abort_reason is None and sender.output is not None
 
-    @pytest.mark.parametrize("overlap", ["first_second", "first_test",
-                                         "second_test"])
+    @pytest.mark.parametrize("overlap", ["first_second", "second_first"])
     def test_overlapping_sets_abort(self, overlap):
+        # one half swaps a member of its own for one of the other half
         sender, payload = _sender_at_sep(self.SEED)
-        first, second = self._split(payload)
-        tested = int(sender.test_set.indices[0])
-        if overlap == "first_second":
-            second = _with_member(second, int(first.indices[0]))
-        elif overlap == "first_test":
-            first = _with_member(first, tested)
-        else:
-            second = _with_member(second, tested)
-        assert len(first) == len(second) == SMALL.params.n_raw
-        out = sender.on_frame(wire.Frame(Msg.SEP,
-                                         first.serialize() + second.serialize()))
-        assert sender.abort_reason == AbortReason.PROTOCOL_ERROR
-        assert out[0].type_code == Msg.ABORT and sender.output is None
+        halves = self._split(payload)
+        give, take = (0, 1) if overlap == "first_second" else (1, 0)
+        halves[take][np.flatnonzero(halves[take])[0]] = False
+        halves[take][np.flatnonzero(halves[give])[0]] = True
+        assert [int(h.sum()) for h in halves] == [SMALL.params.n_raw] * 2
+        self._assert_refused(sender, halves)
+
+    @pytest.mark.parametrize("short", [0, 1])
+    def test_half_one_member_short_aborts(self, short):
+        sender, payload = _sender_at_sep(self.SEED)
+        halves = self._split(payload)
+        halves[short][np.flatnonzero(halves[short])[0]] = False
+        self._assert_refused(sender, halves)
 
 
 class TestLeakLedger:
@@ -342,6 +383,18 @@ class TestLeakLedger:
         for msg, size in declared_payload_sizes(SMALL).items():
             assert res.sender_transcript.payload_bytes(msg) == size
             assert res.receiver_transcript.payload_bytes(msg) == size
+
+    @pytest.mark.parametrize("point, test_set, sep, total", [
+        ("table1", 732_500, 952_252, 88_944_146),
+        ("desk", 8_192, 12_288, 539_331)], ids=["table1", "desk"])
+    def test_ldpc_sizes_pinned(self, point, test_set, sep, total):
+        # subsets travel as bitmaps: TEST_SET over N0, each SEP half over
+        # the N0 - N_test untested rounds
+        cfg = (SessionConfig(TABLE1_PARAMS, ir_backend=recon.BACKEND_LDPC)
+               if point == "table1" else desk_config(ir_backend=recon.BACKEND_LDPC))
+        sizes = declared_payload_sizes(cfg)
+        assert (sizes[Msg.TEST_SET], sizes[Msg.SEP]) == (test_set, sep)
+        assert sum(sizes.values()) == total
 
     def test_every_message_but_abort_is_sized(self):
         assert set(declared_payload_sizes(SMALL)) == set(Msg) - {Msg.ABORT}
@@ -381,22 +434,22 @@ class TestLeakLedger:
 # Frame i has type _GOLDEN_TYPES[i] and length _GOLDEN_LENGTHS[i].
 _GOLDEN_TYPES = [Msg.HELLO, Msg.CHALLENGE, Msg.COMMITMENTS, Msg.TEST_SET,
                  Msg.OPENINGS, Msg.BASES, Msg.SEP, Msg.SYNDROMES, Msg.HASH_SEED]
-_GOLDEN_LENGTHS = [82, 7, 458752, 65536, 49152, 6144, 184808, 1824, 2890]
+_GOLDEN_LENGTHS = [82, 7, 458752, 8192, 49152, 6144, 12288, 1824, 2890]
 _GOLDEN_SENDER_DIRS = ["send", "send", "recv", "send", "recv", "send", "recv",
                        "send", "send"]
 _GOLDEN_LDPC = {
     1: (0, 37177, 9305,
-        ["b0534b880ad59437", "99e421e504dc2134", "4939d1a891340da2",
-         "4f1d5772b8f4e992", "c85be9c97735b9f6", "f58fa832acc30bf5",
-         "0e31197741acedbc", "2ed4bf06e774bef2", "82a69db48d59042c"]),
+        ["21b8824dafc2c83b", "99e421e504dc2134", "4939d1a891340da2",
+         "af8c4adb7f92d30d", "c85be9c97735b9f6", "f58fa832acc30bf5",
+         "c482d82955cfd6ae", "2ed4bf06e774bef2", "82a69db48d59042c"]),
     2: (0, 16551, 60528,
-        ["b0534b880ad59437", "35982e11b353bc2d", "15d47ba32c48f99f",
-         "98edda24e1cd2d88", "889b17447c47cb02", "eadba61cc5233250",
-         "c816f0a02da6c4d4", "290dc90b878e9a8d", "8cfa2ecd9a1801f1"]),
+        ["21b8824dafc2c83b", "35982e11b353bc2d", "15d47ba32c48f99f",
+         "ea9144957bcd6d5f", "889b17447c47cb02", "eadba61cc5233250",
+         "7bab2f509e55d722", "290dc90b878e9a8d", "8cfa2ecd9a1801f1"]),
     3: (1, 9346, 19966,
-        ["b0534b880ad59437", "67e1864d23d0c8dc", "ff96bca73a9aa434",
-         "cbe6797abbb1ba2a", "9c90c449fdd5cf15", "ebef6c0d5d5bae66",
-         "beff079d90daf277", "f20df1a11b183d01", "4e7f5ce8ab4de6a1"]),
+        ["21b8824dafc2c83b", "67e1864d23d0c8dc", "ff96bca73a9aa434",
+         "2472e077c56624a0", "9c90c449fdd5cf15", "ebef6c0d5d5bae66",
+         "ae488708a8c7a8e6", "f20df1a11b183d01", "4e7f5ce8ab4de6a1"]),
 }
 
 

@@ -17,8 +17,7 @@ class TestFrame:
         Frame(0x01, b"x" * 100)  # fine
 
     def test_encode_is_stable(self):
-        assert Frame(0x05, b"abc").encode(0) == Frame(0x05, b"abc").encode(0)
-        assert Frame(0x05, b"abc").encode(0) != Frame(0x05, b"abc").encode(1)
+        assert Frame(0x05, b"abc").encode() == Frame(0x05, b"abc").encode()
 
 
 class TestQueueBackend:
@@ -45,8 +44,8 @@ class TestQueueBackend:
 
     def test_corrupted_frame_kills_connection(self):
         a, b = queue_pair()
-        raw = bytearray(Frame(0x03, b"hello world").encode(0))
-        raw[7] ^= 0x40  # flip a payload bit, checksum now wrong
+        raw = bytearray(Frame(0x03, b"hello world").encode())
+        raw[3] ^= 0x40  # flip a payload bit, checksum now wrong
         a._send_raw(bytes(raw))
         with pytest.raises(WireError):
             b.recv(timeout=1)
@@ -55,14 +54,8 @@ class TestQueueBackend:
 
     def test_truncated_frame_kills_connection(self):
         a, b = queue_pair()
-        a._send_raw(Frame(0x03, b"hello").encode(0)[:6])
+        a._send_raw(Frame(0x03, b"hello").encode()[:4])
         with pytest.raises(WireError):
-            b.recv(timeout=1)
-
-    def test_sequence_gap_detected(self):
-        a, b = queue_pair()
-        a._send_raw(Frame(0x03, b"x").encode(5))
-        with pytest.raises(WireError, match="sequence"):
             b.recv(timeout=1)
 
 
@@ -106,7 +99,7 @@ class TestSocketBackend:
         # only the prefix is sent: reading a body would time out instead
         a, b = self._pair(max_payload=1000)
         a._sock.sendall(struct.pack(">I", 1000 + wire.FRAME_OVERHEAD + 1))
-        with pytest.raises(WireError, match="over the 1009 B bound"):
+        with pytest.raises(WireError, match="over the 1005 B bound"):
             b.recv(timeout=1)
         with pytest.raises(WireError):  # connection is dead afterwards
             b.recv(timeout=1)
