@@ -1,6 +1,8 @@
 """Bit-level primitives: packed bit strings, subset bitmaps and seeded randomness.
 
-Bits are packed MSB-first within each byte, on the wire and in hash inputs.
+Bits are packed MSB-first within each byte, on the wire and in hash inputs,
+with the pad bits of the last byte zero. The :class:`BitString` constructor
+is the one reader of packed bits: it refuses a wrong size or a set pad bit.
 All types are immutable after construction except :class:`Rng`.
 """
 
@@ -17,27 +19,22 @@ class BitcoreError(ValueError):
     pass
 
 
-def _bit_count(arr: np.ndarray) -> int:
-    return int(np.bitwise_count(arr).sum())
-
-
 class BitString:
     """Fixed-length bit string packed into bytes, MSB of each byte first.
 
-    Trailing pad bits of the last byte are always zero.
+    The constructor refuses a payload of the wrong size or with a set pad
+    bit, so every received bit string is read by the same rule.
     """
 
     __slots__ = ("length", "_buf")
 
     def __init__(self, payload: bytes | np.ndarray, length: int):
-        nbytes = (length + 7) // 8
         buf = np.frombuffer(bytes(payload), dtype=np.uint8).copy() \
             if not isinstance(payload, np.ndarray) else payload.astype(np.uint8, copy=True)
-        if buf.size != nbytes:
+        if buf.size != (length + 7) // 8:
             raise BitcoreError(f"payload of {buf.size} bytes cannot hold {length} bits")
-        # force pad bits to zero
-        if length % 8 and nbytes:
-            buf[-1] &= 0xFF << (8 - length % 8) & 0xFF
+        if length % 8 and buf[-1] & (0xFF >> length % 8):
+            raise BitcoreError(f"pad bit set after bit {length}")
         buf.setflags(write=False)
         self.length = length
         self._buf = buf
@@ -80,22 +77,14 @@ class BitString:
         return int.from_bytes(self.payload, "big") >> (8 * self._buf.size - self.length)
 
     def popcount(self) -> int:
-        return _bit_count(self._buf)
+        return int(np.bitwise_count(self._buf).sum())
 
     def __len__(self) -> int:
         return self.length
 
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self._buf[i >> 3] >> (7 - (i & 7))) & 1
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, BitString) and other.length == self.length
                 and bool(np.array_equal(other._buf, self._buf)))
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.payload))
 
     def __repr__(self) -> str:
         shown = "".join(str(b) for b in self.bits()[:64])
@@ -114,30 +103,27 @@ class BitString:
         return struct.pack(">I", self.length) + self.payload
 
 
-def pack_subset(mask: np.ndarray) -> bytes:
-    """Wire form of a subset: its bool mask as a bitmap, MSB-first, pad zero."""
-    return np.packbits(mask).tobytes()
+def pack_bits(bits: np.ndarray) -> bytes:
+    """Wire form of a 0/1 or bool array: packed MSB-first, pad bits zero."""
+    return np.packbits(bits).tobytes()
 
 
 def parse_subset(raw: bytes, universe: int, size: int) -> np.ndarray:
     """Bool mask of a received subset bitmap over ``universe`` positions.
 
-    Refuses a payload of the wrong length, a set pad bit and a subset of any
-    size but ``size``.
+    Refuses what :class:`BitString` refuses, and a subset of any size but
+    ``size``.
     """
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    if buf.size != (universe + 7) // 8:
-        raise BitcoreError(f"{buf.size} bytes cannot hold a bitmap of {universe} bits")
-    if universe % 8 and buf[-1] & (0xFF >> universe % 8):
-        raise BitcoreError("pad bit set in a subset bitmap")
-    if _bit_count(buf) != size:
+    bitmap = BitString(raw, universe)
+    if bitmap.popcount() != size:
         raise BitcoreError(f"subset bitmap does not hold {size} members")
-    return np.unpackbits(buf, count=universe).view(bool)
+    return bitmap.bits().view(bool)
 
 
-def extract(x: BitString, idx: np.ndarray) -> BitString:
-    """Restriction of ``x`` to the positions ``idx``, in their order."""
-    return BitString.from_bits(x.bits()[idx])
+def extract(bits: np.ndarray, idx: np.ndarray) -> BitString:
+    """Restriction of the 0/1 array ``bits`` to the positions ``idx``, in
+    their order."""
+    return BitString.from_bits(bits[idx])
 
 
 class Rng:
@@ -161,7 +147,8 @@ class Rng:
         return self._enc.update(bytes(n))
 
     def bits(self, nbits: int) -> BitString:
-        return BitString(self.bytes((nbits + 7) // 8), nbits)
+        raw = np.frombuffer(self.bytes((nbits + 7) // 8), np.uint8)
+        return BitString.from_bits(np.unpackbits(raw, count=nbits))
 
     def spawn(self, label: bytes) -> "Rng":
         """Independent child stream; used to give subsystems their own streams."""

@@ -9,7 +9,7 @@ exponent uses natural log, keeping each exponent dimensionally consistent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 _COMPONENT_CAP = 2.0
 _UNDERFLOW = 1e-300
@@ -99,9 +99,6 @@ class ProtocolParams:
     @property
     def n_raw(self) -> int:
         return math.floor((0.5 - self.delta2) * (1.0 - self.alpha) * self.n0)
-
-    def with_n(self, n: int) -> "ProtocolParams":
-        return replace(self, n=n)
 
 
 def rate_bracket(p_max: float, f: float, delta1: float = 0.0,

@@ -27,7 +27,11 @@ handler reads the payload, each handler builds its bit strings and subset
 bitmaps at the sizes the config implies, and ``qrot role`` bounds its socket
 records by the largest declared payload. A subset travels as a bitmap: the
 test set over all N0 rounds, each separation half over the untested rounds
-in ascending order, the order of the BASES bit string.
+in ascending order, the order of the BASES bit string. Every packed field is
+read by ``BitString``, which refuses a set pad bit.
+
+Each end holds its quantum-phase view as 0/1 arrays and its test set as a
+bool mask, and packs bits only when it sends them.
 
 Every unexpected or malformed message ends the session with a typed abort;
 no path finishes a session with inconsistent outputs.
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from qrot import commit, pamp, qsim, recon, wire
-from qrot.bitcore import (BitString, Rng, extract, pack_subset, parse_subset,
+from qrot.bitcore import (BitString, Rng, extract, pack_bits, parse_subset,
                            sample_subset)
 from qrot.bounds import ProtocolParams
 from qrot.wire import Frame
@@ -206,7 +210,7 @@ class _Session:
 
     def __init__(self, config: SessionConfig, view: qsim.AliceView | qsim.BobView,
                  rng: Rng):
-        if view.theta.length != config.params.n0:
+        if view.theta.size != config.params.n0:
             raise ProtocolError("quantum-phase view does not match N0")
         self.config = config
         self.view = view
@@ -267,8 +271,7 @@ class SenderSession(_Session):
         super().__init__(config, view, rng)
         self.challenge: commit.Challenge | None = None
         self.coms: np.ndarray | None = None
-        self.tested: np.ndarray | None = None  # round indices, ascending
-        self.untested: np.ndarray | None = None
+        self.test_mask: np.ndarray | None = None
         self.output: SenderOutput | None = None
         self.qber_estimate: float | None = None
 
@@ -286,10 +289,8 @@ class SenderSession(_Session):
         p = self.config.params
         cp = self.config.commit_params
         self.coms = np.frombuffer(payload, np.uint8).reshape(p.n0, cp.com_bytes)
-        test_mask = sample_subset(self.rng, p.n0, p.n_test)
-        self.tested = np.flatnonzero(test_mask)
-        self.untested = np.flatnonzero(~test_mask)
-        return [self._send(Msg.TEST_SET, pack_subset(test_mask))]
+        self.test_mask = sample_subset(self.rng, p.n0, p.n_test)
+        return [self._send(Msg.TEST_SET, pack_bits(self.test_mask))]
 
     def _on_openings(self, payload: bytes) -> list[Frame]:
         p = self.config.params
@@ -298,33 +299,34 @@ class SenderSession(_Session):
         if (body[:, 0] & 0x3F).any():  # the (basis, outcome) pair is bits 7 and 6
             return self._abort(AbortReason.PROTOCOL_ERROR)
         msgs = np.stack([body[:, 0] >> 7, (body[:, 0] >> 6) & 1], axis=1)
-        ok = commit.verify_batch(self.coms[self.tested], msgs,
+        tested = np.flatnonzero(self.test_mask)
+        ok = commit.verify_batch(self.coms[tested], msgs,
                                  body[:, 1:], self.challenge, cp)
         if not ok.all():
             return self._abort(AbortReason.TEST_FAILED)
 
-        theta_a = self.view.theta.bits()[self.tested]
-        x_a = self.view.x.bits()[self.tested]
-        matched = msgs[:, 0] == theta_a
+        matched = msgs[:, 0] == self.view.theta[tested]
         if int(matched.sum()) < p.n_check:
             return self._abort(AbortReason.TEST_FAILED)
-        p_est = float((msgs[matched, 1] != x_a[matched]).mean())
+        p_est = float((msgs[matched, 1] != self.view.x[tested][matched]).mean())
         self.qber_estimate = p_est
         if p_est > p.p_max:
             return self._abort(AbortReason.TEST_FAILED)
 
-        return [self._send(Msg.BASES, extract(self.view.theta, self.untested).payload)]
+        untested = np.flatnonzero(~self.test_mask)
+        return [self._send(Msg.BASES, pack_bits(self.view.theta[untested]))]
 
     def _on_sep(self, payload: bytes) -> list[Frame]:
         p = self.config.params
         half = len(payload) // 2
-        first = parse_subset(payload[:half], self.untested.size, p.n_raw)
-        second = parse_subset(payload[half:], self.untested.size, p.n_raw)
+        untested = np.flatnonzero(~self.test_mask)
+        first = parse_subset(payload[:half], untested.size, p.n_raw)
+        second = parse_subset(payload[half:], untested.size, p.n_raw)
         if (first & second).any():
             return self._abort(AbortReason.PROTOCOL_ERROR)
 
-        x0 = extract(self.view.x, self.untested[np.flatnonzero(first)])
-        x1 = extract(self.view.x, self.untested[np.flatnonzero(second)])
+        x0 = extract(self.view.x, untested[np.flatnonzero(first)])
+        x1 = extract(self.view.x, untested[np.flatnonzero(second)])
         ir = self.config.ir_params
         s0, s1 = recon.syn(x0, ir), recon.syn(x1, ir)
         seed = pamp.sample_seed(self.rng, p.n_raw, p.n)
@@ -344,9 +346,8 @@ class ReceiverSession(_Session):
     def __init__(self, config: SessionConfig, view: qsim.BobView, rng: Rng):
         super().__init__(config, view, rng)
         self.challenge: commit.Challenge | None = None
-        self.msgs: np.ndarray | None = None
         self.seeds: np.ndarray | None = None
-        self.untested: np.ndarray | None = None  # round indices, ascending
+        self.test_mask: np.ndarray | None = None
         self.i0: np.ndarray | None = None  # the matched-basis rounds he keeps
         self.choice: int | None = None
         self.decoded: BitString | None = None
@@ -362,31 +363,29 @@ class ReceiverSession(_Session):
         cp = self.config.commit_params
         self.challenge = commit.Challenge(BitString(payload, cp.n_r))
 
-        self.msgs = np.stack([self.view.theta.bits(), self.view.x.bits()], axis=1)
+        msgs = np.stack([self.view.theta, self.view.x], axis=1)
         seeds = np.frombuffer(self.rng.bytes(p.n0 * cp.seed_bytes),
                               np.uint8).reshape(p.n0, cp.seed_bytes).copy()
         if cp.n_s % 8:
             seeds[:, -1] &= (0xFF << (8 - cp.n_s % 8)) & 0xFF
         self.seeds = seeds
-        coms = commit.commit_batch(self.msgs, seeds, self.challenge, cp,
+        coms = commit.commit_batch(msgs, seeds, self.challenge, cp,
                                    commit.HASH_AES128)
         return [self._send(Msg.COMMITMENTS, coms.tobytes())]
 
     def _on_test_set(self, payload: bytes) -> list[Frame]:
         p = self.config.params
-        test_mask = parse_subset(payload, p.n0, p.n_test)
-        tested = np.flatnonzero(test_mask)
-        self.untested = np.flatnonzero(~test_mask)
-        opened = self.msgs[tested]
-        msg_byte = (opened[:, 0] << 7 | opened[:, 1] << 6).astype(np.uint8)
+        self.test_mask = parse_subset(payload, p.n0, p.n_test)
+        tested = np.flatnonzero(self.test_mask)
+        msg_byte = self.view.theta[tested] << 7 | self.view.x[tested] << 6
         records = np.concatenate([msg_byte[:, None], self.seeds[tested]], axis=1)
         return [self._send(Msg.OPENINGS, records.tobytes())]
 
     def _on_bases(self, payload: bytes) -> list[Frame]:
         p = self.config.params
-        rest = self.untested.size
-        theta_a = BitString(payload, rest)
-        match = theta_a.bits() == self.view.theta.bits()[self.untested]
+        untested = np.flatnonzero(~self.test_mask)
+        rest = untested.size
+        match = BitString(payload, rest).bits() == self.view.theta[untested]
         # positions among the untested rounds, the universe of a SEP half
         matching, differing = np.flatnonzero(match), np.flatnonzero(~match)
         if matching.size < p.n_raw or differing.size < p.n_raw:
@@ -395,11 +394,11 @@ class ReceiverSession(_Session):
         self.choice = self.rng.bytes(1)[0] & 1
         i0 = _pick(self.rng, matching, p.n_raw)
         i1 = _pick(self.rng, differing, p.n_raw)
-        self.i0 = self.untested[i0]
+        self.i0 = untested[i0]
         halves = [np.zeros(rest, dtype=bool) for _ in range(2)]
         halves[self.choice][i0] = True
         halves[1 - self.choice][i1] = True
-        return [self._send(Msg.SEP, pack_subset(halves[0]) + pack_subset(halves[1]))]
+        return [self._send(Msg.SEP, pack_bits(halves[0]) + pack_bits(halves[1]))]
 
     def _on_syndromes(self, payload: bytes) -> list[Frame]:
         ir = self.config.ir_params

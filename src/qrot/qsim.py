@@ -7,17 +7,21 @@ double-pair emissions are modelled as probabilities, not optics.
 
 Detected multi-photon rounds are counted but not accepted; undetected ones
 (taken to be one third of the detected count, the equal-efficiency
-four-detector model) pass through flagged, for leak-accounting tests only.
+four-detector model) pass through unmarked, as the parties would see them.
+
+Each party's view holds its bases and outcomes as read-only 0/1 uint8
+arrays of length N0; they are packed only when a message puts them on the
+wire.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from qrot.bitcore import BitString, Rng
+from qrot.bitcore import Rng
 
 # P(detected | multi-photon round): undetected ~= detected / 3
 _DETECT_GIVEN_MULTI = 0.75
@@ -68,22 +72,20 @@ def multi_photon_estimate(n_tot: int, n_multi: int) -> float:
 
 @dataclass
 class AliceView:
-    theta: BitString
-    x: BitString
+    theta: np.ndarray
+    x: np.ndarray
     n_tot: int
     n_multi: int
 
 
 @dataclass
 class BobView:
-    theta: BitString
-    x: BitString
-    # set only when the adversarial leak-accounting flag is on
-    undetected_multi: np.ndarray | None = field(default=None, repr=False)
+    theta: np.ndarray
+    x: np.ndarray
 
 
-def run_quantum_phase(model: SourceModel, n0: int, rng: Rng,
-                      adversarial_multi_view: bool = False) -> tuple[AliceView, BobView]:
+def run_quantum_phase(model: SourceModel, n0: int,
+                      rng: Rng) -> tuple[AliceView, BobView]:
     """Run the source until exactly n0 rounds are accepted by both sides.
 
     Accepted means: a coincidence, single-photon on Alice's side (or an
@@ -98,7 +100,6 @@ def run_quantum_phase(model: SourceModel, n0: int, rng: Rng,
     theta_b = np.empty(0, np.uint8)
     x_a = np.empty(0, np.uint8)
     x_b = np.empty(0, np.uint8)
-    undet = np.empty(0, bool)
     n_tot = 0
     n_multi = 0
     # a draw is the word w over 2**32; compare the words, not the floats
@@ -133,7 +134,7 @@ def run_quantum_phase(model: SourceModel, n0: int, rng: Rng,
         if acc_idx.size > need:
             cut = int(acc_idx[need - 1]) + 1
             coincidence, detected_multi = coincidence[:cut], detected_multi[:cut]
-            dark, undetected, accepted = dark[:cut], undetected[:cut], accepted[:cut]
+            dark, accepted = dark[:cut], accepted[:cut]
             ta, tb, xa, xb = ta[:cut], tb[:cut], xa[:cut], xb[:cut]
 
         n_tot += int((coincidence & ~dark).sum())
@@ -143,10 +144,7 @@ def run_quantum_phase(model: SourceModel, n0: int, rng: Rng,
         theta_b = np.concatenate([theta_b, tb[accepted]])
         x_a = np.concatenate([x_a, xa[accepted]])
         x_b = np.concatenate([x_b, xb[accepted]])
-        undet = np.concatenate([undet, undetected[accepted]])
 
-    alice = AliceView(BitString.from_bits(theta_a), BitString.from_bits(x_a),
-                      n_tot, n_multi)
-    bob = BobView(BitString.from_bits(theta_b), BitString.from_bits(x_b),
-                  undet if adversarial_multi_view else None)
-    return alice, bob
+    for arr in (theta_a, theta_b, x_a, x_b):
+        arr.setflags(write=False)
+    return AliceView(theta_a, x_a, n_tot, n_multi), BobView(theta_b, x_b)

@@ -96,7 +96,7 @@ class Syndrome:
 def _tag(x: BitString, tag_bits: int) -> BitString:
     dig = hashlib.blake2b(_TAG_LABEL + x.serialize(),
                           digest_size=(tag_bits + 7) // 8).digest()
-    return BitString(dig, tag_bits)
+    return BitString.from_bits(np.unpackbits(np.frombuffer(dig, np.uint8), count=tag_bits))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrot.bitcore import (BitString, BitcoreError, Rng, extract, pack_subset,
+from qrot.bitcore import (BitString, BitcoreError, Rng, extract, pack_bits,
                           parse_subset, sample_subset)
 from draws import uniform
 
@@ -22,10 +22,24 @@ class TestBitString:
         assert b.payload == bytes([0b10110000])
         assert b.length == 5
 
-    def test_pad_bits_forced_zero(self):
-        b = BitString(bytes([0xFF]), 5)
-        assert b.payload == bytes([0b11111000])
-        assert b.popcount() == 5
+    def test_set_pad_bit_refused(self):
+        # each pad bit of a 1- or 2-byte payload, set alone
+        for length in range(1, 16):
+            nbytes = (length + 7) // 8
+            for bit in range(length, 8 * nbytes):
+                raw = (1 << (8 * nbytes - 1 - bit)).to_bytes(nbytes, "big")
+                with pytest.raises(BitcoreError, match="pad"):
+                    BitString(raw, length)
+
+    @given(st.binary(min_size=1, max_size=4), st.integers(0, 7))
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_exactly_when_pad_bits_clear(self, raw, pad):
+        length = 8 * len(raw) - pad
+        if raw[-1] & ((1 << pad) - 1) == 0:
+            assert BitString(raw, length).payload == raw
+        else:
+            with pytest.raises(BitcoreError):
+                BitString(raw, length)
 
     @given(st.lists(st.integers(0, 1), max_size=1024))
     @settings(max_examples=200, deadline=None)
@@ -56,12 +70,6 @@ class TestBitString:
         assert len(z) == 0 and z.to_int() == 0
         assert z.payload == b"" and BitString(z.payload, 0) == z
 
-    def test_getitem(self):
-        b = BitString.from_bits([0, 1, 0, 0, 0, 0, 0, 0, 1])
-        assert b[1] == 1 and b[8] == 1 and b[0] == 0
-        with pytest.raises(IndexError):
-            b[9]
-
     def test_truncated_parse(self):
         # a received payload is read at the bit length the config fixes
         for raw in (b"\xff", b"\xff\x00\x00"):
@@ -74,12 +82,12 @@ class TestSubsetBitmap:
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, members):
         m = np.array(members, dtype=bool)
-        assert np.array_equal(parse_subset(pack_subset(m), len(m), int(m.sum())), m)
+        assert np.array_equal(parse_subset(pack_bits(m), len(m), int(m.sum())), m)
 
     def test_msb_first_with_zero_pad(self):
         m = np.zeros(10, dtype=bool)
         m[[0, 3, 9]] = True
-        assert pack_subset(m) == bytes([0b10010000, 0b01000000])
+        assert pack_bits(m) == bytes([0b10010000, 0b01000000])
 
     # a bitmap over 10 positions holding {0, 3, 9} is 0b10010000 0b01000000
     @pytest.mark.parametrize("raw, size, match", [
@@ -99,23 +107,23 @@ class TestSubsetBitmap:
 
 class TestExtract:
     def test_restriction_reads_positions_in_order(self):
-        x = BitString.from_bits([1, 0, 1, 1, 0])
+        x = np.array([1, 0, 1, 1, 0], np.uint8)
         got = extract(x, np.array([0, 2, 4]))
         assert got.bits().tolist() == [1, 1, 0]
 
     def test_empty_selection(self):
-        assert extract(BitString.from_bits([1, 1]), np.array([], np.int64)).length == 0
+        assert extract(np.ones(2, np.uint8), np.array([], np.int64)).length == 0
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            extract(BitString.from_bits([1]), np.array([0, 1]))
+            extract(np.ones(1, np.uint8), np.array([0, 1]))
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=64),
            st.data())
     @settings(max_examples=100, deadline=None)
     def test_matches_direct_indexing(self, bits, data):
         idx = sorted(data.draw(st.lists(st.integers(0, len(bits) - 1), unique=True)))
-        got = extract(BitString.from_bits(bits), np.array(idx, np.int64))
+        got = extract(np.array(bits, np.uint8), np.array(idx, np.int64))
         assert got.bits().tolist() == [bits[i] for i in idx]
 
 

@@ -119,7 +119,7 @@ class TestTable1Bound:
         assert eps_max(TABLE1_PARAMS).eps_correct == pytest.approx(2.0 ** -31, rel=1e-12)
 
     def test_output_longer_than_raw_rejected(self):
-        p = TABLE1_PARAMS.with_n(TABLE1_PARAMS.n_raw)
+        p = replace(TABLE1_PARAMS, n=TABLE1_PARAMS.n_raw)
         with pytest.raises(BoundsError, match="raw block not longer"):
             eps_max(p)
 

@@ -4,19 +4,20 @@ import queue
 import struct
 import threading
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from qrot import protocol, qsim, recon, wire
-from qrot.bitcore import BitString, Rng, pack_subset, parse_subset
+from qrot.bitcore import BitString, Rng, pack_bits, parse_subset
 from qrot.bounds import TABLE1_PARAMS
 from qrot.protocol import (AbortReason, Msg, SessionConfig,
                            declared_payload_sizes, desk_config, drive, parties,
                            run_parties, run_session)
 from cheats import (CorruptSyndromeSender, EarlySepReceiver, FlippingReceiver,
-                    run_cheat)
+                    PadBitSender, run_cheat)
 from draws import uniform
 
 SMALL = desk_config(n0=8192)
@@ -329,7 +330,7 @@ class TestTestSetBitmap:
         else:
             mask = parse_subset(payload, p.n0, p.n_test).copy()
             mask[np.flatnonzero(~mask)[0]] = True
-            bad = pack_subset(mask)
+            bad = pack_bits(mask)
         assert len(bad) == len(payload)
         cheated = copy.copy(receiver)
         out = cheated.on_frame(wire.Frame(Msg.TEST_SET, bad))
@@ -337,6 +338,27 @@ class TestTestSetBitmap:
         assert [f.type_code for f in out] == [Msg.ABORT]
         assert [f.type_code for f in receiver.on_frame(
             wire.Frame(Msg.TEST_SET, payload))] == [Msg.OPENINGS]
+
+
+class TestPadBits:
+    """A set pad bit in any packed field the receiver reads ends the session."""
+
+    @pytest.mark.parametrize("msg, cfg", [
+        (Msg.CHALLENGE, desk_config()),
+        (Msg.HASH_SEED, desk_config()),
+        (Msg.SYNDROMES, desk_config(ir_backend=recon.BACKEND_LDPC)),
+        (Msg.BASES, desk_config(n0=8196)),
+    ], ids=["challenge", "hash_seed", "syndromes", "bases"])
+    def test_set_pad_bit_aborts(self, msg, cfg):
+        p = cfg.params
+        bits = {Msg.CHALLENGE: cfg.commit_params.n_r,
+                Msg.HASH_SEED: p.n_raw + p.n - 1,
+                Msg.SYNDROMES: cfg.ir_params.syndrome_bits,
+                Msg.BASES: p.n0 - p.n_test}[msg]
+        assert bits % 8  # the field has pad bits to set
+        assert run_session(cfg, NOISELESS, 6).success
+        res = run_cheat(cfg, NOISELESS, 6, sender_cls=partial(PadBitSender, msg=msg))
+        assert res.abort_reason == AbortReason.PROTOCOL_ERROR and not res.success
 
 
 class TestSepDisjointness:
@@ -349,7 +371,7 @@ class TestSepDisjointness:
                 for part in (payload[:half], payload[half:])]
 
     def _assert_refused(self, sender, halves):
-        out = sender.on_frame(wire.Frame(Msg.SEP, b"".join(map(pack_subset, halves))))
+        out = sender.on_frame(wire.Frame(Msg.SEP, b"".join(map(pack_bits, halves))))
         assert sender.abort_reason == AbortReason.PROTOCOL_ERROR
         assert out[0].type_code == Msg.ABORT and sender.output is None
 
@@ -492,7 +514,7 @@ class TestIndependenceShadow:
                 continue
             other = res.output.sender.m1 if res.output.receiver.c == 0 \
                 else res.output.sender.m0
-            joint[res.output.receiver.m_c[0], other[0]] += 1
+            joint[res.output.receiver.m_c.bits()[0], other.bits()[0]] += 1
         assert joint.sum() >= 350
         _, p, _, _ = scipy.stats.chi2_contingency(joint)
         assert p > 0.01

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from qrot.bitcore import BitString, Rng
+from qrot.bitcore import Rng
 from qrot.qsim import (_DETECT_GIVEN_MULTI, AliceView, BobView, QsimError,
                        SourceModel, _below, multi_photon_estimate,
                        run_quantum_phase)
@@ -76,9 +76,10 @@ def _rng(i=0):
 
 
 def _run_quantum_phase_float(model: SourceModel, n0: int, rng: Rng):
-    """``run_quantum_phase`` with the adversarial view, deciding every event
-    on the float draw w / 2**32 instead of the raw word: same bytes, same
-    order, the reference the word comparisons must match."""
+    """``run_quantum_phase`` deciding every event on the float draw w / 2**32
+    instead of the raw word: same bytes, same order, the reference the word
+    comparisons must match. Also returns the flags of the accepted rounds
+    that hide an undetected multi-photon event, which the parties never see."""
     parts = {name: [] for name in ("ta", "tb", "xa", "xb", "undet")}
     n_tot = n_multi = done = 0
     while done < n0:
@@ -102,8 +103,7 @@ def _run_quantum_phase_float(model: SourceModel, n0: int, rng: Rng):
             parts[name].append(arr[:cut][accepted])
         done += int(accepted.sum())
     ta, tb, xa, xb, undet = (np.concatenate(v) for v in parts.values())
-    return (AliceView(BitString.from_bits(ta), BitString.from_bits(xa), n_tot, n_multi),
-            BobView(BitString.from_bits(tb), BitString.from_bits(xb), undet))
+    return AliceView(ta, xa, n_tot, n_multi), BobView(tb, xb), undet
 
 
 class TestModel:
@@ -192,12 +192,12 @@ class TestWordDomain:
     def test_views_match_float_reference(self, model):
         for seed in range(3):
             for n0 in (1, 3000):
-                alice, bob = run_quantum_phase(model, n0, _rng(30 + seed),
-                                               adversarial_multi_view=True)
-                ref_alice, ref_bob = _run_quantum_phase_float(model, n0, _rng(30 + seed))
-                assert vars(alice) == vars(ref_alice)
-                assert (bob.theta, bob.x) == (ref_bob.theta, ref_bob.x)
-                assert np.array_equal(bob.undetected_multi, ref_bob.undetected_multi)
+                alice, bob = run_quantum_phase(model, n0, _rng(30 + seed))
+                ref_alice, ref_bob, _ = _run_quantum_phase_float(model, n0, _rng(30 + seed))
+                for got, ref in ((alice.theta, ref_alice.theta), (alice.x, ref_alice.x),
+                                 (bob.theta, ref_bob.theta), (bob.x, ref_bob.x)):
+                    assert got.dtype == np.uint8 and np.array_equal(got, ref)
+                assert (alice.n_tot, alice.n_multi) == (ref_alice.n_tot, ref_alice.n_multi)
 
 
 class TestReport:
@@ -234,36 +234,35 @@ class TestMultiEstimate:
     def test_monte_carlo_consistent_with_model(self):
         # undetected multi-photon count should be about a third of detected
         model = SourceModel(p_double=0.01)
-        alice, bob = run_quantum_phase(model, 10 ** 6, _rng(5),
-                                       adversarial_multi_view=True)
+        alice, _, undet = _run_quantum_phase_float(model, 10 ** 6, _rng(5))
         est = multi_photon_estimate(alice.n_tot, alice.n_multi)
-        undetected = int(bob.undetected_multi.sum())
+        undetected = int(undet.sum())
         assert undetected == pytest.approx(est * alice.n_tot, rel=0.15)
 
 
 class TestRunQuantumPhase:
     def test_exact_count_and_alignment(self):
         alice, bob = run_quantum_phase(SourceModel(), 5000, _rng(6))
-        assert alice.theta.length == alice.x.length == 5000
-        assert bob.theta.length == bob.x.length == 5000
+        assert alice.theta.size == alice.x.size == 5000
+        assert bob.theta.size == bob.x.size == 5000
 
     def test_noiseless_matching_positions_agree(self):
         alice, bob = run_quantum_phase(SourceModel(), 20000, _rng(7))
-        match = alice.theta.bits() == bob.theta.bits()
-        assert np.all(alice.x.bits()[match] == bob.x.bits()[match])
+        match = alice.theta == bob.theta
+        assert np.all(alice.x[match] == bob.x[match])
         # matched fraction within 3 binomial sigma of 1/2
         assert abs(match.mean() - 0.5) < 3 * (0.25 / 20000) ** 0.5
 
     def test_qber_estimator_converges(self):
         alice, bob = run_quantum_phase(SourceModel(p_err=0.03), 50000, _rng(8))
-        match = alice.theta.bits() == bob.theta.bits()
-        qber = (alice.x.bits()[match] != bob.x.bits()[match]).mean()
+        match = alice.theta == bob.theta
+        qber = (alice.x[match] != bob.x[match]).mean()
         n = int(match.sum())
         assert abs(qber - 0.03) < 3 * (0.03 * 0.97 / n) ** 0.5
 
     def test_loss_only_lengthens_run(self):
         alice, _ = run_quantum_phase(SourceModel(p_loss=0.9), 5000, _rng(9))
-        assert alice.theta.length == 5000
+        assert alice.theta.size == 5000
         # geometric waiting time: n_tot counts only coincidences
         assert alice.n_tot == 5000
 
@@ -281,10 +280,9 @@ class TestRunQuantumPhase:
         # matched-basis rounds hiding an undetected double report a uniform
         # bit in both the runner and the generate_round + report twin
         model = SourceModel(p_double=0.3)
-        alice, bob = run_quantum_phase(model, 50000, _rng(15),
-                                       adversarial_multi_view=True)
-        rows = (alice.theta.bits() == bob.theta.bits()) & bob.undetected_multi
-        runner = (alice.x.bits() != bob.x.bits())[rows]
+        alice, bob, undet = _run_quantum_phase_float(model, 50000, _rng(15))
+        rows = (alice.theta == bob.theta) & undet
+        runner = (alice.x != bob.x)[rows]
 
         rng, twin = _rng(16), []
         for _ in range(20000):
@@ -299,13 +297,20 @@ class TestRunQuantumPhase:
     def test_deterministic_given_seed(self):
         a1, b1 = run_quantum_phase(SourceModel(p_err=0.02, p_loss=0.3), 3000, _rng(12))
         a2, b2 = run_quantum_phase(SourceModel(p_err=0.02, p_loss=0.3), 3000, _rng(12))
-        assert a1.x == a2.x and b1.x == b2.x and a1.n_tot == a2.n_tot
+        assert np.array_equal(a1.x, a2.x) and np.array_equal(b1.x, b2.x)
+        assert a1.n_tot == a2.n_tot
 
     def test_views_share_nothing(self):
         alice, bob = run_quantum_phase(SourceModel(), 1000, _rng(13))
-        assert not hasattr(bob, "n_multi")
-        assert bob.undetected_multi is None  # honest mode hides multi tags
+        # the receiver sees no multi-photon counter and no multi-photon flag
+        assert {"theta", "x"} == set(vars(bob))
         assert {"theta", "x", "n_tot", "n_multi"} == set(vars(alice))
+
+    def test_views_are_read_only(self):
+        alice, bob = run_quantum_phase(SourceModel(), 1000, _rng(13))
+        for arr in (alice.theta, alice.x, bob.theta, bob.x):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] ^= 1
 
     def test_n0_positive(self):
         with pytest.raises(QsimError):

@@ -45,8 +45,8 @@ class TestNMax:
         p = _params(10 ** 7)
         n = n_max(p, 1e-7)
         assert n > 0
-        assert bounds.eps_max(p.with_n(n)).eps_max <= 1e-7
-        assert bounds.eps_max(p.with_n(n + 1)).eps_max > 1e-7
+        assert bounds.eps_max(dataclasses.replace(p, n=n)).eps_max <= 1e-7
+        assert bounds.eps_max(dataclasses.replace(p, n=n + 1)).eps_max > 1e-7
 
     def test_rate_within_half(self):
         p = _params(10 ** 7)
