@@ -8,6 +8,7 @@ exponent uses natural log, keeping each exponent dimensionally consistent.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -42,16 +43,15 @@ def binary_kl(q: float, p: float) -> float:
     return q * math.log(q / p) + (1.0 - q) * math.log((1.0 - q) / (1.0 - p))
 
 
-def _check_point(alpha: float, delta1: float, delta2: float, p_max: float,
-                 f: float, p_multi: float, eps_ir: float, eps_bind: float) -> None:
-    """Refuse a parameter point at which the bound is not defined."""
-    fin = math.isfinite
-    if not (fin(alpha) and fin(delta1) and fin(delta2) and fin(p_max)
-            and fin(f) and fin(p_multi) and fin(eps_ir) and fin(eps_bind)):
+def _check_grid(alphas, delta1s, delta2s, p_max: float, f: float,
+                p_multi: float, eps_ir: float, eps_bind: float) -> None:
+    """Refuse axis values or shared inputs at which the bound is not defined."""
+    if not all(map(math.isfinite, itertools.chain(
+            alphas, delta1s, delta2s, (p_max, f, p_multi, eps_ir, eps_bind)))):
         raise BoundsError("parameters must be finite")
-    if not 0.0 < alpha < 1.0:
+    if not all(0.0 < a < 1.0 for a in alphas):
         raise BoundsError("test ratio must be in (0, 1)")
-    if delta1 < 0.0 or delta2 < 0.0 or delta2 >= 0.5:
+    if not (all(d >= 0.0 for d in delta1s) and all(0.0 <= d < 0.5 for d in delta2s)):
         raise BoundsError("bad statistical tolerances")
     if not 0.0 <= p_max < 0.5:
         raise BoundsError("max error rate must be in [0, 1/2)")
@@ -81,8 +81,8 @@ class ProtocolParams:
     eps_bind: float = _EPS_DEFAULT
 
     def __post_init__(self):
-        _check_point(self.alpha, self.delta1, self.delta2, self.p_max, self.f,
-                     self.p_multi, self.eps_ir, self.eps_bind)
+        _check_grid((self.alpha,), (self.delta1,), (self.delta2,), self.p_max,
+                    self.f, self.p_multi, self.eps_ir, self.eps_bind)
         if self.n0 < 1:
             raise BoundsError("signal count N0 must be at least 1")
         if self.n < 1:
@@ -157,41 +157,79 @@ class PointBound:
     length.
 
     A point is (alpha, delta1, delta2, p_max, f, p_multi, eps_ir, eps_bind)
-    and the experimental flag. Building one validates the point and computes
-    what does not depend on N0 or n: the rate bracket (charged the
-    multi-photon leak when ``experimental``), the KL rate, the block-size
-    coefficients, the squashed ``eps_bind`` and ``2 * eps_ir``. ``report``
-    and ``total`` then take (N0, n) and do only the floors, exponents and
-    squashes, so the optimizer probes many N0 at one point for the cost of
-    those alone.
+    and the experimental flag. It holds what does not depend on N0 or n: the
+    rate bracket (charged the multi-photon leak when ``experimental``), the
+    KL rate, the block-size coefficients, the squashed ``eps_bind`` and
+    ``2 * eps_ir``. ``report`` and ``total`` then take (N0, n) and do only the
+    floors, exponents and squashes, so the optimizer probes many N0 at one
+    point for the cost of those alone.
+
+    ``PointBound(alpha, delta1, delta2, p_max, ...)`` is the 1x1x1 case of
+    ``grid``, raising BoundsError where the grid yields None.
     """
 
     __slots__ = ("alpha", "check_frac", "raw_frac", "stat_coef", "d1sq",
                  "kl_rate", "bracket", "eps_bind", "bind_uf", "ir_floor",
                  "experimental")
 
-    def __init__(self, alpha: float, delta1: float, delta2: float, p_max: float,
-                 f: float = 1.0, p_multi: float = 0.0,
-                 eps_ir: float = _EPS_DEFAULT, eps_bind: float = _EPS_DEFAULT,
-                 experimental: bool = False):
-        _check_point(alpha, delta1, delta2, p_max, f, p_multi, eps_ir, eps_bind)
-        bracket = rate_bracket(p_max, f, delta1, delta2)
-        if bracket == -math.inf:
+    def __new__(cls, alpha: float, delta1: float, delta2: float, p_max: float,
+                f: float = 1.0, p_multi: float = 0.0,
+                eps_ir: float = _EPS_DEFAULT, eps_bind: float = _EPS_DEFAULT,
+                experimental: bool = False) -> "PointBound":
+        [(_, _, _, point)] = cls.grid((alpha,), (delta1,), (delta2,), p_max, f,
+                                      p_multi, eps_ir, eps_bind,
+                                      experimental=experimental)
+        if point is None:
             raise BoundsError("rate bracket undefined: effective error rate >= 1/2")
-        if experimental:
-            bracket -= p_multi / (0.5 - delta2)
-        self.bracket = bracket
-        # block sizes are floor(coefficient * N0); each coefficient is the
-        # leading product of the closed form, so every float rounds as there
-        self.alpha = alpha
-        self.check_frac = (0.5 - delta2) * alpha
-        self.raw_frac = (0.5 - delta2) * (1.0 - alpha)
-        self.stat_coef = -0.5 * (1.0 - alpha) ** 2
-        self.d1sq = delta1 * delta1
-        self.kl_rate = -binary_kl(0.5 - delta2, 0.5) * (1.0 - alpha)
-        self.eps_bind, self.bind_uf = _squash(eps_bind)
-        self.ir_floor = 2.0 * eps_ir
-        self.experimental = experimental
+        return point
+
+    @classmethod
+    def grid(cls, alphas, delta1s, delta2s, p_max: float, f: float = 1.0,
+             p_multi: float = 0.0, eps_ir: float = _EPS_DEFAULT,
+             eps_bind: float = _EPS_DEFAULT, *, experimental: bool = False):
+        """Yield ``(alpha, delta1, delta2, point)`` over the three axes
+        (sequences), alpha outermost and delta2 innermost. ``point`` is None
+        where the rate bracket is undefined (the effective error rate reaches
+        1/2); no N0 is feasible there.
+
+        The axes and shared inputs are checked once, before the first yield,
+        and any bad value raises BoundsError. Each N0-free part is computed on
+        the axes that fix it: the bracket, with its multi-photon charge, once
+        per (delta1, delta2); the KL rate and block-size coefficients once
+        per (alpha, delta2); ``eps_bind``'s squash and ``2 * eps_ir`` once.
+        """
+        _check_grid(alphas, delta1s, delta2s, p_max, f, p_multi, eps_ir, eps_bind)
+        bind, bind_uf = _squash(eps_bind)
+        ir_floor = 2.0 * eps_ir
+        halves = [0.5 - d2 for d2 in delta2s]
+        neg_kls = [-binary_kl(half, 0.5) for half in halves]
+
+        def bracket(d1, d2, half):  # -inf stays -inf under the charge
+            b = rate_bracket(p_max, f, d1, d2)
+            return b - p_multi / half if experimental else b
+
+        brackets = [[bracket(d1, d2, half) for d2, half in zip(delta2s, halves)]
+                    for d1 in delta1s]
+        for alpha in alphas:
+            rest = 1.0 - alpha
+            stat_coef = -0.5 * rest ** 2
+            # block sizes are floor(coefficient * N0); each coefficient is the
+            # leading product of the closed form, so every float rounds as there
+            cols = [(half * alpha, half * rest, neg_kl * rest)
+                    for half, neg_kl in zip(halves, neg_kls)]
+            for d1, row in zip(delta1s, brackets):
+                d1sq = d1 * d1
+                for d2, b, (check_frac, raw_frac, kl_rate) in zip(delta2s, row, cols):
+                    if b == -math.inf:
+                        yield alpha, d1, d2, None
+                        continue
+                    point = object.__new__(cls)
+                    point.alpha, point.stat_coef, point.d1sq = alpha, stat_coef, d1sq
+                    point.check_frac, point.raw_frac = check_frac, raw_frac
+                    point.kl_rate, point.bracket = kl_rate, b
+                    point.eps_bind, point.bind_uf = bind, bind_uf
+                    point.ir_floor, point.experimental = ir_floor, experimental
+                    yield alpha, d1, d2, point
 
     @classmethod
     def of(cls, params: ProtocolParams, experimental: bool = False) -> "PointBound":

@@ -270,7 +270,7 @@ class SenderSession(_Session):
     def __init__(self, config: SessionConfig, view: qsim.AliceView, rng: Rng):
         super().__init__(config, view, rng)
         self.challenge: commit.Challenge | None = None
-        self.coms: np.ndarray | None = None
+        self.coms: np.ndarray | None = None  # the tested rows, until OPENINGS
         self.test_mask: np.ndarray | None = None
         self.output: SenderOutput | None = None
         self.qber_estimate: float | None = None
@@ -288,8 +288,9 @@ class SenderSession(_Session):
     def _on_commitments(self, payload: bytes) -> list[Frame]:
         p = self.config.params
         cp = self.config.commit_params
-        self.coms = np.frombuffer(payload, np.uint8).reshape(p.n0, cp.com_bytes)
         self.test_mask = sample_subset(self.rng, p.n0, p.n_test)
+        coms = np.frombuffer(payload, np.uint8).reshape(p.n0, cp.com_bytes)
+        self.coms = coms[np.flatnonzero(self.test_mask)]
         return [self._send(Msg.TEST_SET, pack_bits(self.test_mask))]
 
     def _on_openings(self, payload: bytes) -> list[Frame]:
@@ -299,12 +300,12 @@ class SenderSession(_Session):
         if (body[:, 0] & 0x3F).any():  # the (basis, outcome) pair is bits 7 and 6
             return self._abort(AbortReason.PROTOCOL_ERROR)
         msgs = np.stack([body[:, 0] >> 7, (body[:, 0] >> 6) & 1], axis=1)
-        tested = np.flatnonzero(self.test_mask)
-        ok = commit.verify_batch(self.coms[tested], msgs,
-                                 body[:, 1:], self.challenge, cp)
+        coms, self.coms = self.coms, None
+        ok = commit.verify_batch(coms, msgs, body[:, 1:], self.challenge, cp)
         if not ok.all():
             return self._abort(AbortReason.TEST_FAILED)
 
+        tested = np.flatnonzero(self.test_mask)
         matched = msgs[:, 0] == self.view.theta[tested]
         if int(matched.sum()) < p.n_check:
             return self._abort(AbortReason.TEST_FAILED)
@@ -346,7 +347,7 @@ class ReceiverSession(_Session):
     def __init__(self, config: SessionConfig, view: qsim.BobView, rng: Rng):
         super().__init__(config, view, rng)
         self.challenge: commit.Challenge | None = None
-        self.seeds: np.ndarray | None = None
+        self.seeds: np.ndarray | None = None  # until TEST_SET
         self.test_mask: np.ndarray | None = None
         self.i0: np.ndarray | None = None  # the matched-basis rounds he keeps
         self.choice: int | None = None
@@ -379,6 +380,7 @@ class ReceiverSession(_Session):
         tested = np.flatnonzero(self.test_mask)
         msg_byte = self.view.theta[tested] << 7 | self.view.x[tested] << 6
         records = np.concatenate([msg_byte[:, None], self.seeds[tested]], axis=1)
+        self.seeds = None
         return [self._send(Msg.OPENINGS, records.tobytes())]
 
     def _on_bases(self, payload: bytes) -> list[Frame]:

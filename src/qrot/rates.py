@@ -94,34 +94,33 @@ class OptimizeResult:
 _N0_CAP = 10 ** 11
 
 
-def _min_n0_at(alpha: float, delta1: float, delta2: float, eps_target: float,
-               p_max: float, f: float, p_multi: float, n_target: int,
-               cap: int = _N0_CAP) -> int | None:
-    """Smallest N0 making an n_target-bit key feasible; None if over ``cap``.
+def _min_n0_at(point: bounds.PointBound | None, eps_target: float,
+               n_target: int, cap: int = _N0_CAP) -> int | None:
+    """Smallest N0 at which ``point`` makes an n_target-bit key feasible;
+    None if over ``cap``, or if ``point`` is None (the bound is undefined).
 
     N0 is sought from ``lo = 4 * n_target + 8`` up to the largest
     ``lo * 2**k`` within ``_N0_CAP`` (the range of a doubling search from
     ``lo``), so ``cap`` is clamped to that first. Feasibility is monotone in
     N0, so a point infeasible at the cap, which cannot beat the best N0 so
     far, costs one probe; otherwise ``lo`` is probed, then ``[lo, cap]`` is
-    bisected.
+    bisected. A point whose rate bracket is not positive costs no probe.
 
-    It is monotone for ``eps_target <= 1/2``, which ``n_crit`` enforces. With
-    a positive rate bracket, ``PointBound.total`` falls or stays level as N0
-    grows: floors of N0 enter every exponent with a negative coefficient,
-    ``exp``, ``2**`` and the squashes are non-decreasing, the raw-length
-    refusal covers only the smallest N0, and rounding can lift the
-    statistical term only where it exceeds 1.4. With a non-positive bracket,
-    the leftover-hash term alone is at least ``2**-0.5`` at every N0.
+    Both shortcuts are exact for ``eps_target <= 1/2``, which ``n_crit``
+    enforces. With a positive rate bracket, ``PointBound.total`` falls or
+    stays level as N0 grows: floors of N0 enter every exponent with a
+    negative coefficient, ``exp``, ``2**`` and the squashes are
+    non-decreasing, the raw-length refusal covers only the smallest N0, and
+    rounding can lift the statistical term only where it exceeds 1.4. With a
+    non-positive bracket, the leftover-hash term alone is
+    ``0.5 * 2**(0.5 * (n - n_raw * bracket)) >= 2**-0.5 > 1/2`` at every N0.
     """
+    if point is None or point.bracket <= 0.0:
+        return None
     lo = 4 * n_target + 8
     if lo > min(cap, _N0_CAP):  # the first probe is the smallest possible answer
         return None
-    try:  # the N0-free part of the bound, once per point
-        total = bounds.PointBound(alpha, delta1, delta2, p_max, f, p_multi,
-                                  experimental=p_multi > 0.0).total
-    except BoundsError:  # no N0 is feasible at an invalid point
-        return None
+    total = point.total
 
     def feasible(n0: int) -> bool:
         try:  # n_raw <= n_target raises
@@ -150,25 +149,31 @@ def n_crit(eps_target: float, p_max: float, f: float, p_multi: float,
     Coarse grid pass followed by a 10x finer local refinement around the
     best point; ties broken lexicographically on (N0, alpha, delta1, delta2)
     so the search is deterministic. The multi-photon leak is charged
-    whenever p_multi > 0.
+    whenever p_multi > 0. Each pass takes its points from
+    ``bounds.PointBound.grid``, which computes every N0-free part of the
+    bound once per axis value or pair that fixes it.
 
     Branch and bound: each point's search is capped at the best N0 found so
     far (the fine pass starts from the coarse best). A point infeasible at
     its cap could only return a strictly larger N0 and could not win even a
-    tie, so it costs one probe, and the result is that of searching every
-    point to the end, to the bit. Input outside this contract (see
-    ``_min_n0_at``) raises RatesError: ``n_target < 1``, ``eps_target``
-    outside (0, 1/2] or NaN, a non-finite ``p_max``, a ``p_multi`` that is
-    negative or not finite, and an ``f`` that ``p_crit`` refuses.
+    tie, so it costs one probe, and a point with a non-positive rate bracket
+    costs none; the result is that of searching every point to the end, to
+    the bit. Input outside this contract (see ``_min_n0_at``) raises
+    RatesError: ``n_target < 1``, ``eps_target`` outside (0, 1/2] or NaN,
+    ``p_max`` outside [0, 1/2) or NaN, a ``p_multi`` that is negative or not
+    finite, an ``f`` that ``p_crit`` refuses, and a ``grid`` that is not
+    three integer sizes of at least 2.
     """
     if n_target < 1:
         raise RatesError("output length must be at least 1 bit")
     if not 0.0 < eps_target <= 0.5:
         raise RatesError("target bound must be in (0, 1/2]")
-    if not math.isfinite(p_max):
-        raise RatesError("max error rate must be finite")
+    if not 0.0 <= p_max < 0.5:
+        raise RatesError("max error rate must be in [0, 1/2)")
     if not 0.0 <= p_multi < math.inf:
         raise RatesError("multi-photon rate must be finite and non-negative")
+    if len(grid) != 3 or not all(isinstance(v, int) and v >= 2 for v in grid):
+        raise RatesError(f"grid {grid} is not three integer sizes of at least 2")
     gap = p_crit(f) - p_max
     if gap <= 0.0:
         return OptimizeResult(0, 0.0, 0.0, 0.0, math.inf, n_target, False)
@@ -178,18 +183,18 @@ def n_crit(eps_target: float, p_max: float, f: float, p_multi: float,
     d1_hi = max(2e-4, 0.9 * gap)
     d1s = [1e-4 + (d1_hi - 1e-4) * i / (n1 - 1) for i in range(n1)]
     d2s = [1e-4 + (0.05 - 1e-4) * i / (n2 - 1) for i in range(n2)]
+    experimental = p_multi > 0.0
 
-    def search(points, best=None):
-        for a in points[0]:
-            for d1 in points[1]:
-                for d2 in points[2]:
-                    r = _min_n0_at(a, d1, d2, eps_target, p_max, f, p_multi,
-                                   n_target, best[0] if best else _N0_CAP)
-                    if r is None:
-                        continue
-                    key = (r, a, d1, d2)
-                    if best is None or key < best:
-                        best = key
+    def search(axes, best=None):
+        for a, d1, d2, point in bounds.PointBound.grid(
+                *axes, p_max, f, p_multi, experimental=experimental):
+            r = _min_n0_at(point, eps_target, n_target,
+                           best[0] if best else _N0_CAP)
+            if r is None:
+                continue
+            key = (r, a, d1, d2)
+            if best is None or key < best:
+                best = key
         return best
 
     best = search((alphas, d1s, d2s))
@@ -212,7 +217,7 @@ def n_crit(eps_target: float, p_max: float, f: float, p_multi: float,
     n0, a, d1, d2 = best
     p = ProtocolParams(n0=n0, alpha=a, delta1=d1, delta2=d2, p_max=p_max,
                        n=n_target, f=f, p_multi=p_multi)
-    achieved = bounds.eps_max(p, p_multi > 0.0).eps_max
+    achieved = bounds.eps_max(p, experimental).eps_max
     return OptimizeResult(n0, a, d1, d2, achieved, n_target, True)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -283,3 +284,60 @@ class TestEpsReceiverOracle:
                     assert got is not None and got.hex() == want.hex(), \
                         (params, n0, n, experimental)
         assert outcomes == {True, False}
+
+
+@st.composite
+def _grids(draw):
+    """Grid inputs whose brackets are positive, negative or -inf, and in one
+    case exactly zero: the first (delta1, 0) bracket charged its whole value
+    as the multi-photon leak."""
+    def axis(lo, hi):
+        return st.lists(st.just(lo) | st.floats(lo, hi), min_size=1, max_size=3)
+
+    alphas, d1s, d2s = draw(axis(0.001, 0.999)), draw(axis(0.0, 0.3)), draw(axis(0.0, 0.49))
+    p_max = draw(st.floats(0.0, 0.02) | st.floats(0.0, 0.49))
+    f = draw(st.floats(1.0, 3.0))
+    p_multi = draw(st.just(0.0) | st.floats(0.0, 0.2))
+    experimental = draw(st.booleans())
+    if draw(st.booleans()):
+        d2s = [0.0] + d2s
+        b = rate_bracket(p_max, f, d1s[0], 0.0)
+        if b > 0.0:  # b - (b / 2) / (0.5 - 0) is exactly zero
+            p_multi, experimental = b / 2, True
+    eps_ir, eps_bind = (draw(st.sampled_from((2.0 ** -32, 0.0, 1e-310))) for _ in range(2))
+    return alphas, d1s, d2s, p_max, f, p_multi, eps_ir, eps_bind, experimental
+
+
+class TestGrid:
+    """``PointBound.grid``, which hoists each N0-free part onto its axes,
+    yields what the one-point constructor builds at the same values."""
+
+    @given(case=_grids())
+    @settings(max_examples=300, deadline=None)
+    def test_points_match_standalone_to_the_bit(self, case):
+        *axes, p_max, f, p_multi, eps_ir, eps_bind, experimental = case
+        shared = (p_max, f, p_multi, eps_ir, eps_bind)
+        got = list(PointBound.grid(*axes, *shared, experimental=experimental))
+        assert [item[:3] for item in got] == list(itertools.product(*axes))
+        for alpha, d1, d2, point in got:
+            if point is None:  # the effective error rate reaches 1/2
+                with pytest.raises(BoundsError):
+                    PointBound(alpha, d1, d2, *shared, experimental=experimental)
+                continue
+            want = PointBound(alpha, d1, d2, *shared, experimental=experimental)
+            for n0, n in itertools.product((1, 300, 10 ** 4, 10 ** 6, 10 ** 9), (1, 64)):
+                try:
+                    total, report = want.total(n0, n), want.report(n0, n)
+                except BoundsError:  # n_raw <= n
+                    with pytest.raises(BoundsError):
+                        point.total(n0, n)
+                    continue
+                assert point.total(n0, n).hex() == total.hex()
+                assert repr(point.report(n0, n)) == repr(report)
+
+    @pytest.mark.parametrize("axes", [
+        ([0.3, 1.0], [0.01], [0.01]), ([0.3], [0.01, -1e-9], [0.01]),
+        ([0.3], [0.01], [0.01, 0.5]), ([0.3], [0.01], [0.01, math.nan])])
+    def test_bad_axis_value_raises_before_any_point(self, axes):
+        with pytest.raises(BoundsError):
+            next(PointBound.grid(*axes, 0.01))

@@ -499,6 +499,27 @@ class TestGoldenSessions:
             [(flip[d],) + f for d, f in zip(_GOLDEN_SENDER_DIRS, frames)]
 
 
+class TestHeldState:
+    def test_commitment_state_released(self, monkeypatch):
+        # the sender keeps only the tested rows of COMMITMENTS (all N0 rows
+        # are 76 MB at Table-1) until OPENINGS reads them, and the receiver
+        # its N0 seeds until it has built OPENINGS
+        held = {}
+        on_commitments = protocol.SenderSession._on_commitments
+
+        def keep_shape(sender, payload):
+            frames = on_commitments(sender, payload)
+            held["coms"] = sender.coms.shape
+            return frames
+
+        monkeypatch.setattr(protocol.SenderSession, "_on_commitments", keep_shape)
+        cfg = desk_config(ir_backend=recon.BACKEND_LDPC)
+        sender, receiver = parties(cfg, qsim.SourceModel(p_err=0.01), 1)
+        assert run_parties(sender, receiver).success
+        assert held["coms"] == (cfg.params.n_test, cfg.commit_params.com_bytes)
+        assert sender.coms is None and receiver.seeds is None
+
+
 class TestIndependenceShadow:
     def test_unchosen_string_independent_of_receiver_bits(self):
         # classical shadow of the hiding property: the receiver's output

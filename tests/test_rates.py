@@ -111,11 +111,22 @@ class TestOptimizer:
         (1e-7, 0.0114, 0), (1e-7, 0.0114, -2), (0.0, 0.0114, 128),
         (-1e-7, 0.0114, 128), (0.9, 0.0114, 128), (math.nan, 0.0114, 128),
         (1e-7, math.nan, 128), (1e-7, math.inf, 128), (1e-7, -math.inf, 128),
+        (1e-7, -0.1, 128), (1e-7, -1e-300, 128), (1e-7, 0.5, 128), (1e-7, 0.7, 128),
     ])
     def test_refuses_input_outside_contract(self, eps_target, p_max, n_target):
-        # n_target -2 once never returned, and a NaN p_max read "infeasible"
+        # n_target -2 once never returned, and a NaN or negative p_max read
+        # "infeasible"
         with pytest.raises(RatesError):
             n_crit(eps_target, p_max, 1.0, 0.0, n_target, grid=(2, 2, 2))
+
+    @pytest.mark.parametrize("grid", [(1, 2, 2), (2, 0, 2), (2, 2, -3), (2, 2),
+                                      (2, 2, 2, 2), (2.0, 2, 2), (2, 2.5, 2)])
+    def test_refuses_bad_grid(self, grid):
+        # a size of 1 once escaped a ZeroDivisionError; the check comes
+        # before the infeasible p_max returns
+        for p_max in (0.0114, 0.05):
+            with pytest.raises(RatesError, match="grid"):
+                n_crit(1e-7, p_max, 1.0, 0.0, 128, grid=grid)
 
     def test_loosest_target_accepted(self):
         assert n_crit(0.5, 0.0114, 1.0, 0.0, 1, grid=(2, 2, 2)).feasible
@@ -173,7 +184,16 @@ class TestMonotoneContract:
                 except BoundsError:  # n_raw <= n
                     pass
             args = point[:3] + (0.5,) + point[3:] + (n,)
-            assert rates._min_n0_at(*args) is None, point
+            assert _min_n0_at(*args) is None, point
+
+
+def _min_n0_at(alpha, delta1, delta2, eps_target, p_max, f, p_multi, n_target,
+               cap=rates._N0_CAP):
+    """``rates._min_n0_at`` at one point, built as ``n_crit`` builds it:
+    through ``PointBound.grid``."""
+    [(_, _, _, point)] = bounds.PointBound.grid(
+        (alpha,), (delta1,), (delta2,), p_max, f, p_multi, experimental=p_multi > 0.0)
+    return rates._min_n0_at(point, eps_target, n_target, cap)
 
 
 def _min_n0_reference(alpha, delta1, delta2, eps_target, p_max, f, p_multi,
@@ -261,11 +281,13 @@ def _n_crit_reference(eps_target, p_max, f, p_multi, n_target, grid=(8, 10, 6)):
 
 
 def _patch_bound(monkeypatch, step):
-    """Make the bound ``step(N0)`` at every point: at the per-point seam the
-    optimizer probes through, and in ``eps_max``, which the references and
-    ``n_crit``'s reported value read."""
-    monkeypatch.setattr(bounds, "PointBound", lambda *point, **kw:
-                        SimpleNamespace(total=lambda n0, n: step(n0)))
+    """Make the bound ``step(N0)`` at every point: at the grid seam the
+    optimizer takes its points from, and in ``eps_max``, which the
+    references and ``n_crit``'s reported value read."""
+    point = SimpleNamespace(bracket=1.0, total=lambda n0, n: step(n0))
+    monkeypatch.setattr(bounds.PointBound, "grid", staticmethod(
+        lambda alphas, d1s, d2s, *shared, **kw:
+        ((a, d1, d2, point) for a, d1, d2 in itertools.product(alphas, d1s, d2s))))
     monkeypatch.setattr(bounds, "eps_max", lambda p, experimental=False:
                         SimpleNamespace(eps_max=step(p.n0)))
 
@@ -293,6 +315,31 @@ class TestPrunedSearch:
         assert res.feasible
         assert (res.n_crit, res.alpha, res.delta1, res.delta2) == expected
 
+    def test_probe_and_build_counts_pinned(self, monkeypatch):
+        # the pruning never moves an answer, only what it costs: over the
+        # PINNED calls, N0 probes through PointBound.total, and points built
+        # (n_crit's reported eps_max included). 12,773 probes before
+        # non-positive brackets were pruned without one
+        probes, builds = 0, 0
+        total, grid = bounds.PointBound.total, bounds.PointBound.grid
+
+        def counted_total(point, n0, n):
+            nonlocal probes
+            probes += 1
+            return total(point, n0, n)
+
+        def counted_grid(*args, **kwargs):
+            nonlocal builds
+            for item in grid(*args, **kwargs):
+                builds += item[3] is not None
+                yield item
+
+        monkeypatch.setattr(bounds.PointBound, "total", counted_total)
+        monkeypatch.setattr(bounds.PointBound, "grid", staticmethod(counted_grid))
+        for args, grid_size, _ in self.PINNED:
+            n_crit(*args) if grid_size is None else n_crit(*args, grid=grid_size)
+        assert (probes, builds) == (10203, 9328)
+
     @pytest.mark.parametrize("eps_target", [1e-3, 1e-6, 1e-9])
     def test_matches_exhaustive_search(self, eps_target):
         for p_max, f, p_multi, n_target in itertools.product(
@@ -313,7 +360,7 @@ class TestPrunedSearch:
         if exact is not None:
             caps += [exact - 1, exact, exact + 1, 2 * exact]
         for cap in caps:
-            got = rates._min_n0_at(*point, cap=cap)
+            got = _min_n0_at(*point, cap=cap)
             if exact is None or exact > cap:
                 assert got is None, cap
             else:
@@ -341,7 +388,7 @@ class TestPrunedSearch:
             exact = _min_n0_reference(*point)
             caps = {c + d for c in probes for d in (-1, 0, 1)} | {rates._N0_CAP}
             for cap in sorted(caps):
-                got = rates._min_n0_at(*point, cap=cap)
+                got = _min_n0_at(*point, cap=cap)
                 assert got == (exact if exact is not None and exact <= cap else None), \
                     (tail, cap)
 
@@ -375,7 +422,7 @@ class TestPrunedSearch:
             if exact is not None:
                 caps += [exact - 1, exact]
             for cap in caps:
-                got = rates._min_n0_at(*args, cap=cap)
+                got = _min_n0_at(*args, cap=cap)
                 assert got == (exact if exact is not None and exact <= cap else None), \
                     (args, cap)
         assert past_top >= 10
