@@ -162,7 +162,8 @@ class PointBound:
     KL rate, the block-size coefficients, the squashed ``eps_bind`` and
     ``2 * eps_ir``. ``report`` and ``total`` then take (N0, n) and do only the
     floors, exponents and squashes, so the optimizer probes many N0 at one
-    point for the cost of those alone.
+    point for the cost of those alone, and ``n0_floor`` bounds N0 from below
+    from the same coefficients without a probe.
 
     ``PointBound(alpha, delta1, delta2, p_max, ...)`` is the 1x1x1 case of
     ``grid``, raising BoundsError where the grid yields None.
@@ -273,6 +274,45 @@ class PointBound:
         ec_exp = -0.5 * (n_raw - n)
         ec, ec_uf = _squash((0.0 if ec_exp < -1100 else 2.0 ** ec_exp) + self.ir_floor)
         return ec, stat, kl, lhl, ec_uf, stat_uf, kl_uf, lhl_uf
+
+    @staticmethod
+    def floor_logs(eps_target: float, n: int) -> tuple[float, float, float] | None:
+        """What ``n0_floor`` sets against ``eps_target`` at output length n:
+        the level each N0-dependent term of ``_terms`` must reach to fall to
+        ``eps_target``, or None below ``_UNDERFLOW``, where a term flushed to
+        zero no longer bounds the total from below. Valid for ``eps_target``
+        up to 1/2, where each of the three is positive."""
+        if eps_target < _UNDERFLOW:
+            return None
+        return (4.0 * math.log(math.sqrt(2.0) / eps_target), -math.log(eps_target),
+                n - 2.0 * math.log2(2.0 * eps_target))
+
+    def n0_floor(self, logs: tuple[float, float, float] | None) -> int | float:
+        """An N0 below which ``total(N0, n) > eps_target``, for the ``logs``
+        of ``floor_logs(eps_target, n)``; 0 where ``logs`` is None, and inf
+        where a zero ``delta1``, KL rate or rate bracket keeps a term from
+        falling that far (with a negative bracket no N0 is feasible, so any
+        floor holds). Each term of ``total`` bounds it from below, so each
+        inverted at ``eps`` bounds N0 from below:
+
+        - statistical, at least ``sqrt(2) * exp(-floor(check_frac * N0) *
+          delta1**2 / 4)``: N0 >= 4 * ln(sqrt(2)/eps) / (check_frac * delta1**2);
+        - KL, ``exp(kl_rate * N0)``: N0 >= ln(eps) / kl_rate;
+        - leftover hash, ``0.5 * 2**(0.5 * (n - floor(raw_frac * N0) *
+          bracket))``: N0 >= (n - 2 * log2(2 * eps)) / (raw_frac * bracket).
+
+        The largest is shrunk by 1e-9 of itself, less one, for rounding
+        (``rates._min_n0_at`` argues the margin).
+        """
+        if logs is None:
+            return 0
+        stat, kl, lhl = logs
+        try:
+            x = max(stat / (self.check_frac * self.d1sq), kl / -self.kl_rate,
+                    lhl / (self.raw_frac * self.bracket))
+        except ZeroDivisionError:
+            return math.inf
+        return math.floor(x * (1.0 - 1e-9)) - 1 if x < math.inf else math.inf
 
     def total(self, n0: int, n: int) -> float:
         """``report(n0, n).eps_max``, to the bit, without the report."""

@@ -57,8 +57,10 @@ def _model_from(args) -> qsim.SourceModel:
 
 
 def _emit(args, data: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(data, sort_keys=True))
+    if args.json:  # strict JSON: a non-finite float reads null
+        data = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in data.items()}
+        print(json.dumps(data, sort_keys=True, allow_nan=False))
     else:
         print(text)
 
@@ -87,9 +89,13 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    kwargs = {}
-    if args.figure == "fig2" and args.points:
-        kwargs["points"] = args.points
+    if args.points < 0:
+        print("error: --points must be non-negative", file=sys.stderr)
+        return 2
+    if args.points and args.figure != "fig2":
+        print(f"error: --points applies to fig2 only, not {args.figure}", file=sys.stderr)
+        return 2
+    kwargs = {"points": args.points} if args.points else {}
     rows = rates.emit_figure(args.figure, **kwargs)
     text = "\n".join(rows) + "\n"
     if args.output and args.output != "-":
@@ -142,6 +148,9 @@ def _session_config(args) -> protocol.SessionConfig:
 
 
 def cmd_simulate(args) -> int:
+    if args.sessions < 1:
+        print("error: --sessions must be at least 1", file=sys.stderr)
+        return 2
     config = _session_config(args)
     model = _model_from(args)
     successes = 0
@@ -233,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figures", parents=[common], help="rate-curve CSV emission")
     p.add_argument("--figure", choices=("fig2", "fig3", "fig4"), required=True)
     p.add_argument("--output", default="-")
-    p.add_argument("--points", type=int, default=0)
+    p.add_argument("--points", type=int, default=0,
+                   help="fig2 sample intervals (0: the default, 300)")
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("optimize", parents=[common], help="minimal signal count for a target bound")

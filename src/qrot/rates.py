@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from qrot import bounds
 from qrot.bounds import BoundsError, ProtocolParams
@@ -95,18 +96,22 @@ _N0_CAP = 10 ** 11
 
 
 def _min_n0_at(point: bounds.PointBound | None, eps_target: float,
-               n_target: int, cap: int = _N0_CAP) -> int | None:
+               n_target: int, cap: int, floor: int | float) -> int | None:
     """Smallest N0 at which ``point`` makes an n_target-bit key feasible;
     None if over ``cap``, or if ``point`` is None (the bound is undefined).
+    ``floor`` is ``point.n0_floor`` at this target: no N0 below it is
+    feasible.
 
-    N0 is sought from ``lo = 4 * n_target + 8`` up to the largest
-    ``lo * 2**k`` within ``_N0_CAP`` (the range of a doubling search from
-    ``lo``), so ``cap`` is clamped to that first. Feasibility is monotone in
-    N0, so a point infeasible at the cap, which cannot beat the best N0 so
-    far, costs one probe; otherwise ``lo`` is probed, then ``[lo, cap]`` is
-    bisected. A point whose rate bracket is not positive costs no probe.
+    N0 is sought from ``4 * n_target + 8`` up to the largest
+    ``(4 * n_target + 8) * 2**k`` within ``_N0_CAP`` (the range of a doubling
+    search from there), so ``cap`` is clamped to that first. Feasibility is
+    monotone in N0, so a point infeasible at the cap, which cannot beat the
+    best N0 so far, costs one probe; otherwise ``lo``, the larger of the
+    start and ``floor``, is probed, then ``[lo, cap]`` is bisected. A point
+    whose rate bracket is not positive, or whose floor is above the cap,
+    costs no probe.
 
-    Both shortcuts are exact for ``eps_target <= 1/2``, which ``n_crit``
+    Each shortcut is exact for ``eps_target <= 1/2``, which ``n_crit``
     enforces. With a positive rate bracket, ``PointBound.total`` falls or
     stays level as N0 grows: floors of N0 enter every exponent with a
     negative coefficient, ``exp``, ``2**`` and the squashes are
@@ -114,12 +119,23 @@ def _min_n0_at(point: bounds.PointBound | None, eps_target: float,
     rounding can lift the statistical term only where it exceeds 1.4. With a
     non-positive bracket, the leftover-hash term alone is
     ``0.5 * 2**(0.5 * (n - n_raw * bracket)) >= 2**-0.5 > 1/2`` at every N0.
+
+    Starting at ``floor`` is exact too. The floor inverts single terms of
+    the total, each a lower bound of it, and its 1e-9 shrink moves that
+    term's exponent by 1e-9 of a level of at least ln(2), far more than the
+    few ulps ``_terms`` and the inversion round by. At ``eps_target >=
+    bounds._UNDERFLOW`` no term above the target is flushed to zero, and the
+    squash's cap at 2 lies above every target; below that, the floor is 0.
     """
     if point is None or point.bracket <= 0.0:
         return None
     lo = 4 * n_target + 8
     if lo > min(cap, _N0_CAP):  # the first probe is the smallest possible answer
         return None
+    hi = min(cap, lo << ((_N0_CAP // lo).bit_length() - 1))
+    if floor > hi:
+        return None
+    lo = max(lo, floor)
     total = point.total
 
     def feasible(n0: int) -> bool:
@@ -128,7 +144,6 @@ def _min_n0_at(point: bounds.PointBound | None, eps_target: float,
         except BoundsError:
             return False
 
-    hi = min(cap, lo << ((_N0_CAP // lo).bit_length() - 1))
     if not feasible(hi):
         return None
     if feasible(lo):
@@ -153,12 +168,15 @@ def n_crit(eps_target: float, p_max: float, f: float, p_multi: float,
     ``bounds.PointBound.grid``, which computes every N0-free part of the
     bound once per axis value or pair that fixes it.
 
-    Branch and bound: each point's search is capped at the best N0 found so
-    far (the fine pass starts from the coarse best). A point infeasible at
-    its cap could only return a strictly larger N0 and could not win even a
-    tie, so it costs one probe, and a point with a non-positive rate bracket
-    costs none; the result is that of searching every point to the end, to
-    the bit. Input outside this contract (see ``_min_n0_at``) raises
+    Branch and bound, best first: each pass ranks its points with a
+    positive rate bracket by their N0 floor (``PointBound.n0_floor``; no
+    smaller N0 is feasible there) and searches them in that order, each
+    capped at the best N0 so far (the fine pass starts from the coarse
+    best). It stops at the first floor strictly above the best N0, as a
+    floor equal to it may still tie and win on (alpha, delta1, delta2). A
+    point infeasible at its cap could only return a strictly larger N0, so
+    it costs one probe. The result is that of searching every point to the
+    end, to the bit. Input outside this contract (see ``_min_n0_at``) raises
     RatesError: ``n_target < 1``, ``eps_target`` outside (0, 1/2] or NaN,
     ``p_max`` outside [0, 1/2) or NaN, a ``p_multi`` that is negative or not
     finite, an ``f`` that ``p_crit`` refuses, and a ``grid`` that is not
@@ -185,11 +203,22 @@ def n_crit(eps_target: float, p_max: float, f: float, p_multi: float,
     d2s = [1e-4 + (0.05 - 1e-4) * i / (n2 - 1) for i in range(n2)]
     experimental = p_multi > 0.0
 
+    logs = bounds.PointBound.floor_logs(eps_target, n_target)
+
     def search(axes, best=None):
+        ranked = []  # the points that may still win, by floor
         for a, d1, d2, point in bounds.PointBound.grid(
                 *axes, p_max, f, p_multi, experimental=experimental):
+            if point is not None and point.bracket > 0.0:
+                floor = point.n0_floor(logs)
+                if best is None or floor <= best[0]:
+                    ranked.append((floor, a, d1, d2, point))
+        ranked.sort(key=itemgetter(0))
+        for floor, a, d1, d2, point in ranked:
+            if best is not None and floor > best[0]:  # so is every later floor
+                break
             r = _min_n0_at(point, eps_target, n_target,
-                           best[0] if best else _N0_CAP)
+                           best[0] if best else _N0_CAP, floor)
             if r is None:
                 continue
             key = (r, a, d1, d2)

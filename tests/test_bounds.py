@@ -325,6 +325,9 @@ class TestGrid:
                     PointBound(alpha, d1, d2, *shared, experimental=experimental)
                 continue
             want = PointBound(alpha, d1, d2, *shared, experimental=experimental)
+            for eps, n in itertools.product((1e-300, 1e-9, 0.5), (1, 64)):
+                logs = PointBound.floor_logs(eps, n)
+                assert point.n0_floor(logs) == want.n0_floor(logs)
             for n0, n in itertools.product((1, 300, 10 ** 4, 10 ** 6, 10 ** 9), (1, 64)):
                 try:
                     total, report = want.total(n0, n), want.report(n0, n)

@@ -20,6 +20,19 @@ def _run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _strict_json(text):
+    """``json.loads`` that refuses NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _usage_error(capsys, *argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == "", argv
+    assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
 def _subprocess_env():
     """The environment for a ``python -m qrot.cli`` child that imports this
     checkout's package."""
@@ -85,6 +98,13 @@ class TestFigures:
         assert code == 0
         assert out.startswith("N0,")
 
+    @pytest.mark.parametrize("figure,points", [
+        ("fig2", "-3"), ("fig2", "-1"), ("fig3", "5"), ("fig4", "5"), ("fig4", "-2")])
+    def test_bad_points_is_a_usage_error(self, capsys, figure, points):
+        # fig2 --points -3 once printed only the header, and fig3 and fig4
+        # ignored --points
+        _usage_error(capsys, "figures", "--figure", figure, "--points", points)
+
 
 class TestOptimize:
     def test_small_grid(self, capsys):
@@ -92,6 +112,15 @@ class TestOptimize:
         assert code == 0
         data = json.loads(out)
         assert data["feasible"] and 3e5 < data["n_crit"] < 3e7
+
+    def test_infeasible_json_is_strict(self, capsys):
+        # eps_achieved is inf when no point meets the target; it once printed
+        # as Infinity
+        code, out, _ = _run(capsys, "optimize", "--json", "--eps-target", "1e-10",
+                            "--grid", "3,3,2")
+        assert code == 1
+        data = _strict_json(out)
+        assert not data["feasible"] and data["eps_achieved"] is None
 
     def test_bad_grid_flag(self, capsys):
         # a size of 1 once escaped a ZeroDivisionError, and 0 read "infeasible";
@@ -124,6 +153,20 @@ class TestSimulate:
         assert code == 0
         data = json.loads(out)
         assert data["successes"] == 3 and data["aborts"] == {}
+
+    def test_no_qber_estimate_json_is_strict(self, capsys):
+        # this session fails its test before estimating the QBER, so the mean
+        # is NaN; it once printed as NaN
+        code, out, _ = _run(capsys, "simulate", "--n0", "200", "--n", "1",
+                            "--sessions", "1", "--seed", "2", "--json")
+        assert code == 1
+        data = _strict_json(out)
+        assert data["aborts"] == {"TEST_FAILED": 1} and data["mean_qber"] is None
+
+    @pytest.mark.parametrize("sessions", ["0", "-1"])
+    def test_nonpositive_sessions_is_a_usage_error(self, capsys, sessions):
+        # --sessions 0 once reported 0/0 sessions with a NaN mean QBER
+        _usage_error(capsys, "simulate", "--sessions", sessions)
 
     def test_empty_test_set_is_an_error(self, capsys):
         # N0 = 1 once "succeeded" with two all-zero strings

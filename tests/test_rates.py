@@ -190,10 +190,12 @@ class TestMonotoneContract:
 def _min_n0_at(alpha, delta1, delta2, eps_target, p_max, f, p_multi, n_target,
                cap=rates._N0_CAP):
     """``rates._min_n0_at`` at one point, built as ``n_crit`` builds it:
-    through ``PointBound.grid``."""
+    through ``PointBound.grid``, with its N0 floor."""
     [(_, _, _, point)] = bounds.PointBound.grid(
         (alpha,), (delta1,), (delta2,), p_max, f, p_multi, experimental=p_multi > 0.0)
-    return rates._min_n0_at(point, eps_target, n_target, cap)
+    floor = 0 if point is None else point.n0_floor(
+        bounds.PointBound.floor_logs(eps_target, n_target))
+    return rates._min_n0_at(point, eps_target, n_target, cap, floor)
 
 
 def _min_n0_reference(alpha, delta1, delta2, eps_target, p_max, f, p_multi,
@@ -280,11 +282,12 @@ def _n_crit_reference(eps_target, p_max, f, p_multi, n_target, grid=(8, 10, 6)):
     return OptimizeResult(n0, a, d1, d2, achieved, n_target, True)
 
 
-def _patch_bound(monkeypatch, step):
-    """Make the bound ``step(N0)`` at every point: at the grid seam the
-    optimizer takes its points from, and in ``eps_max``, which the
-    references and ``n_crit``'s reported value read."""
-    point = SimpleNamespace(bracket=1.0, total=lambda n0, n: step(n0))
+def _patch_bound(monkeypatch, step, floor=0):
+    """Make the bound ``step(N0)`` at every point, with the N0 floor
+    ``floor``: at the grid seam the optimizer takes its points from, and in
+    ``eps_max``, which the references and ``n_crit``'s reported value read."""
+    point = SimpleNamespace(bracket=1.0, total=lambda n0, n: step(n0),
+                            n0_floor=lambda logs: floor)
     monkeypatch.setattr(bounds.PointBound, "grid", staticmethod(
         lambda alphas, d1s, d2s, *shared, **kw:
         ((a, d1, d2, point) for a, d1, d2 in itertools.product(alphas, d1s, d2s))))
@@ -317,11 +320,13 @@ class TestPrunedSearch:
 
     def test_probe_and_build_counts_pinned(self, monkeypatch):
         # the pruning never moves an answer, only what it costs: over the
-        # PINNED calls, N0 probes through PointBound.total, and points built
-        # (n_crit's reported eps_max included). 12,773 probes before
-        # non-positive brackets were pruned without one
-        probes, builds = 0, 0
+        # PINNED calls, N0 probes through PointBound.total, points built
+        # (n_crit's reported eps_max included) and points searched. 12,773
+        # probes before non-positive brackets were pruned without one, and
+        # 10,203 before the best-first search from each point's N0 floor
+        probes, builds, searched = 0, 0, 0
         total, grid = bounds.PointBound.total, bounds.PointBound.grid
+        min_n0_at = rates._min_n0_at
 
         def counted_total(point, n0, n):
             nonlocal probes
@@ -334,11 +339,17 @@ class TestPrunedSearch:
                 builds += item[3] is not None
                 yield item
 
+        def counted_min_n0_at(*args):
+            nonlocal searched
+            searched += 1
+            return min_n0_at(*args)
+
         monkeypatch.setattr(bounds.PointBound, "total", counted_total)
         monkeypatch.setattr(bounds.PointBound, "grid", staticmethod(counted_grid))
+        monkeypatch.setattr(rates, "_min_n0_at", counted_min_n0_at)
         for args, grid_size, _ in self.PINNED:
             n_crit(*args) if grid_size is None else n_crit(*args, grid=grid_size)
-        assert (probes, builds) == (10203, 9328)
+        assert (probes, builds, searched) == (3259, 9328, 911)
 
     @pytest.mark.parametrize("eps_target", [1e-3, 1e-6, 1e-9])
     def test_matches_exhaustive_search(self, eps_target):
@@ -436,6 +447,91 @@ class TestPrunedSearch:
         res = n_crit(*args, grid=(3, 3, 3))
         assert (res.n_crit, res.alpha) == (100003, 0.02)
         assert res == _n_crit_reference(*args, grid=(3, 3, 3))
+
+    def test_floor_equal_to_the_best_still_searched(self, monkeypatch):
+        # every floor equals the N0 every point needs: a point whose floor
+        # only ties the best N0 can still win on (alpha, delta1, delta2), so
+        # the search stops at the first floor strictly above the best
+        tail = 100003
+        _patch_bound(monkeypatch, lambda n0: 0.0 if n0 >= tail else 1.0, floor=tail)
+        args = (1e-7, 0.0114, 1.0, 3.67e-3, 128)
+        res = n_crit(*args, grid=(3, 3, 3))
+        assert (res.n_crit, res.alpha) == (tail, 0.02)
+        assert res == _n_crit_reference(*args, grid=(3, 3, 3))
+
+
+# targets log-uniform over [1e-300, 1/2], and at and next to the underflow
+# threshold, below which the floor is 0
+_TARGETS = st.one_of(
+    st.floats(-300.0, math.log10(0.5)).map(lambda e: min(0.5, 10.0 ** e)),
+    st.sampled_from((bounds._UNDERFLOW, math.nextafter(bounds._UNDERFLOW, 1.0),
+                     math.nextafter(bounds._UNDERFLOW, 0.0), 1e-310, 0.5)))
+
+
+def _floor(pb, eps_target, n):
+    return pb.n0_floor(bounds.PointBound.floor_logs(eps_target, n))
+
+
+class TestN0Floor:
+    """No N0 below a point's floor is feasible, which ``n_crit``'s best-first
+    search relies on to skip points and to start bisecting."""
+
+    @given(point=_POINTS, n=st.integers(1, 2000), eps_target=_TARGETS,
+           extra=st.integers(0, 33).flatmap(lambda b: st.integers(0, 2 ** b)))
+    @settings(max_examples=500, deadline=None)
+    def test_nothing_below_the_floor_is_feasible(self, point, n, eps_target, extra):
+        try:
+            pb = _point_bound(point)
+        except BoundsError:  # an undefined bracket
+            assume(False)
+        floor = _floor(pb, eps_target, n)
+        if eps_target < bounds._UNDERFLOW:
+            assert floor == 0
+        assert _eps_for(pb, floor - 1, n) > eps_target, floor
+        # the bound's own value at an N0 is a target that N0 meets
+        n0 = 4 * n + 8 + extra
+        eps = _eps_for(pb, n0, n)
+        if eps <= 0.5:
+            assert _floor(pb, eps, n) <= n0
+
+    @pytest.mark.parametrize("delta1, delta2", [(0.0, 0.01), (0.01, 0.0)])
+    def test_infinite_where_a_term_cannot_fall(self, delta1, delta2):
+        # a zero delta1 holds the statistical term at 2, and a zero delta2
+        # the KL term at 1
+        pb = bounds.PointBound(0.3, delta1, delta2, 0.005)
+        assert _floor(pb, 0.5, 16) == math.inf
+        for n0 in (100, 10 ** 6, rates._N0_CAP):
+            assert _eps_for(pb, n0, 16) > 0.5
+
+    def test_flushed_terms_switch_the_floor_off(self):
+        # with no IR or binding slack, a target below bounds._UNDERFLOW is met
+        # where every term, though above the target, is flushed to zero; the
+        # floor from those terms would lie above that N0, so it is 0 there
+        [(_, _, _, pb)] = bounds.PointBound.grid((0.3,), (0.01,), (0.01,), 0.005,
+                                                 eps_ir=0.0, eps_bind=0.0)
+        n, eps = 16, 1e-305
+        lo, hi = 4 * n + 8, rates._N0_CAP
+        while hi - lo > 1:  # the first feasible N0, as feasibility is monotone
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _eps_for(pb, mid, n) <= eps else (mid, hi)
+        assert _floor(pb, eps, n) == 0
+        assert rates._min_n0_at(pb, eps, n, rates._N0_CAP, 0) == hi
+        unflushed = (4.0 * math.log(math.sqrt(2.0) / eps), -math.log(eps),
+                     n - 2.0 * math.log2(2.0 * eps))
+        assert pb.n0_floor(unflushed) > hi
+
+    def test_n_crit_below_underflow_matches_exhaustive_search(self):
+        # infeasible, as 2 * eps_ir alone is above the target
+        args = (1e-305, 0.005, 1.0, 0.0, 16)
+        assert n_crit(*args, grid=(3, 3, 3)) == _n_crit_reference(*args, grid=(3, 3, 3))
+
+
+def _eps_for(pb, n0, n):
+    """``pb.total(n0, n)``, and inf where it raises (n_raw <= n)."""
+    try:
+        return pb.total(n0, n)
+    except BoundsError:
+        return math.inf
 
 
 class TestFigures:
