@@ -188,18 +188,25 @@ class Rng:
 
 
 def sample_subset(rng: Rng, universe: int, size: int) -> np.ndarray:
-    """Bool mask of a uniform ``size``-subset of {0..universe-1}, drawn by a
-    partial Fisher-Yates shuffle."""
+    """Bool mask of a uniform ``size``-subset of {0..universe-1}.
+
+    A partial Fisher-Yates shuffle draws the smaller side,
+    ``min(size, universe - size)`` members. When that is the members left
+    out, the mask is their complement, which is again uniform: each
+    ``size``-subset is the complement of exactly one left-out set.
+    """
     if size > universe:
         raise BitcoreError("subset larger than universe")
-    mask = np.zeros(universe, dtype=bool)
-    if size == 0:
+    k = min(size, universe - size)
+    drop = k < size  # draw the members left out and return their complement
+    mask = np.full(universe, drop)
+    if k == 0:
         return mask
     from qrot._kernels import fisher_yates_partial
 
-    perm = np.arange(universe, dtype=np.int64)
+    perm = np.arange(universe, dtype=np.int32 if universe < 2 ** 31 else np.int64)
     # j[i] uniform in [i, universe)
-    j = np.arange(size, dtype=np.int64) + rng.randbelow_array(universe - np.arange(size))
+    j = np.arange(k, dtype=np.int64) + rng.randbelow_array(universe - np.arange(k))
     fisher_yates_partial(perm, j)
-    mask[perm[:size]] = True
+    mask[perm[:k]] = not drop
     return mask

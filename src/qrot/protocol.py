@@ -421,7 +421,10 @@ class ReceiverSession(_Session):
 
 
 def _pick(rng: Rng, pool: np.ndarray, size: int) -> np.ndarray:
-    """Uniform size-subset of the ascending candidate pool, ascending."""
+    """Uniform size-subset of the ascending candidate pool, ascending.
+
+    A pick keeps most of its pool (about 94% at the desk point, 99.5% at
+    Table-1), so ``sample_subset`` shuffles only the rounds it drops."""
     return pool[np.flatnonzero(sample_subset(rng, pool.size, size))]
 
 

@@ -255,6 +255,43 @@ class TestSampleSubset:
         for v in counts.values():
             assert abs(v - trials / 6) < 4 * (trials / 6) ** 0.5
 
+    @pytest.mark.parametrize("universe, size", [(5, 3), (5, 2)])
+    def test_complement_and_odd_universe_near_uniform(self, universe, size):
+        # C(5,3)=C(5,2)=10 outcomes; 3 of 5 draws the 2 left out and takes the
+        # complement, 2 of 5 draws its members directly
+        rng = Rng.from_int(6)
+        counts = {}
+        trials = 10000
+        for _ in range(trials):
+            s = sample_subset(rng, universe, size)
+            assert s.sum() == size
+            key = tuple(np.flatnonzero(s).tolist())
+            counts[key] = counts.get(key, 0) + 1
+        assert len(counts) == 10
+        for v in counts.values():
+            assert abs(v - trials / 10) < 4 * (trials / 10) ** 0.5
+
+    def test_shuffles_only_the_smaller_side(self, monkeypatch):
+        import qrot._kernels as kernels
+        steps = []
+        shuffle = kernels.fisher_yates_partial
+
+        def counted(perm, j):
+            steps.append(len(j))
+            shuffle(perm, j)
+
+        monkeypatch.setattr(kernels, "fisher_yates_partial", counted)
+        rng = Rng.from_int(7)
+        for universe, size in [(100, 10), (100, 90), (100, 50)]:
+            assert sample_subset(rng, universe, size).sum() == size
+            assert steps.pop() == min(size, universe - size)
+        assert sample_subset(rng, 7, 0).sum() == 0
+        assert sample_subset(rng, 7, 7).sum() == 7
+        assert steps == []
+        # a receiver's pick at the Table-1 point, seed 1
+        assert sample_subset(rng, 1_902_896, 1_893_073).sum() == 1_893_073
+        assert steps == [9_823]
+
     def test_full_and_empty(self):
         assert sample_subset(Rng.from_int(5), 7, 7).all()
         assert not sample_subset(Rng.from_int(5), 7, 0).any()

@@ -460,18 +460,18 @@ _GOLDEN_LENGTHS = [82, 7, 458752, 8192, 49152, 6144, 12288, 1824, 2890]
 _GOLDEN_SENDER_DIRS = ["send", "send", "recv", "send", "recv", "send", "recv",
                        "send", "send"]
 _GOLDEN_LDPC = {
-    1: (0, 37177, 9305,
+    1: (0, 32676, 15766,
         ["21b8824dafc2c83b", "99e421e504dc2134", "4939d1a891340da2",
          "af8c4adb7f92d30d", "c85be9c97735b9f6", "f58fa832acc30bf5",
-         "c482d82955cfd6ae", "2ed4bf06e774bef2", "82a69db48d59042c"]),
-    2: (0, 16551, 60528,
+         "6a2d540094117faf", "37699d390637bf05", "82a69db48d59042c"]),
+    2: (0, 24437, 63426,
         ["21b8824dafc2c83b", "35982e11b353bc2d", "15d47ba32c48f99f",
          "ea9144957bcd6d5f", "889b17447c47cb02", "eadba61cc5233250",
-         "7bab2f509e55d722", "290dc90b878e9a8d", "8cfa2ecd9a1801f1"]),
-    3: (1, 9346, 19966,
+         "0d3063ac5912e59c", "10e82f319b3c1b61", "8cfa2ecd9a1801f1"]),
+    3: (1, 54400, 1281,
         ["21b8824dafc2c83b", "67e1864d23d0c8dc", "ff96bca73a9aa434",
          "2472e077c56624a0", "9c90c449fdd5cf15", "ebef6c0d5d5bae66",
-         "ae488708a8c7a8e6", "f20df1a11b183d01", "4e7f5ce8ab4de6a1"]),
+         "c582554c864ea75d", "b5a89e5d4fa48fd8", "4e7f5ce8ab4de6a1"]),
 }
 
 
