@@ -142,7 +142,7 @@ def _session_config(args) -> protocol.SessionConfig:
                    "ldpc": recon.BACKEND_LDPC}[backend]
     try:
         return protocol.desk_config(n0=args.n0, n=args.n, ir_backend=backend)
-    except (protocol.ProtocolError, BoundsError) as exc:
+    except (protocol.ProtocolError, BoundsError, recon.ReconError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
 

@@ -19,7 +19,7 @@ pair and m_1 the second. The receiver places his matched-basis set at pair
 position c, so he can decode exactly the position-c string; the chosen-string
 relation receiver.m_c == sender.(m_0, m_1)[c] holds by construction.
 
-Wire format (``PROTOCOL_VERSION`` 5): no payload carries a count or length
+Wire format (``PROTOCOL_VERSION`` 6): no payload carries a count or length
 header. The config fixes the exact length of every message but ABORT
 (``declared_payload_sizes``), and nothing else bounds a message's size:
 ``_Session.on_frame`` checks the type and that length once, before any
@@ -78,7 +78,7 @@ class AbortReason(enum.IntEnum):
     TRANSPORT = 0x06
 
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 _BACKEND_CODES = {recon.BACKEND_TRIVIAL: 0, recon.BACKEND_LDPC: 1}
 

@@ -19,6 +19,7 @@ from qrot.bitcore import BitString, Rng
 from qrot.bounds import TABLE1_PARAMS, ProtocolParams
 from qrot.protocol import AbortReason, desk_config, run_session
 from cheats import CorruptSyndromeSender, FlippingReceiver, run_cheat
+from draws import uniform
 from test_pamp import universality_probe
 
 
@@ -324,6 +325,22 @@ def test_criterion_9_oblivious_choice_exact_distribution():
     budget.check()
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_table1_code_margin(seed):
+    """The Table-1 code decodes a fixed flip pattern at its own design rate
+    p_design = p_max + delta1 (0.0204): the margin the bound's leak charge
+    assumes. Budget about 5 s each (code build included); the code leaves
+    recon's cache when the test ends."""
+    ir = protocol.SessionConfig(TABLE1_PARAMS, ir_backend=recon.BACKEND_LDPC).ir_params
+    rng = Rng.from_int(seed)
+    x = BitString.from_bits(np.frombuffer(rng.bytes(ir.n_raw), np.uint8) & 1)
+    flips = BitString.from_bits(uniform(rng, ir.n_raw) < ir.p_design)
+    try:
+        assert recon.dec(recon.syn(x, ir), x ^ flips, ir) == x
+    finally:
+        recon._code_structure.cache_clear()
+
+
 def test_table1_session_end_to_end():
     """The paper's own point, Table 1 (N0 = 5.86M, LDPC), completes one
     session at p_err = 0.01 with double pairs, so the multi-photon check has
@@ -331,7 +348,7 @@ def test_table1_session_end_to_end():
     p_max, the multi-photon estimate lies in (0, p_multi), and every message
     is exactly its declared size. run_session's own two steps, so the
     sender's view can be read; budget about 10 s (LDPC graph build
-    included) and 0.7 GB peak RSS. The Table-1 code graph (about 89 MB)
+    included) and 0.7 GB peak RSS. The Table-1 code graph (about 92 MB)
     leaves recon's cache when the session ends, so the tests after this one
     do not carry it."""
     cfg = protocol.SessionConfig(TABLE1_PARAMS, ir_backend=recon.BACKEND_LDPC)

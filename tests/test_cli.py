@@ -177,6 +177,16 @@ class TestSimulate:
         assert out.out == "" and out.err.startswith("error: N0 = 1 gives N_check = 0")
         assert out.err.count("\n") == 1
 
+    def test_unbuildable_code_is_an_error(self, capsys):
+        # N_raw 70 is too short for a 4-cycle-free code at its 21 checks;
+        # the refusal once escaped as a traceback
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n0", "200", "--ir-backend", "ldpc"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: n_raw 70 is too short")
+        assert out.err.count("\n") == 1
+
     @pytest.mark.parametrize("flag,value", [("--p-err", "0.6"), ("--p-loss", "1"),
                                             ("--p-dark", "1")])
     def test_bad_source_model_is_an_error(self, capsys, flag, value):

@@ -79,6 +79,31 @@ def _slot_form(chk_rows, var_of_edge, var_edges):
     return var_of_edge[chk_rows.T], slot_of_edge[var_edges]
 
 
+def _random_graph(rng, n, row_deg, dmax):
+    """A random graph of column weight 3 in slot form, independent of
+    ``recon``'s code: check i holds row_deg[i] edges at random columns of
+    dmax and padding in the rest, and the 3n edges meet the variables in a
+    random order, duplicate incidences allowed."""
+    m, e_tot = len(row_deg), 3 * n
+    chk_rows = np.full((m, dmax), e_tot, dtype=np.int64)
+    start = np.cumsum(row_deg) - row_deg
+    for i in range(m):
+        at = np.argsort(uniform(rng, dmax))[:row_deg[i]]
+        chk_rows[i, np.sort(at)] = start[i] + np.arange(row_deg[i])
+    var_of_edge = np.append(np.argsort(uniform(rng, e_tot)) // 3, n)
+    var_edges = np.argsort(var_of_edge[:-1], kind="stable").reshape(n, 3)
+    return _slot_form(chk_rows, var_of_edge, var_edges)
+
+
+def _near_regular_graph(rng, n, m):
+    """A random graph whose m rows have degree base or base + 1, base =
+    3n // m, with the short rows padded at a random column."""
+    base, extra = divmod(3 * n, m)
+    row_deg = np.full(m, base)
+    row_deg[:extra] += 1
+    return _random_graph(rng, n, row_deg, int(row_deg.max()))
+
+
 def _noisy_target(graph, n, rng, p):
     """Syndrome of a random flip pattern at rate p: the decoder's target."""
     chk_rows, var_of_edge, _ = edge_form(*graph)
@@ -199,15 +224,15 @@ class TestBpKernel:
                                            (256, False), (1000, True),
                                            (3000, True)])
     def test_matches_reference_on_small_graphs(self, n, padded):
-        # a padded graph has rows of degree base and base + 1, so only some
-        # rows end in a padding slot; at n = 256 every row has degree 8
-        ir = recon.IrParams(n_raw=n, p_design=0.05, f=1.3)
-        ell = ir.syndrome_bits
-        assert bool(3 * n % ell) == padded
-        llr0 = math.log((1 - ir.p_design) / ir.p_design)
+        # random graphs of 3n / 8 checks, one more when padded: then rows
+        # have degree 7 and 8, so only some rows have a padding slot; at
+        # n = 256 every row has degree 8
+        m = 3 * n // 8 + padded
+        assert bool(3 * n % m) == padded
+        llr0 = math.log(0.95 / 0.05)
         rng = Rng.from_int(70 + n)
-        for k, p in enumerate([0.0, 0.02, 0.05, 0.08, 0.15]):
-            graph = recon._code_structure(bytes([n % 256, k]) * 16, n, ell)
+        for p in [0.0, 0.02, 0.05, 0.08, 0.15]:
+            graph = _near_regular_graph(rng, n, m)
             _assert_same_decode(graph, _noisy_target(graph, n, rng, p), llr0)
 
     def test_matches_reference_on_desk_graph(self):
@@ -240,15 +265,8 @@ class TestBpKernel:
         e_tot = 3 * n
         cuts = np.sort(rng.randbelow_array(np.full(m - 1, e_tot - 2 * m + 1)))
         row_deg = np.diff(np.concatenate([[0], cuts, [e_tot - 2 * m]])) + 2
-        dmax = int(row_deg.max()) + extra
-        chk_rows = np.full((m, dmax), e_tot, dtype=np.int64)
-        start = np.cumsum(row_deg) - row_deg
-        for i in range(m):
-            at = np.argsort(uniform(rng, dmax))[:row_deg[i]]
-            chk_rows[i, np.sort(at)] = start[i] + np.arange(row_deg[i])
-        var_of_edge = np.append(np.argsort(uniform(rng, e_tot)) // 3, n)
-        var_edges = np.argsort(var_of_edge[:-1], kind="stable").reshape(n, 3)
-        var_of_slot, var_slots = _slot_form(chk_rows, var_of_edge, var_edges)
+        var_of_slot, var_slots = _random_graph(rng, n, row_deg,
+                                               int(row_deg.max()) + extra)
         if fortran:
             var_of_slot = np.asfortranarray(var_of_slot)
         graph = (var_of_slot, var_slots)
@@ -257,16 +275,27 @@ class TestBpKernel:
 
 
 class TestSyndromeBits:
-    @pytest.mark.parametrize("n, ell", [(30, 11), (97, 40), (1000, 337),
-                                        (_DESK.n_raw, _DESK.syndrome_bits)])
-    def test_matches_row_reduction(self, n, ell):
+    @staticmethod
+    def _assert_row_reduction(rng, graph, code_seed, n, ell):
         # the syndrome as an XOR along each padded (m, dmax) row
-        rng = Rng.from_int(72 + n)
-        code_seed = rng.bytes(32)
-        chk_rows, var_of_edge, _ = edge_form(*recon._code_structure(code_seed, n, ell))
+        chk_rows, var_of_edge, _ = edge_form(*graph)
         for _ in range(3):
             x = np.frombuffer(rng.bytes(n), np.uint8) & 1
             ext = np.concatenate([x, [0]]).astype(np.uint8)
             want = np.bitwise_xor.reduce(ext[var_of_edge[chk_rows]], axis=1)
             got = recon._syndrome_bits_of(x, code_seed, n, ell)
             assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, ell", [(30, 11), (97, 40), (1000, 337)])
+    def test_matches_row_reduction(self, n, ell, monkeypatch):
+        rng = Rng.from_int(72 + n)
+        graph = _near_regular_graph(rng, n, ell)
+        monkeypatch.setattr(recon, "_code_structure", lambda *_: graph)
+        self._assert_row_reduction(rng, graph, None, n, ell)
+
+    def test_matches_row_reduction_on_desk_code(self):
+        n, ell = _DESK.n_raw, _DESK.syndrome_bits
+        rng = Rng.from_int(72 + n)
+        code_seed = rng.bytes(32)
+        self._assert_row_reduction(rng, recon._code_structure(code_seed, n, ell),
+                                   code_seed, n, ell)

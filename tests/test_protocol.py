@@ -57,8 +57,8 @@ class TestSessionConfig:
     @pytest.mark.parametrize("field", range(len(_HELLO_FIELDS)),
                              ids=[name for name, _ in _HELLO_FIELDS])
     def test_hello_must_match_byte_for_byte(self, field):
-        # one flipped bit in the last byte of any field: the version (5 ->
-        # 4), the backend code (LDPC -> trivial), n0, or a float's lowest
+        # one flipped bit in the last byte of any field: the version (6 ->
+        # 7), the backend code (LDPC -> trivial), n0, or a float's lowest
         # mantissa bit
         cfg = desk_config(n0=8192, ir_backend=recon.BACKEND_LDPC)
         codes = ">" + "".join(code for _, code in _HELLO_FIELDS)
@@ -461,17 +461,17 @@ _GOLDEN_SENDER_DIRS = ["send", "send", "recv", "send", "recv", "send", "recv",
                        "send", "send"]
 _GOLDEN_LDPC = {
     1: (0, 32676, 15766,
-        ["21b8824dafc2c83b", "99e421e504dc2134", "4939d1a891340da2",
+        ["721a19236198a158", "99e421e504dc2134", "4939d1a891340da2",
          "af8c4adb7f92d30d", "c85be9c97735b9f6", "f58fa832acc30bf5",
-         "6a2d540094117faf", "37699d390637bf05", "82a69db48d59042c"]),
+         "6a2d540094117faf", "87e2287d4f31dc21", "82a69db48d59042c"]),
     2: (0, 24437, 63426,
-        ["21b8824dafc2c83b", "35982e11b353bc2d", "15d47ba32c48f99f",
+        ["721a19236198a158", "35982e11b353bc2d", "15d47ba32c48f99f",
          "ea9144957bcd6d5f", "889b17447c47cb02", "eadba61cc5233250",
-         "0d3063ac5912e59c", "10e82f319b3c1b61", "8cfa2ecd9a1801f1"]),
+         "0d3063ac5912e59c", "8a0914f5f00df4a8", "8cfa2ecd9a1801f1"]),
     3: (1, 54400, 1281,
-        ["21b8824dafc2c83b", "67e1864d23d0c8dc", "ff96bca73a9aa434",
+        ["721a19236198a158", "67e1864d23d0c8dc", "ff96bca73a9aa434",
          "2472e077c56624a0", "9c90c449fdd5cf15", "ebef6c0d5d5bae66",
-         "c582554c864ea75d", "b5a89e5d4fa48fd8", "4e7f5ce8ab4de6a1"]),
+         "c582554c864ea75d", "f130612d7cd486cf", "4e7f5ce8ab4de6a1"]),
 }
 
 

@@ -1,11 +1,13 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from qrot import recon
+from qrot import protocol, recon
 from qrot.bitcore import BitString, Rng
+from qrot.bounds import TABLE1_PARAMS, binary_entropy
 from qrot.protocol import desk_config
 from qrot.recon import (BACKEND_LDPC, BACKEND_TRIVIAL, IrParams, ReconError,
                         Syndrome, dec, syn)
@@ -14,7 +16,7 @@ from draws import uniform
 N = 4096
 IR = IrParams(n_raw=N, p_design=0.05, f=1.3, tag_bits=32)
 _DESK = desk_config(ir_backend=BACKEND_LDPC).ir_params
-DESK_N, DESK_ELL = _DESK.n_raw, _DESK.syndrome_bits  # 23101, 7277
+DESK_N, DESK_ELL = _DESK.n_raw, _DESK.syndrome_bits  # 23101, 7275
 
 
 def epsilon_ir(params):
@@ -23,40 +25,44 @@ def epsilon_ir(params):
 
 
 def _code_structure_reference(code_seed, n_raw, ell):
-    """The argsort-based graph builder with a scalar shuffle: same draws,
-    same repair order, so the same arrays as recon._code_structure."""
+    """The quasi-cyclic code from its definition, one check and one slot at
+    a time, in edge form (chk_rows, var_of_edge, var_edges): z = ell // 3,
+    nb = ceil(n / z); check i * z + r meets, in slot j, variable
+    j * z + (r + shift[i][j]) % z, a padding slot at or past n. Band 0 has
+    shift 0; block by block, shift[1][j] is drawn from the values not yet
+    in band 1, then shift[2][j] from those not yet in band 2 that keep
+    shift[1] - shift[2] distinct."""
     rng = Rng(hashlib.blake2b(b"ldpc" + code_seed, digest_size=32).digest())
-    e_tot = 3 * n_raw
-    var_of_edge = np.repeat(np.arange(n_raw, dtype=np.int64), 3)
-    perm = np.arange(e_tot, dtype=np.int64)
-    j = np.arange(e_tot, dtype=np.int64) + rng.randbelow_array(e_tot - np.arange(e_tot))
-    p = memoryview(perm)
-    for i, t in enumerate(j.tolist()):
-        p[i], p[t] = p[t], p[i]
-    var_of_edge = var_of_edge[perm]
+    z = ell // 3
+    nb = -(-n_raw // z)
+    shift = [[0] * nb for _ in range(3)]
+    for j in range(nb):
+        free = [v for v in range(z) if v not in shift[1][:j]]
+        shift[1][j] = free[rng.randbelow_array([len(free)])[0]]
+        diffs = {(shift[1][k] - shift[2][k]) % z for k in range(j)}
+        free = [v for v in range(z) if v not in shift[2][:j]
+                and (shift[1][j] - v) % z not in diffs]
+        shift[2][j] = free[rng.randbelow_array([len(free)])[0]]
 
-    base, extra = divmod(e_tot, ell)
-    row_deg = np.full(ell, base, dtype=np.int64)
-    row_deg[:extra] += 1
-    row_of_edge = np.repeat(np.arange(ell, dtype=np.int64), row_deg)
-
-    for _ in range(64):
-        key = row_of_edge * n_raw + var_of_edge
-        order = np.argsort(key, kind="stable")
-        dup_pos = order[1:][np.diff(key[order]) == 0]
-        if dup_pos.size == 0:
-            break
-        swap_with = rng.randbelow_array(np.full(dup_pos.size, e_tot))
-        for a, b in zip(dup_pos.tolist(), swap_with.tolist()):
-            var_of_edge[a], var_of_edge[b] = var_of_edge[b], var_of_edge[a]
-    else:
-        raise ReconError("could not build a simple parity-check graph")
-
-    cols = np.arange(int(row_deg.max()))
-    start = np.cumsum(row_deg) - row_deg
-    chk_rows = np.where(cols < row_deg[:, None], start[:, None] + cols, e_tot)
-    var_edges = np.argsort(var_of_edge, kind="stable").reshape(n_raw, 3)
-    return chk_rows, np.concatenate([var_of_edge, [n_raw]]), var_edges
+    rows, var_of_edge = [], []
+    var_edges = [[] for _ in range(n_raw)]
+    for i in range(3):
+        for r in range(z):
+            row = []
+            for j in range(nb):
+                v = j * z + (r + shift[i][j]) % z
+                if v < n_raw:
+                    row.append(len(var_of_edge))
+                    var_edges[v].append(len(var_of_edge))
+                    var_of_edge.append(v)
+                else:
+                    row.append(None)
+            rows.append(row)
+    e_tot = len(var_of_edge)
+    chk_rows = [[e_tot if e is None else e for e in row] for row in rows]
+    return (np.array(chk_rows, dtype=np.int64),
+            np.array(var_of_edge + [n_raw], dtype=np.int64),
+            np.array(var_edges, dtype=np.int64))
 
 
 def edge_form(var_of_slot, var_slots):
@@ -90,8 +96,27 @@ def _pair(seed, n=N, p=0.025):
 
 class TestIrParams:
     def test_syndrome_length_formula(self):
+        # three equal bands of checks, rounded down: 1,524 of 1,525.0 at N
         h = -0.05 * math.log2(0.05) - 0.95 * math.log2(0.95)
-        assert IR.syndrome_bits == math.ceil(1.3 * h * N)
+        assert IR.syndrome_bits == 3 * (math.floor(1.3 * h * N) // 3) == 1524
+
+    def test_syndrome_within_charged_leak(self):
+        # the bound charges f * h(p_design) * n_raw bits of leak, a real
+        # number; the syndrome sends no more than that
+        table1 = protocol.SessionConfig(TABLE1_PARAMS).ir_params
+        grid = [IrParams(n_raw=n, p_design=p, f=f) for n in (4096, 100000)
+                for p in (0.02, 0.11) for f in (1.1, 1.64)]
+        for params in [_DESK, table1, *grid]:
+            charged = params.f * binary_entropy(params.p_design) * params.n_raw
+            assert charged - 3 < params.syndrome_bits <= charged
+
+    @pytest.mark.parametrize("n", [30, 97])
+    def test_refuses_size_without_four_cycle_free_code(self, n):
+        # z checks per band leave room for 4-cycle-free shifts in at most
+        # (z + 1) // 2 blocks: n 97 has z = 12 and 9 blocks, n 30 has z = 3
+        # and 10 blocks
+        with pytest.raises(ReconError, match="4-cycles"):
+            IrParams(n_raw=n, p_design=0.05, f=1.3)
 
     def test_trivial_backend_leaks_only_tag(self):
         p = IrParams(n_raw=N, p_design=0.05, backend=BACKEND_TRIVIAL)
@@ -233,7 +258,7 @@ class TestGraph:
             vars_in_row = check[check < 512]
             assert len(set(vars_in_row.tolist())) == vars_in_row.size
 
-    @pytest.mark.parametrize("n", [30, 97, 256, 1000, 3000])
+    @pytest.mark.parametrize("n", [256, 1000, 3000])
     def test_matches_reference_builder(self, n):
         ell = IrParams(n_raw=n, p_design=0.05, f=1.3).syndrome_bits
         for k in range(4):
@@ -247,8 +272,37 @@ class TestGraph:
         assert _graph_digest(graph) == \
             _graph_digest(_code_structure_reference(seed, DESK_N, DESK_ELL))
 
+    @pytest.mark.parametrize("n, ell", [(512, 189), (N, IR.syndrome_bits),
+                                        (DESK_N, DESK_ELL)])
+    def test_no_four_cycles(self, n, ell):
+        # every pair of variables in one check, over all checks: a pair met
+        # twice shares two checks
+        var_of_slot, _ = recon._code_structure(recon._CODE_SEED, n, ell)
+        pairs = []
+        for a, b in itertools.combinations(var_of_slot, 2):
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            pairs.append((lo * n + hi)[hi < n])
+        pairs = np.concatenate(pairs)
+        assert np.unique(pairs).size == pairs.size
+
+    def test_builds_at_every_accepted_size(self):
+        # a free shift is left in every block wherever IrParams accepts the
+        # size, down to the smallest accepted n at each point (140 and 320)
+        built = 0
+        for p, f in [(0.05, 1.3), (0.0204, 1.64)]:
+            for n in range(100, 5001, 4):
+                try:
+                    ell = IrParams(n_raw=n, p_design=p, f=f).syndrome_bits
+                except ReconError:
+                    continue
+                var_of_slot, var_slots = recon._code_structure(b"\x09" * 32, n, ell)
+                assert var_of_slot.shape == (-(-n // (ell // 3)), ell)
+                assert var_slots.shape == (n, 3)
+                built += 1
+        assert built == 2385
+
     def test_desk_graph_pinned(self):
-        # The seeded ensemble itself: changing the draws or the repair order
+        # The seeded code itself: changing the shift draw or the layout
         # changes every desk-LDPC session, so this digest moves only on purpose.
         graph = edge_form(*recon._code_structure(b"\x07" * 32, DESK_N, DESK_ELL))
-        assert _graph_digest(graph) == "df56087f53d68fb222712452a1c572b1"
+        assert _graph_digest(graph) == "496895e95ef3d83602f324775756fea1"
