@@ -1,9 +1,9 @@
 """Numpy implementations of the hot kernels: the partial Fisher-Yates shuffle
 (whole-array passes, no loop over the swaps; its result is that of the
-sequential swaps) and the normalized min-sum syndrome decoder (messages in a
-check-slot-major (dmax, m) array, so each check-side step is an elementwise
-pass over dmax contiguous rows; its output is that of the edge-indexed
-decoder, bit for bit).
+sequential swaps) and the normalized min-sum syndrome decoder of a
+quasi-cyclic code, read from its circulant shifts alone (each check-side
+step is an elementwise pass over contiguous rows, each variable-side step
+rolls them; its output is that of the edge-indexed decoder, bit for bit).
 
 Callers reach these through the module (``_kernels.bp_decode``) at call time,
 so an instrumenting wrapper set on the module attribute sees every call.
@@ -85,53 +85,59 @@ def fisher_yates_partial(perm: np.ndarray, j: np.ndarray) -> None:
     perm[step] = landed
 
 
-def bp_decode(var_of_slot: np.ndarray, var_slots: np.ndarray, synd: np.ndarray,
-              llr0: float, max_iter: int, norm: float,
-              clamp: float) -> tuple[np.ndarray, bool, int]:
-    """Normalized min-sum syndrome decoding on a code whose variables all
-    have degree 3.
+def roll_rows(src: np.ndarray, shift: np.ndarray, out: np.ndarray) -> None:
+    """out[j] = np.roll(src[j], shift[j]) for each row j of a 2-D array, as
+    two slice copies per row; out must not overlap src."""
+    z = src.shape[1]
+    for j, s in enumerate(shift.tolist()):
+        s %= z
+        out[j, s:] = src[j, :z - s]
+        out[j, :s] = src[j, z - s:]
 
-    var_of_slot: (dmax, m) variable in slot (c, i), column c of check i;
-    N in a padding slot.
-    var_slots: (N, 3) flat slot indices (c * m + i) of each variable, in
-    ascending edge order.
-    synd: (m,) target syndrome bits.
+
+def bp_decode(shift: np.ndarray, n: int, synd: np.ndarray, llr0: float,
+              max_iter: int, norm: float,
+              clamp: float) -> tuple[np.ndarray, bool, int]:
+    """Normalized min-sum syndrome decoding on the quasi-cyclic code of
+    ``n`` variables and circulant shifts ``shift`` (3, nb), laid out as
+    ``recon._code_structure`` says; synd: (3 z,) target syndrome bits.
     Returns (error_pattern, converged, iterations_used).
 
-    This is the layout ``recon._code_structure`` returns. Messages live in a
-    (dmax, m) array, so each check update is a pass over dmax contiguous
-    rows. The check update keeps running minima ``min1 <= min2`` of the
-    magnitudes and sends ``norm * min2`` to a slot whose magnitude equals
-    ``min1``, else ``norm * min1``. That is exact on ties, where ``min2 ==
-    min1``. The sign is the XOR of the check's negative inputs, its syndrome
-    bit and the slot's own sign; setting it after the product ``norm * min``
-    gives the same number as multiplying by the +-1 factors first. A
-    variable's total is ``llr0 + ((c0 + c1) + c2)`` over its slots in
-    ascending edge order, the order of ``sum(axis=1)`` over its edges. So
-    every message and decision is that of the plain edge-indexed decoder,
-    bit for bit.
+    Messages live in a check-slot-major (nb, 3 z) array, so each check update
+    is a pass over nb contiguous rows. It keeps running minima ``min1 <=
+    min2`` of the magnitudes and sends ``norm * min2`` to a slot whose
+    magnitude equals ``min1``, else ``norm * min1``: exact on ties, where
+    ``min2 == min1``. The sign, the XOR of the check's negative inputs, its
+    syndrome bit and the slot's own sign, is set after the product, which
+    gives the same number as the +-1 factors applied first. Band i's slot
+    rows rolled by +shift[i] line up with the variables (j * z + t at row j,
+    column t), and rolled back by -shift[i] with its slots again. A
+    variable's total is ``llr0 + ((c0 + c1) + c2)`` over its bands in order,
+    as ``sum(axis=1)`` adds its edges. So every message and decision is that
+    of the plain edge-indexed decoder, bit for bit.
     """
-    dmax, m = var_of_slot.shape
-    n = var_slots.shape[0]
+    nb, m = shift.shape[1], synd.size
+    z = m // 3
     synd = synd.astype(bool)
     if not synd.any():
         return np.zeros(n, dtype=np.uint8), True, 0
 
-    pad = np.flatnonzero(var_of_slot.ravel() == n)
-    # padding slots carry an infinite magnitude, so they never set a minimum
-    # or a sign; their outgoing message is never read
-    v2c = np.full((dmax, m), min(llr0, clamp))
-    v2c.ravel()[pad] = _INF
-    neg = np.empty((dmax, m), dtype=bool)
-    at_min = np.empty((dmax, m), dtype=bool)
-    mag = np.empty((dmax, m))
-    c2v = np.empty((dmax, m))
+    # padding slots, all in the last block, carry an infinite magnitude, so
+    # they never set a minimum or a sign; their outgoing message is never read
+    pad = ((np.arange(z) + shift[:, -1:]) % z >= n - (nb - 1) * z).ravel()
+    v2c = np.full((nb, m), min(llr0, clamp))
+    v2c[-1, pad] = _INF
+    neg = np.empty((nb, m), dtype=bool)
+    at_min = np.empty((nb, m), dtype=bool)
+    mag = np.empty((nb, m))
+    c2v = np.empty((nb, m))
     c2v_bits = c2v.view(np.uint64)
     min1, min2, tmp, low = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
     tmp_bits, low_bits = tmp.view(np.uint64), low.view(np.uint64)
-    tot = np.zeros(n + 1)  # tot[n] = 0 for padding: never a 1 in the parity
-    inc = np.empty((n, 3))
-    at_slot = np.empty((dmax, m))
+    tot = np.zeros((nb, z))  # the decision when max_iter is 0
+    at_slot = np.empty((nb, m))
+    bands = [slice(i * z, (i + 1) * z) for i in range(3)]
+    converged, it = False, 0
     for it in range(1, max_iter + 1):
         # check update: the sign sent out of a slot is the XOR of its own
         # sign, every sign in its check and the check's syndrome bit
@@ -160,18 +166,22 @@ def bp_decode(var_of_slot: np.ndarray, var_slots: np.ndarray, synd: np.ndarray,
         np.left_shift(neg, np.uint64(63), out=sign_bits)
         c2v_bits |= sign_bits
 
-        # variable update, then the hard decision's syndrome
-        # (every index is in range; mode="clip" lets take write into out)
-        np.take(c2v, var_slots, out=inc, mode="clip")
-        tot[:n] = llr0 + ((inc[:, 0] + inc[:, 1]) + inc[:, 2])
-        np.take(tot, var_of_slot, out=at_slot, mode="clip")
+        # variable update, in at_slot's band columns, then the hard decision's
+        # syndrome; padding variables hold 0, never a 1
+        for i, band in enumerate(bands):
+            roll_rows(c2v[:, band], shift[i], at_slot[:, band])
+        np.add(at_slot[:, bands[0]], at_slot[:, bands[1]], out=tot)
+        tot += at_slot[:, bands[2]]
+        tot += llr0  # added last, the same number as llr0 + sum
+        tot.ravel()[n:] = 0.0
+        for i, band in enumerate(bands):
+            roll_rows(tot, -shift[i], at_slot[:, band])
         np.less(at_slot, 0.0, out=neg)
-        if np.array_equal(np.bitwise_xor.reduce(neg, axis=0), synd):
-            return (tot[:n] < 0.0).astype(np.uint8), True, it
-        if it == max_iter:
+        converged = np.array_equal(np.bitwise_xor.reduce(neg, axis=0), synd)
+        if converged or it == max_iter:
             break
         np.subtract(at_slot, c2v, out=v2c)
         np.clip(v2c, -clamp, clamp, out=v2c)
-        v2c.ravel()[pad] = _INF
+        v2c[-1, pad] = _INF
 
-    return (tot[:n] < 0.0).astype(np.uint8), False, max_iter
+    return (tot.ravel()[:n] < 0.0).astype(np.uint8), converged, it

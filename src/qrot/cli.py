@@ -19,6 +19,12 @@ from qrot import bounds, protocol, qsim, rates, recon, wire
 from qrot.bounds import BoundsError, ProtocolParams, TABLE1_PARAMS
 
 
+def _usage_error(message: str) -> int:
+    """Report bad input as one ``error:`` line; 2 is the exit status."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     t = TABLE1_PARAMS
     p.add_argument("--n0", type=int, default=t.n0)
@@ -52,8 +58,7 @@ def _model_from(args) -> qsim.SourceModel:
         return qsim.SourceModel(p_err=args.p_err, p_double=args.p_double,
                                 p_loss=args.p_loss, p_dark=args.p_dark)
     except qsim.QsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise SystemExit(_usage_error(str(exc)))
 
 
 def _emit(args, data: dict, text: str) -> None:
@@ -74,8 +79,7 @@ def cmd_bounds(args) -> int:
         params = _params_from(args)
         report = bounds.eps_max(params, experimental=args.experimental)
     except BoundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
     d = report.to_dict()
     d.update(n_test=params.n_test, n_check=params.n_check, n_raw=params.n_raw)
     lines = [f"N_test={params.n_test}  N_check={params.n_check}  N_raw={params.n_raw}"]
@@ -90,11 +94,9 @@ def cmd_bounds(args) -> int:
 
 def cmd_figures(args) -> int:
     if args.points < 0:
-        print("error: --points must be non-negative", file=sys.stderr)
-        return 2
+        return _usage_error("--points must be non-negative")
     if args.points and args.figure != "fig2":
-        print(f"error: --points applies to fig2 only, not {args.figure}", file=sys.stderr)
-        return 2
+        return _usage_error(f"--points applies to fig2 only, not {args.figure}")
     kwargs = {"points": args.points} if args.points else {}
     rows = rates.emit_figure(args.figure, **kwargs)
     text = "\n".join(rows) + "\n"
@@ -111,14 +113,12 @@ def cmd_optimize(args) -> int:
     try:
         grid = tuple(int(v) for v in args.grid.split(","))
     except ValueError:
-        print("error: --grid needs comma-separated integers", file=sys.stderr)
-        return 2
+        return _usage_error("--grid needs comma-separated integers")
     try:
         res = rates.n_crit(args.eps_target, args.p_max, args.f, args.p_multi,
                            args.n, grid=grid)
     except rates.RatesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
     data = {"n_crit": res.n_crit, "alpha": res.alpha, "delta1": res.delta1,
             "delta2": res.delta2, "eps_achieved": res.eps_achieved,
             "n_target": res.n_target, "feasible": res.feasible}
@@ -143,14 +143,14 @@ def _session_config(args) -> protocol.SessionConfig:
     try:
         return protocol.desk_config(n0=args.n0, n=args.n, ir_backend=backend)
     except (protocol.ProtocolError, BoundsError, recon.ReconError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise SystemExit(_usage_error(str(exc)))
 
 
 def cmd_simulate(args) -> int:
     if args.sessions < 1:
-        print("error: --sessions must be at least 1", file=sys.stderr)
-        return 2
+        return _usage_error("--sessions must be at least 1")
+    if not 0 <= args.seed <= (1 << 256) - args.sessions:  # 32-byte Rng keys
+        return _usage_error("--seed must keep every session seed in [0, 2**256)")
     config = _session_config(args)
     model = _model_from(args)
     successes = 0
@@ -187,6 +187,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_role(args) -> int:
+    if not 0 <= args.seed < 1 << 256:  # a 32-byte Rng key
+        return _usage_error("--seed must be in [0, 2**256)")
+    if not 0 <= args.port <= 65535:
+        return _usage_error("--port must be in [0, 65535]")
+    if not 0.0 < args.timeout < math.inf:
+        return _usage_error("--timeout must be positive and finite")
     config = _session_config(args)
     model = _model_from(args)
     # both ends replay the same source stream and keep only their own party

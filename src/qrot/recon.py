@@ -112,13 +112,9 @@ def _tag(x: BitString, tag_bits: int) -> BitString:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _code_structure(code_seed: bytes, n_raw: int, ell: int):
-    """Check-slot-major arrays of a seeded quasi-cyclic code, column weight 3.
-
-    Returns (var_of_slot (nb, m), var_slots (n, 3)). Slot (c, i) is column
-    c of check i, and var_of_slot[c, i] is the variable it meets, or n for
-    a padding slot. var_slots[v] holds the flat indices (c * m + i) of
-    variable v's three slots, in ascending edge order.
+def _code_structure(code_seed: bytes, n_raw: int, ell: int) -> np.ndarray:
+    """The circulant shifts (3, nb) of a seeded quasi-cyclic code of column
+    weight 3; they fix the code.
 
     Three bands of z = ell // 3 checks meet nb = ceil(n / z) blocks of z
     variables: check i * z + r meets, in slot j, variable j * z + (r +
@@ -142,34 +138,22 @@ def _code_structure(code_seed: bytes, n_raw: int, ell: int):
                 taken[(shift[1, j] - shift[1, :j] + shift[2, :j]) % z] = True
             free = np.flatnonzero(~taken)
             shift[band, j] = free[rng.randbelow_array([free.size])[0]]
-
-    # var_of_slot[j, i * z + r] = j * z + (r + shift[i, j]) % z as an
-    # (nb, 3, z) array; both arrays are built in place, since each full-size
-    # temporary is about 46 MB at Table-1
-    var_of_slot = np.add(np.arange(z), shift.T[:, :, None])
-    var_of_slot %= z
-    var_of_slot += (np.arange(nb) * z)[:, None, None]
-    np.minimum(var_of_slot, n_raw, out=var_of_slot)
-    var_of_slot = var_of_slot.reshape(nb, 3 * z)
-    # variable v = j * z + t meets check i * z + (t - shift[i, j]) % z in slot j
-    j, t = np.divmod(np.arange(n_raw), z)
-    var_slots = t[:, None] - shift.T[j]
-    var_slots %= z
-    var_slots += np.arange(3) * z
-    var_slots += (j * 3 * z)[:, None]
     # a pure function of public values, cached and shared by every session
-    # at one config: no caller may write the arrays
-    var_of_slot.setflags(write=False)
-    var_slots.setflags(write=False)
-    return var_of_slot, var_slots
+    # at one config: no caller may write it
+    shift.setflags(write=False)
+    return shift
 
 
 def _syndrome_bits_of(x_bits: np.ndarray, code_seed: bytes, n_raw: int,
                       ell: int) -> np.ndarray:
-    var_of_slot, _ = _code_structure(code_seed, n_raw, ell)
-    ext = np.append(x_bits.astype(np.uint8), np.uint8(0))  # variable n: padding
-    # XOR down the dmax contiguous rows of the (dmax, m) slot array
-    return np.bitwise_xor.reduce(ext[var_of_slot], axis=0)
+    shift = _code_structure(code_seed, n_raw, ell)
+    blocks = np.zeros((shift.shape[1], ell // 3), dtype=np.uint8)
+    blocks.ravel()[:n_raw] = x_bits  # the padding variables are 0
+    rolled, bands = np.empty_like(blocks), []
+    for band_shift in shift:  # a band's checks: XOR down its rolled blocks
+        _kernels.roll_rows(blocks, -band_shift, rolled)
+        bands.append(np.bitwise_xor.reduce(rolled, axis=0))
+    return np.concatenate(bands)
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +185,10 @@ def dec(s: Syndrome, y: BitString, params: IrParams) -> BitString | None:
         y_bits = y.bits()
         target = _syndrome_bits_of(y_bits, _CODE_SEED, params.n_raw,
                                    params.syndrome_bits) ^ s.syn.bits()
-        var_of_slot, var_slots = _code_structure(
-            _CODE_SEED, params.n_raw, params.syndrome_bits)
+        shift = _code_structure(_CODE_SEED, params.n_raw, params.syndrome_bits)
         llr0 = math.log((1.0 - params.p_design) / params.p_design)
         err, converged, _ = _kernels.bp_decode(
-            var_of_slot, var_slots, target.astype(np.uint8),
+            shift, params.n_raw, target.astype(np.uint8),
             llr0, BP_MAX_ITER, BP_NORM, LLR_CLAMP)
         if not converged:
             return None

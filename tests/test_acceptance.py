@@ -329,16 +329,12 @@ def test_criterion_9_oblivious_choice_exact_distribution():
 def test_table1_code_margin(seed):
     """The Table-1 code decodes a fixed flip pattern at its own design rate
     p_design = p_max + delta1 (0.0204): the margin the bound's leak charge
-    assumes. Budget about 5 s each (code build included); the code leaves
-    recon's cache when the test ends."""
+    assumes. Budget about 5 s each."""
     ir = protocol.SessionConfig(TABLE1_PARAMS, ir_backend=recon.BACKEND_LDPC).ir_params
     rng = Rng.from_int(seed)
     x = BitString.from_bits(np.frombuffer(rng.bytes(ir.n_raw), np.uint8) & 1)
     flips = BitString.from_bits(uniform(rng, ir.n_raw) < ir.p_design)
-    try:
-        assert recon.dec(recon.syn(x, ir), x ^ flips, ir) == x
-    finally:
-        recon._code_structure.cache_clear()
+    assert recon.dec(recon.syn(x, ir), x ^ flips, ir) == x
 
 
 def test_table1_session_end_to_end():
@@ -347,18 +343,13 @@ def test_table1_session_end_to_end():
     work to do: the chosen-string relation holds, the QBER estimate is below
     p_max, the multi-photon estimate lies in (0, p_multi), and every message
     is exactly its declared size. run_session's own two steps, so the
-    sender's view can be read; budget about 10 s (LDPC graph build
-    included) and 0.7 GB peak RSS. The Table-1 code graph (about 92 MB)
-    leaves recon's cache when the session ends, so the tests after this one
-    do not carry it."""
+    sender's view can be read; about 3 s and 0.4 GB peak RSS in its own
+    process on 2 cores."""
     cfg = protocol.SessionConfig(TABLE1_PARAMS, ir_backend=recon.BACKEND_LDPC)
     sender, receiver = protocol.parties(
         cfg, qsim.SourceModel(p_err=0.01, p_double=0.004), 1)
     multi = qsim.multi_photon_estimate(sender.view.n_tot, sender.view.n_multi)
-    try:
-        res = protocol.run_parties(sender, receiver)
-    finally:
-        recon._code_structure.cache_clear()
+    res = protocol.run_parties(sender, receiver)
     assert res.success and res.output.correct
     assert res.qber_estimate < TABLE1_PARAMS.p_max
     assert 0.0 < multi < TABLE1_PARAMS.p_multi

@@ -33,6 +33,10 @@ def _usage_error(capsys, *argv):
     assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
+def _not_reached(*args, **kwargs):
+    raise AssertionError("bad input reached a session or a socket")
+
+
 def _subprocess_env():
     """The environment for a ``python -m qrot.cli`` child that imports this
     checkout's package."""
@@ -187,6 +191,15 @@ class TestSimulate:
         assert out.out == "" and out.err.startswith("error: n_raw 70 is too short")
         assert out.err.count("\n") == 1
 
+    @pytest.mark.parametrize("seed, sessions", [("-5", "1"), (str(1 << 256), "1"),
+                                                (str((1 << 256) - 1), "2")])
+    def test_seed_outside_key_range_is_a_usage_error(self, capsys, monkeypatch,
+                                                     seed, sessions):
+        # session seeds are 32-byte keys; a seed outside [0, 2**256) once
+        # escaped Rng.from_int as an OverflowError
+        monkeypatch.setattr(protocol, "run_session", _not_reached)
+        _usage_error(capsys, "simulate", "--sessions", sessions, "--seed", seed)
+
     @pytest.mark.parametrize("flag,value", [("--p-err", "0.6"), ("--p-loss", "1"),
                                             ("--p-dark", "1")])
     def test_bad_source_model_is_an_error(self, capsys, flag, value):
@@ -237,6 +250,22 @@ class TestRole:
         code, out, _ = _run(capsys, "role", "--role", role, "--n0", "16384")
         assert code == 1 and out.startswith("aborted: TRANSPORT")
         assert seen == {"actor": True, "other collected": True}
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-5"), ("--seed", str(1 << 256)),
+        ("--port", "70000"), ("--port", "-1"),
+        ("--timeout", "-1"), ("--timeout", "0"), ("--timeout", "inf"),
+        ("--timeout", "nan"),
+    ])
+    def test_bad_flag_is_a_usage_error(self, capsys, monkeypatch, flag, value):
+        # each once escaped as a traceback, from Rng.from_int, bind or
+        # settimeout; now refused before the quantum phase and any socket
+        for module, name in [(protocol, "parties"), (wire, "listen_one"),
+                             (wire, "connect")]:
+            monkeypatch.setattr(module, name, _not_reached)
+        for role in ("sender", "receiver"):
+            _usage_error(capsys, "role", "--role", role, "--n0", "16384",
+                         flag, value)
 
     def test_two_processes_over_loopback(self):
         # one party per process over a real socket: the session completes

@@ -70,50 +70,26 @@ def _bp_decode_reference(chk_rows, var_of_edge, var_edges, synd, llr0,
     return hard[:n].copy(), False, max_iter
 
 
-def _slot_form(chk_rows, var_of_edge, var_edges):
-    """(var_of_slot, var_slots) of an edge-indexed graph: slot (c, i) is
-    column c of check i."""
-    m, dmax = chk_rows.shape
-    slot_of_edge = np.empty(var_of_edge.size, dtype=np.intp)
-    slot_of_edge[chk_rows.T.ravel()] = np.arange(dmax * m)
-    return var_of_edge[chk_rows.T], slot_of_edge[var_edges]
+def _random_code(rng, n, z):
+    """(shift, n, z) of a quasi-cyclic code with arbitrary shifts, band 0
+    included, independent of ``recon``'s draw: 4-cycles are allowed, and
+    the last of nb = ceil(n / z) blocks holds nb * z - n padding slots."""
+    nb = -(-n // z)
+    shift = rng.randbelow_array(np.full(3 * nb, z)).reshape(3, nb)
+    return shift, n, z
 
 
-def _random_graph(rng, n, row_deg, dmax):
-    """A random graph of column weight 3 in slot form, independent of
-    ``recon``'s code: check i holds row_deg[i] edges at random columns of
-    dmax and padding in the rest, and the 3n edges meet the variables in a
-    random order, duplicate incidences allowed."""
-    m, e_tot = len(row_deg), 3 * n
-    chk_rows = np.full((m, dmax), e_tot, dtype=np.int64)
-    start = np.cumsum(row_deg) - row_deg
-    for i in range(m):
-        at = np.argsort(uniform(rng, dmax))[:row_deg[i]]
-        chk_rows[i, np.sort(at)] = start[i] + np.arange(row_deg[i])
-    var_of_edge = np.append(np.argsort(uniform(rng, e_tot)) // 3, n)
-    var_edges = np.argsort(var_of_edge[:-1], kind="stable").reshape(n, 3)
-    return _slot_form(chk_rows, var_of_edge, var_edges)
-
-
-def _near_regular_graph(rng, n, m):
-    """A random graph whose m rows have degree base or base + 1, base =
-    3n // m, with the short rows padded at a random column."""
-    base, extra = divmod(3 * n, m)
-    row_deg = np.full(m, base)
-    row_deg[:extra] += 1
-    return _random_graph(rng, n, row_deg, int(row_deg.max()))
-
-
-def _noisy_target(graph, n, rng, p):
+def _noisy_target(code, rng, p):
     """Syndrome of a random flip pattern at rate p: the decoder's target."""
-    chk_rows, var_of_edge, _ = edge_form(*graph)
-    flips = np.append(uniform(rng, n) < p, False).astype(np.uint8)
+    chk_rows, var_of_edge, _ = edge_form(*code)
+    flips = np.append(uniform(rng, code[1]) < p, False).astype(np.uint8)
     return np.bitwise_xor.reduce(flips[var_of_edge[chk_rows]], axis=1)
 
 
-def _assert_same_decode(graph, synd, llr0, max_iter=60, norm=0.8, clamp=25.0):
-    got = _kernels.bp_decode(*graph, synd, llr0, max_iter, norm, clamp)
-    want = _bp_decode_reference(*edge_form(*graph), synd, llr0, max_iter,
+def _assert_same_decode(code, synd, llr0, max_iter=60, norm=0.8, clamp=25.0):
+    shift, n, _ = code
+    got = _kernels.bp_decode(shift, n, synd, llr0, max_iter, norm, clamp)
+    want = _bp_decode_reference(*edge_form(*code), synd, llr0, max_iter,
                                 norm, clamp)
     assert got[0].dtype == want[0].dtype == np.uint8
     assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
@@ -122,12 +98,14 @@ def _assert_same_decode(graph, synd, llr0, max_iter=60, norm=0.8, clamp=25.0):
 
 @st.composite
 def _random_decodes(draw):
-    """(seed, n, m, extra padding columns, Fortran order, flip rate, llr0,
-    max_iter, norm) of a random decode."""
+    """(seed, z, nb, padding slots, flip rate, llr0, max_iter, norm) of a
+    random decode."""
     seed = draw(st.integers(0, 2 ** 32))
-    n = draw(st.integers(2, 120))
-    return (seed, n, draw(st.integers(1, 3 * n // 2)), draw(st.integers(0, 2)),
-            draw(st.booleans()), draw(st.sampled_from([0.0, 0.03, 0.1, 0.3])),
+    z, nb = draw(st.integers(1, 40)), draw(st.integers(2, 8))
+    # min-sum needs two real slots per check to send a finite message, so
+    # two blocks come without padding
+    return (seed, z, nb, draw(st.integers(0, z - 1 if nb > 2 else 0)),
+            draw(st.sampled_from([0.0, 0.03, 0.1, 0.3])),
             # ln 24 is the desk decoder's llr0 (p_design 0.04): not dyadic,
             # so BP's sums round and their order shows in the output
             draw(st.sampled_from([0.5, 3.0, 30.0, math.log(24.0)])),
@@ -194,6 +172,28 @@ class TestShuffleKernel:
         assert np.array_equal(np.sort(perm), np.arange(n))
 
 
+class TestRollRows:
+    @pytest.mark.parametrize("z, shifts", [
+        (7, [0, 6, -1, -6, 3, 13, -15]),   # 0, z - 1, negative, beyond z
+        (1, [0, 1, -1]),
+    ])
+    def test_matches_np_roll(self, z, shifts):
+        src = np.arange(len(shifts) * z, dtype=np.float64).reshape(-1, z)
+        out = np.full_like(src, np.nan)
+        assert _kernels.roll_rows(src, np.array(shifts), out) is None
+        for row, s in enumerate(shifts):
+            assert np.array_equal(out[row], np.roll(src[row], s))
+
+    def test_strided_views(self):
+        # the decoder rolls one band's columns of its slot arrays
+        src = np.arange(24, dtype=np.int64).reshape(3, 8)
+        out = np.zeros((3, 12), dtype=np.int64)
+        _kernels.roll_rows(src[:, 4:], np.array([1, -2, 4]), out[:, 8:])
+        assert np.array_equal(out[:, 8:], np.stack(
+            [np.roll(src[j, 4:], s) for j, s in enumerate([1, -2, 4])]))
+        assert not out[:, :8].any()
+
+
 class TestBpKernel:
     def _instance(self, seed, n=2048, p=0.02):
         rng = Rng.from_int(seed)
@@ -201,22 +201,22 @@ class TestBpKernel:
         code_seed = rng.bytes(32)
         x = np.frombuffer(rng.bytes(n), np.uint8) & 1
         noise = (uniform(rng, n) < p).astype(np.uint8)
-        graph = recon._code_structure(code_seed, n, ir.syndrome_bits)
+        shift = recon._code_structure(code_seed, n, ir.syndrome_bits)
         target = recon._syndrome_bits_of(x ^ noise, code_seed, n, ir.syndrome_bits) \
             ^ recon._syndrome_bits_of(x, code_seed, n, ir.syndrome_bits)
         llr0 = math.log((1 - ir.p_design) / ir.p_design)
-        return graph, target, llr0, noise
+        return shift, target, llr0, noise
 
     def test_finds_error_pattern(self):
-        graph, target, llr0, noise = self._instance(7)
-        hard, conv, _ = _kernels.bp_decode(*graph, target.astype(np.uint8),
+        shift, target, llr0, noise = self._instance(7)
+        hard, conv, _ = _kernels.bp_decode(shift, 2048, target.astype(np.uint8),
                                            llr0, 60, 0.8, 25.0)
         assert conv and np.array_equal(hard, noise)
 
     def test_zero_syndrome_instant(self):
-        graph, _, llr0, _ = self._instance(8, p=0.0)
-        zero = np.zeros(graph[0].shape[1], np.uint8)
-        hard, conv, iters = _kernels.bp_decode(*graph, zero, llr0,
+        shift, target, llr0, _ = self._instance(8, p=0.0)
+        zero = np.zeros(target.size, np.uint8)
+        hard, conv, iters = _kernels.bp_decode(shift, 2048, zero, llr0,
                                                60, 0.8, 25.0)
         assert conv and iters == 0 and hard.sum() == 0
 
@@ -224,24 +224,22 @@ class TestBpKernel:
                                            (256, False), (1000, True),
                                            (3000, True)])
     def test_matches_reference_on_small_graphs(self, n, padded):
-        # random graphs of 3n / 8 checks, one more when padded: then rows
-        # have degree 7 and 8, so only some rows have a padding slot; at
-        # n = 256 every row has degree 8
-        m = 3 * n // 8 + padded
-        assert bool(3 * n % m) == padded
+        # random shift tables of z = n // 8 checks per band, one more when
+        # padded: then the last of the 8 blocks holds padding slots
+        z = n // 8 + padded
+        assert bool(8 * z - n) == padded
         llr0 = math.log(0.95 / 0.05)
         rng = Rng.from_int(70 + n)
         for p in [0.0, 0.02, 0.05, 0.08, 0.15]:
-            graph = _near_regular_graph(rng, n, m)
-            _assert_same_decode(graph, _noisy_target(graph, n, rng, p), llr0)
+            code = _random_code(rng, n, z)
+            _assert_same_decode(code, _noisy_target(code, rng, p), llr0)
 
     def test_matches_reference_on_desk_graph(self):
         n, ell = _DESK.n_raw, _DESK.syndrome_bits
         llr0 = math.log((1 - _DESK.p_design) / _DESK.p_design)
         rng = Rng.from_int(71)
-        graph = recon._code_structure(b"\x08" * 32, n, ell)
-        results = [_assert_same_decode(graph, _noisy_target(graph, n, rng, p),
-                                       llr0)
+        code = (recon._code_structure(b"\x08" * 32, n, ell), n, ell // 3)
+        results = [_assert_same_decode(code, _noisy_target(code, rng, p), llr0)
                    for p in [0.0, 0.01, 0.02, 0.03, 0.04, 0.045]]
         # converged in 0 and in several iterations, and ran out at max_iter
         assert results[0][1:] == (True, 0)
@@ -250,35 +248,30 @@ class TestBpKernel:
 
     @given(_random_decodes())
     # llr0 = 0.3 is not dyadic, so the variable sums round: summing them as
-    # llr0 + (c0 + (c1 + c2)) instead converges in 6 iterations, not 5
-    @example((41811, 19, 17, 1, False, 0.1, 0.3, 25, 1.0))
+    # llr0 + (c0 + (c1 + c2)) instead converges in 6 iterations, not 7
+    @example((107, 30, 5, 1, 0.1, 0.3, 25, 1.0))
     # the same at the desk decoder's llr0: after 3 unconverged iterations
     # the two sum orders leave one hard decision different
-    @example((0, 28, 7, 0, False, 0.3, math.log(24.0), 3, 1.0))
+    @example((10, 26, 4, 10, 0.3, math.log(24.0), 3, 1.0))
+    # no iteration at all: every decision is 0
+    @example((0, 38, 4, 3, 0.03, 0.5, 0, 0.75))
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_property(self, case):
-        # arbitrary row degrees (2 or more, not just base and base + 1),
-        # padding at any column, duplicate incidences allowed, either
-        # memory order of var_of_slot, and any iteration budget
-        seed, n, m, extra, fortran, p, llr0, max_iter, norm = case
+        # any z and nb, any padding count, arbitrary shifts with 4-cycles
+        # allowed, and any iteration budget
+        seed, z, nb, pad, p, llr0, max_iter, norm = case
         rng = Rng.from_int(seed)
-        e_tot = 3 * n
-        cuts = np.sort(rng.randbelow_array(np.full(m - 1, e_tot - 2 * m + 1)))
-        row_deg = np.diff(np.concatenate([[0], cuts, [e_tot - 2 * m]])) + 2
-        var_of_slot, var_slots = _random_graph(rng, n, row_deg,
-                                               int(row_deg.max()) + extra)
-        if fortran:
-            var_of_slot = np.asfortranarray(var_of_slot)
-        graph = (var_of_slot, var_slots)
-        _assert_same_decode(graph, _noisy_target(graph, n, rng, p), llr0,
+        code = _random_code(rng, nb * z - pad, z)
+        _assert_same_decode(code, _noisy_target(code, rng, p), llr0,
                             max_iter=max_iter, norm=norm)
 
 
 class TestSyndromeBits:
     @staticmethod
-    def _assert_row_reduction(rng, graph, code_seed, n, ell):
-        # the syndrome as an XOR along each padded (m, dmax) row
-        chk_rows, var_of_edge, _ = edge_form(*graph)
+    def _assert_row_reduction(rng, code, code_seed, ell):
+        # the syndrome as an XOR along each padded (m, nb) row
+        chk_rows, var_of_edge, _ = edge_form(*code)
+        n = code[1]
         for _ in range(3):
             x = np.frombuffer(rng.bytes(n), np.uint8) & 1
             ext = np.concatenate([x, [0]]).astype(np.uint8)
@@ -288,14 +281,16 @@ class TestSyndromeBits:
 
     @pytest.mark.parametrize("n, ell", [(30, 11), (97, 40), (1000, 337)])
     def test_matches_row_reduction(self, n, ell, monkeypatch):
+        # random shift tables of z = ell // 3 checks per band, set as the
+        # code: 30-11 has no padding, the others some
         rng = Rng.from_int(72 + n)
-        graph = _near_regular_graph(rng, n, ell)
-        monkeypatch.setattr(recon, "_code_structure", lambda *_: graph)
-        self._assert_row_reduction(rng, graph, None, n, ell)
+        code = _random_code(rng, n, ell // 3)
+        monkeypatch.setattr(recon, "_code_structure", lambda *_: code[0])
+        self._assert_row_reduction(rng, code, None, ell)
 
     def test_matches_row_reduction_on_desk_code(self):
         n, ell = _DESK.n_raw, _DESK.syndrome_bits
         rng = Rng.from_int(72 + n)
         code_seed = rng.bytes(32)
-        self._assert_row_reduction(rng, recon._code_structure(code_seed, n, ell),
-                                   code_seed, n, ell)
+        code = (recon._code_structure(code_seed, n, ell), n, ell // 3)
+        self._assert_row_reduction(rng, code, code_seed, ell)

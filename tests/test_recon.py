@@ -24,14 +24,12 @@ def epsilon_ir(params):
     return 2.0 ** (-params.tag_bits)
 
 
-def _code_structure_reference(code_seed, n_raw, ell):
-    """The quasi-cyclic code from its definition, one check and one slot at
-    a time, in edge form (chk_rows, var_of_edge, var_edges): z = ell // 3,
-    nb = ceil(n / z); check i * z + r meets, in slot j, variable
-    j * z + (r + shift[i][j]) % z, a padding slot at or past n. Band 0 has
-    shift 0; block by block, shift[1][j] is drawn from the values not yet
-    in band 1, then shift[2][j] from those not yet in band 2 that keep
-    shift[1] - shift[2] distinct."""
+def _shift_reference(code_seed, n_raw, ell):
+    """The quasi-cyclic code's circulant shifts (3, nb) from their
+    definition, one block and one band at a time: z = ell // 3, nb =
+    ceil(n / z). Band 0 has shift 0; block by block, shift[1][j] is drawn
+    from the values not yet in band 1, then shift[2][j] from those not yet
+    in band 2 that keep shift[1] - shift[2] distinct."""
     rng = Rng(hashlib.blake2b(b"ldpc" + code_seed, digest_size=32).digest())
     z = ell // 3
     nb = -(-n_raw // z)
@@ -43,15 +41,26 @@ def _code_structure_reference(code_seed, n_raw, ell):
         free = [v for v in range(z) if v not in shift[2][:j]
                 and (shift[1][j] - v) % z not in diffs]
         shift[2][j] = free[rng.randbelow_array([len(free)])[0]]
+    return np.array(shift, dtype=np.int64)
 
+
+def edge_form(shift, n, z):
+    """(chk_rows, var_of_edge, var_edges) of the quasi-cyclic code of shifts
+    (3, nb), n variables and z checks per band, from the definition one
+    check and one slot at a time: check i * z + r meets, in slot j,
+    variable j * z + (r + shift[i][j]) % z, a padding slot at or past n.
+    Edges are numbered check by check along each row of chk_rows (m, nb),
+    padding slots as edge E with variable n; var_edges (n, 3) holds each
+    variable's edges in ascending order."""
+    nb = len(shift[0])
     rows, var_of_edge = [], []
-    var_edges = [[] for _ in range(n_raw)]
+    var_edges = [[] for _ in range(n)]
     for i in range(3):
         for r in range(z):
             row = []
             for j in range(nb):
-                v = j * z + (r + shift[i][j]) % z
-                if v < n_raw:
+                v = j * z + (r + int(shift[i][j])) % z
+                if v < n:
                     row.append(len(var_of_edge))
                     var_edges[v].append(len(var_of_edge))
                     var_of_edge.append(v)
@@ -61,21 +70,8 @@ def _code_structure_reference(code_seed, n_raw, ell):
     e_tot = len(var_of_edge)
     chk_rows = [[e_tot if e is None else e for e in row] for row in rows]
     return (np.array(chk_rows, dtype=np.int64),
-            np.array(var_of_edge + [n_raw], dtype=np.int64),
+            np.array(var_of_edge + [n], dtype=np.int64),
             np.array(var_edges, dtype=np.int64))
-
-
-def edge_form(var_of_slot, var_slots):
-    """(chk_rows, var_of_edge, var_edges) of a check-slot-major graph:
-    edges numbered check by check along each row of chk_rows (m, dmax),
-    padding slots as edge E and variable n as its variable."""
-    n = var_slots.shape[0]
-    real = var_of_slot.T != n
-    e_tot = int(real.sum())
-    chk_rows = np.full(real.shape, e_tot, dtype=np.int64)
-    chk_rows[real] = np.arange(e_tot)
-    var_of_edge = np.append(var_of_slot.T[real], n)
-    return chk_rows, var_of_edge, chk_rows.T.ravel()[var_slots]
 
 
 def _graph_digest(graph):
@@ -236,25 +232,28 @@ class TestDecode:
 
 
 class TestGraph:
+    @staticmethod
+    def _edges(code_seed, n, ell):
+        return edge_form(recon._code_structure(code_seed, n, ell), n, ell // 3)
+
     def test_column_weight_three(self):
-        var_of_slot, var_slots = recon._code_structure(
-            b"\x04" * 32, 512, IrParams(n_raw=512, p_design=0.05, f=1.3).syndrome_bits)
-        counts = np.bincount(var_of_slot.ravel(), minlength=513)
-        assert np.all(counts[:512] == 3)
-        assert var_slots.shape == (512, 3)
-        assert np.array_equal(var_of_slot.ravel()[var_slots],
+        ell = IrParams(n_raw=512, p_design=0.05, f=1.3).syndrome_bits
+        _, var_of_edge, var_edges = self._edges(b"\x04" * 32, 512, ell)
+        assert np.all(np.bincount(var_of_edge[:-1], minlength=512) == 3)
+        assert var_edges.shape == (512, 3)
+        assert np.array_equal(var_of_edge[var_edges],
                               np.repeat(np.arange(512), 3).reshape(512, 3))
 
     def test_seed_changes_graph(self):
         ell = IrParams(n_raw=512, p_design=0.05, f=1.3).syndrome_bits
-        a, _ = recon._code_structure(b"\x01" * 32, 512, ell)
-        b, _ = recon._code_structure(b"\x02" * 32, 512, ell)
+        a = recon._code_structure(b"\x01" * 32, 512, ell)
+        b = recon._code_structure(b"\x02" * 32, 512, ell)
         assert not np.array_equal(a, b)
 
     def test_no_duplicate_incidences(self):
         ell = IrParams(n_raw=512, p_design=0.05, f=1.3).syndrome_bits
-        var_of_slot, _ = recon._code_structure(b"\x05" * 32, 512, ell)
-        for check in var_of_slot.T:
+        chk_rows, var_of_edge, _ = self._edges(b"\x05" * 32, 512, ell)
+        for check in var_of_edge[chk_rows]:
             vars_in_row = check[check < 512]
             assert len(set(vars_in_row.tolist())) == vars_in_row.size
 
@@ -263,23 +262,22 @@ class TestGraph:
         ell = IrParams(n_raw=n, p_design=0.05, f=1.3).syndrome_bits
         for k in range(4):
             seed = bytes([n % 256, k]) * 16
-            assert _graph_digest(edge_form(*recon._code_structure(seed, n, ell))) == \
-                _graph_digest(_code_structure_reference(seed, n, ell))
+            assert np.array_equal(recon._code_structure(seed, n, ell),
+                                  _shift_reference(seed, n, ell))
 
     def test_matches_reference_builder_at_desk_point(self):
         seed = b"\x06" * 32
-        graph = edge_form(*recon._code_structure(seed, DESK_N, DESK_ELL))
-        assert _graph_digest(graph) == \
-            _graph_digest(_code_structure_reference(seed, DESK_N, DESK_ELL))
+        assert np.array_equal(recon._code_structure(seed, DESK_N, DESK_ELL),
+                              _shift_reference(seed, DESK_N, DESK_ELL))
 
     @pytest.mark.parametrize("n, ell", [(512, 189), (N, IR.syndrome_bits),
                                         (DESK_N, DESK_ELL)])
     def test_no_four_cycles(self, n, ell):
         # every pair of variables in one check, over all checks: a pair met
         # twice shares two checks
-        var_of_slot, _ = recon._code_structure(recon._CODE_SEED, n, ell)
+        chk_rows, var_of_edge, _ = self._edges(recon._CODE_SEED, n, ell)
         pairs = []
-        for a, b in itertools.combinations(var_of_slot, 2):
+        for a, b in itertools.combinations(var_of_edge[chk_rows].T, 2):
             lo, hi = np.minimum(a, b), np.maximum(a, b)
             pairs.append((lo * n + hi)[hi < n])
         pairs = np.concatenate(pairs)
@@ -287,7 +285,9 @@ class TestGraph:
 
     def test_builds_at_every_accepted_size(self):
         # a free shift is left in every block wherever IrParams accepts the
-        # size, down to the smallest accepted n at each point (140 and 320)
+        # size, down to the smallest accepted n at each point (140 and 320);
+        # the shifts keep the conditions that rule out 4-cycles: distinct
+        # within each band and distinct band differences
         built = 0
         for p, f in [(0.05, 1.3), (0.0204, 1.64)]:
             for n in range(100, 5001, 4):
@@ -295,14 +295,27 @@ class TestGraph:
                     ell = IrParams(n_raw=n, p_design=p, f=f).syndrome_bits
                 except ReconError:
                     continue
-                var_of_slot, var_slots = recon._code_structure(b"\x09" * 32, n, ell)
-                assert var_of_slot.shape == (-(-n // (ell // 3)), ell)
-                assert var_slots.shape == (n, 3)
+                z = ell // 3
+                shift = recon._code_structure(b"\x09" * 32, n, ell)
+                nb = -(-n // z)
+                assert shift.shape == (3, nb) and not shift[0].any()
+                assert 0 <= shift.min() and shift.max() < z
+                for row in (shift[1], shift[2], (shift[1] - shift[2]) % z):
+                    assert np.unique(row).size == nb
                 built += 1
         assert built == 2385
+
+    def test_table1_code_is_its_shift_table(self):
+        # the cached code at the paper's point is 3 x 13 shifts, not index
+        # arrays over its 1.9M variables
+        ir = protocol.SessionConfig(TABLE1_PARAMS).ir_params
+        shift = recon._code_structure(recon._CODE_SEED, ir.n_raw, ir.syndrome_bits)
+        assert shift.shape == (3, 13) and shift.dtype == np.int64
+        assert not shift.flags.writeable and not shift[0].any()
+        assert shift.nbytes < 1024
 
     def test_desk_graph_pinned(self):
         # The seeded code itself: changing the shift draw or the layout
         # changes every desk-LDPC session, so this digest moves only on purpose.
-        graph = edge_form(*recon._code_structure(b"\x07" * 32, DESK_N, DESK_ELL))
+        graph = self._edges(b"\x07" * 32, DESK_N, DESK_ELL)
         assert _graph_digest(graph) == "496895e95ef3d83602f324775756fea1"
