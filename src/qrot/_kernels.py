@@ -115,6 +115,12 @@ def bp_decode(shift: np.ndarray, n: int, synd: np.ndarray, llr0: float,
     variable's total is ``llr0 + ((c0 + c1) + c2)`` over its bands in order,
     as ``sum(axis=1)`` adds its edges. So every message and decision is that
     of the plain edge-indexed decoder, bit for bit.
+
+    Every check needs at least two real slots: with one, ``min2`` stays
+    infinite, that slot is sent an infinite message, and the next messages
+    are ``inf - inf`` = NaN. Only the last block holds padding, so nb >= 3
+    suffices. ``recon``'s codes have nb >= 4: ``IrParams`` refuses
+    ``syndrome_bits >= n_raw``, so n > 3 z.
     """
     nb, m = shift.shape[1], synd.size
     z = m // 3

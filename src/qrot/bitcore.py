@@ -71,11 +71,6 @@ class BitString:
         return np.unpackbits(self._buf, count=self.length) if self.length else \
             np.zeros(0, dtype=np.uint8)
 
-    def to_int(self) -> int:
-        if self.length == 0:
-            return 0
-        return int.from_bytes(self.payload, "big") >> (8 * self._buf.size - self.length)
-
     def popcount(self) -> int:
         return int(np.bitwise_count(self._buf).sum())
 

@@ -101,8 +101,11 @@ def cmd_figures(args) -> int:
     rows = rates.emit_figure(args.figure, **kwargs)
     text = "\n".join(rows) + "\n"
     if args.output and args.output != "-":
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _usage_error(f"--output {args.output}: {exc.strerror}")
         print(f"wrote {len(rows)} rows to {args.output}")
     else:
         sys.stdout.write(text)

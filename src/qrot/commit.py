@@ -1,10 +1,10 @@
-"""Weakly-interactive string commitment from a one-way function.
+"""Weakly-interactive commitment to a round's two-bit (basis, outcome) code.
 
-Construction: the verifier sends a random challenge r1; a basis of message-
-length many linearly independent vectors is derived from r1; the committer
-publishes H(seed) xor the basis combination selected by the message bits.
-An opening is the pair (message, seed) and verification recomputes the
-commitment.
+Construction: the verifier sends a random challenge r1; a second vector r2,
+independent of r1, is derived from it; the committer publishes H(seed) xor
+r1 if the basis bit is set, xor r2 if the outcome bit is set. A code is
+``m = basis << 1 | outcome``. An opening is the pair (code, seed) and
+verification recomputes the commitment.
 
 The one-way function is fixed-key AES-128, applied to the seed in counter
 mode.
@@ -30,24 +30,18 @@ class CommitError(ValueError):
 
 @dataclass(frozen=True)
 class CommitParams:
-    """Security parameter k and message length; derived wire lengths."""
+    """Security parameter k; derived wire lengths."""
 
     k: int
-    n_msg: int
 
     def __post_init__(self):
         if self.k < 8:
             raise CommitError("security parameter too small")
-        if self.n_msg < 1:
-            raise CommitError("message length must be positive")
-
-    @property
-    def n_r(self) -> int:
-        return 3 * self.k + self.n_msg
 
     @property
     def n_c(self) -> int:
-        return 3 * self.k + self.n_msg
+        """Bits of the challenge and of each commitment: 3k + 2."""
+        return 3 * self.k + 2
 
     @property
     def n_s(self) -> int:
@@ -108,7 +102,7 @@ def _zero_pad_bits(out: np.ndarray, nbits: int) -> None:
 
 @dataclass(frozen=True)
 class Challenge:
-    """Verifier's random message; the seed of the basis tuple."""
+    """Verifier's random message; the seed of the basis pair."""
 
     r1: BitString
 
@@ -119,101 +113,57 @@ class Challenge:
 
 def sample_challenge(rng: Rng, params: CommitParams) -> Challenge:
     while True:
-        r1 = rng.bits(params.n_r)
+        r1 = rng.bits(params.n_c)
         if r1.popcount():
             return Challenge(r1)
 
 
-_MAX_BASIS_ATTEMPTS = 64
+def derive_basis(r1: Challenge) -> tuple[BitString, BitString]:
+    """The vectors (r1, r2) that the basis and outcome bits select.
 
-
-def derive_basis(r1: Challenge, n_msg: int) -> list[BitString]:
-    """n_msg linearly independent vectors over GF(2), the first being r1.
-
-    Subsequent vectors come from a PRNG seeded by r1; each candidate is
-    accepted only if independent of all prior vectors (incremental Gaussian
-    elimination on integer-encoded rows).
+    r2 is the first draw of a PRNG seeded by r1 that is neither zero nor r1,
+    so the two are linearly independent over GF(2).
     """
-    width = r1.r1.length
-    if n_msg > width:
-        raise CommitError("cannot find that many independent vectors")
-    basis = [r1.r1]
-    pivots: list[int] = []
-    first = r1.r1.to_int()
-    _reduce_and_insert(first, pivots)
     prng = Rng(hashlib.blake2b(b"qrot-basis" + r1.r1.serialize(), digest_size=32).digest())
-    while len(basis) < n_msg:
-        for _ in range(_MAX_BASIS_ATTEMPTS):
-            cand = prng.bits(width)
-            if _reduce_and_insert(cand.to_int(), pivots):
-                basis.append(cand)
-                break
-        else:
-            raise CommitError("failed to extend basis")
-    return basis
-
-
-def _reduce_and_insert(vec: int, pivots: list[int]) -> bool:
-    for p in pivots:
-        vec = min(vec, vec ^ p)
-    if vec == 0:
-        return False
-    pivots.append(vec)
-    pivots.sort(reverse=True)
-    return True
+    while True:
+        r2 = prng.bits(r1.r1.length)
+        if r2.popcount() and r2 != r1.r1:
+            return r1.r1, r2
 
 
 # ---------------------------------------------------------------------------
 # batch interface (the N0-fold commitment of the protocol)
 # ---------------------------------------------------------------------------
 
-def _basis_words(r: Challenge, params: CommitParams) -> np.ndarray:
-    basis = derive_basis(r, params.n_msg)
-    return np.stack([np.frombuffer(b.payload, dtype=np.uint8) for b in basis])
-
-
-_TABLE_BITS = 8  # message bits per combination table: at most 256 rows
-
-
 def _commit_rows(msgs: np.ndarray, seeds: np.ndarray, r: Challenge,
                  params: CommitParams) -> np.ndarray:
     """Commitments as the (N, 16 * B) uint8 rows of ``_owf_words``.
 
-    A commitment is H(seed) xor the sum of the basis vectors whose message
-    bit is set. That sum depends only on the message, so the 2**n_msg sums
-    are tabulated once (4 rows for n_msg = 2), row j holding the sum for the
-    message whose bit i is bit i of j. Each commitment is then one XOR of its
-    table row into the hash, on 64-bit words, instead of one masked XOR per
-    message bit; XOR is associative, so the bytes are the same. Longer
-    messages take one table per 8 bits.
+    A commitment is H(seed) xor the sum of the basis vectors its code
+    selects. The four sums are tabulated once, row m holding the sum for
+    code m: [0, r2, r1, r1 ^ r2]. Each commitment is then one XOR of its
+    table row into the hash, on 64-bit words.
 
     The first ``com_bytes`` columns of a row are the commitment, pad bits
     not yet zeroed; the columns after them are filler.
     """
-    out_bytes = params.com_bytes
-    coms = _owf_words(seeds, out_bytes)
+    coms = _owf_words(seeds, params.com_bytes)
+    table = np.zeros((4, coms.shape[1]), dtype=np.uint8)
+    r1, r2 = derive_basis(r)
+    table[2, :params.com_bytes] = np.frombuffer(r1.payload, np.uint8)
+    table[1, :params.com_bytes] = np.frombuffer(r2.payload, np.uint8)
+    table[3] = table[1] ^ table[2]
     words = coms.view(np.uint64)
-    basis = np.zeros((params.n_msg, coms.shape[1]), dtype=np.uint8)
-    basis[:, :out_bytes] = _basis_words(r, params)
-    basis = basis.view(np.uint64)
-    for lo in range(0, params.n_msg, _TABLE_BITS):
-        group = basis[lo:lo + _TABLE_BITS]
-        table = np.zeros((1 << len(group), words.shape[1]), dtype=np.uint64)
-        for i, vec in enumerate(group):
-            np.bitwise_xor(table[:1 << i], vec, out=table[1 << i:2 << i])
-        row = np.zeros(len(msgs), dtype=np.uint8)
-        for i in range(len(group)):
-            row |= (msgs[:, lo + i] != 0).view(np.uint8) << np.uint8(i)
-        # np.take gathers rows several times faster than table[row]
-        words ^= np.take(table, row, axis=0)
+    # np.take gathers rows several times faster than table[msgs]
+    words ^= np.take(table.view(np.uint64), msgs, axis=0)
     return coms
 
 
 def commit_batch(msgs: np.ndarray, seeds: np.ndarray, r: Challenge,
                  params: CommitParams, hash_id: int) -> np.ndarray:
-    """Commit N messages at once.
+    """Commit N codes at once.
 
-    msgs: (N, n_msg) 0/1 uint8; seeds: (N, seed_bytes) uint8.
+    msgs: (N,) uint8 codes in 0..3; seeds: (N, seed_bytes) uint8.
     Returns (N, com_bytes) uint8.
     """
     # hash_id is read only by perfbench's tracer; ROADMAP item 2 deletes it

@@ -91,6 +91,8 @@ class SessionConfig:
 
     Commitments always use the fixed-key AES hash (``commit.HASH_AES128``),
     and the LDPC code is a function of ``ir_params``, so neither is a field.
+    Each round commits to its two-bit code ``theta << 1 | x``, so ``k``
+    alone sizes the challenge and the commitments.
     """
 
     params: ProtocolParams
@@ -115,8 +117,7 @@ class SessionConfig:
 
     @property
     def commit_params(self) -> commit.CommitParams:
-        # per-round message is the (basis, outcome) pair
-        return commit.CommitParams(k=self.k, n_msg=2)
+        return commit.CommitParams(k=self.k)
 
     def serialize(self) -> bytes:
         p = self.params
@@ -139,7 +140,7 @@ def declared_payload_sizes(config: SessionConfig) -> dict:
     cp = config.commit_params
     return {
         Msg.HELLO: _CONFIG_STRUCT.size,
-        Msg.CHALLENGE: (cp.n_r + 7) // 8,
+        Msg.CHALLENGE: (cp.n_c + 7) // 8,
         Msg.COMMITMENTS: p.n0 * cp.com_bytes,
         Msg.TEST_SET: (p.n0 + 7) // 8,
         Msg.OPENINGS: p.n_test * (1 + cp.seed_bytes),
@@ -297,19 +298,19 @@ class SenderSession(_Session):
         p = self.config.params
         cp = self.config.commit_params
         body = np.frombuffer(payload, np.uint8).reshape(p.n_test, 1 + cp.seed_bytes)
-        if (body[:, 0] & 0x3F).any():  # the (basis, outcome) pair is bits 7 and 6
+        if (body[:, 0] & 0x3F).any():  # the code basis << 1 | outcome is bits 7-6
             return self._abort(AbortReason.PROTOCOL_ERROR)
-        msgs = np.stack([body[:, 0] >> 7, (body[:, 0] >> 6) & 1], axis=1)
+        msgs = body[:, 0] >> 6
         coms, self.coms = self.coms, None
         ok = commit.verify_batch(coms, msgs, body[:, 1:], self.challenge, cp)
         if not ok.all():
             return self._abort(AbortReason.TEST_FAILED)
 
         tested = np.flatnonzero(self.test_mask)
-        matched = msgs[:, 0] == self.view.theta[tested]
+        matched = msgs >> 1 == self.view.theta[tested]
         if int(matched.sum()) < p.n_check:
             return self._abort(AbortReason.TEST_FAILED)
-        p_est = float((msgs[matched, 1] != self.view.x[tested][matched]).mean())
+        p_est = float(((msgs[matched] & 1) != self.view.x[tested][matched]).mean())
         self.qber_estimate = p_est
         if p_est > p.p_max:
             return self._abort(AbortReason.TEST_FAILED)
@@ -362,9 +363,9 @@ class ReceiverSession(_Session):
     def _on_challenge(self, payload: bytes) -> list[Frame]:
         p = self.config.params
         cp = self.config.commit_params
-        self.challenge = commit.Challenge(BitString(payload, cp.n_r))
+        self.challenge = commit.Challenge(BitString(payload, cp.n_c))
 
-        msgs = np.stack([self.view.theta, self.view.x], axis=1)
+        msgs = self.view.theta << 1 | self.view.x
         seeds = np.frombuffer(self.rng.bytes(p.n0 * cp.seed_bytes),
                               np.uint8).reshape(p.n0, cp.seed_bytes).copy()
         if cp.n_s % 8:

@@ -200,10 +200,11 @@ def test_criterion_8_scheme_property_suites():
     rng = Rng.from_int(808)
 
     # commitment correctness: 10^4 commit/open/verify round trips
-    cp = commit.CommitParams(k=32, n_msg=2)
+    cp = commit.CommitParams(k=32)
     n = 10_000
     r = commit.sample_challenge(rng, cp)
-    msgs = np.frombuffer(rng.bytes(2 * n), np.uint8).reshape(n, 2) & 1
+    bits = np.frombuffer(rng.bytes(2 * n), np.uint8).reshape(n, 2) & 1
+    msgs = bits[:, 0] << 1 | bits[:, 1]  # two bytes a code keep the later draws fixed
     seeds = np.frombuffer(rng.bytes(n * cp.seed_bytes),
                           np.uint8).reshape(n, cp.seed_bytes)
     coms = commit.commit_batch(msgs, seeds, r, cp, commit.HASH_AES128)
@@ -212,7 +213,7 @@ def test_criterion_8_scheme_property_suites():
 
     # binding brute force at k=16 with the enumerable toy hash: for each
     # challenge, at most one of the 4 messages has any opening seed
-    toy = commit.CommitParams(k=16, n_msg=2)
+    toy = commit.CommitParams(k=16)
     all_seeds = np.zeros((1 << 16, 2), np.uint8)
     v = np.arange(1 << 16, dtype=np.uint32)
     all_seeds[:, 0], all_seeds[:, 1] = v >> 8, v & 0xFF
@@ -230,7 +231,7 @@ def test_criterion_8_scheme_property_suites():
     challenges = 100
     for _ in range(challenges):
         r16 = commit.sample_challenge(rng, toy)
-        basis = commit._basis_words(r16, toy)
+        basis = [np.frombuffer(v.payload, np.uint8) for v in commit.derive_basis(r16)]
         com = table[int(rng.randbelow_array(np.array([1 << 16]))[0])].copy()
         m = int(rng.bytes(1)[0] & 3)
         if m & 2:

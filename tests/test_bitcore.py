@@ -53,7 +53,8 @@ class TestBitString:
     @settings(max_examples=50, deadline=None)
     def test_int_round_trip(self, length):
         v = (1 << length) - 1 if length < 4 else (1 << (length - 1)) | 1
-        assert BitString.from_int(v, length).to_int() == v
+        b = BitString.from_int(v, length)
+        assert b.length == length and int("".join(map(str, b.bits())), 2) == v
 
     def test_from_int_range_checked(self):
         with pytest.raises(BitcoreError):
@@ -67,7 +68,7 @@ class TestBitString:
 
     def test_empty(self):
         z = BitString.zeros(0)
-        assert len(z) == 0 and z.to_int() == 0
+        assert len(z) == 0 and z.bits().size == 0
         assert z.payload == b"" and BitString(z.payload, 0) == z
 
     def test_truncated_parse(self):

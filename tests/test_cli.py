@@ -109,6 +109,12 @@ class TestFigures:
         # ignored --points
         _usage_error(capsys, "figures", "--figure", figure, "--points", points)
 
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
+        # a missing directory once escaped as a FileNotFoundError traceback
+        path = tmp_path / "missing" / "x.csv"
+        _usage_error(capsys, "figures", "--figure", "fig3", "--output", str(path))
+        assert not path.parent.exists()
+
 
 class TestOptimize:
     def test_small_grid(self, capsys):

@@ -12,11 +12,17 @@ from qrot.commit import (HASH_AES128, Challenge, CommitError, CommitParams,
                          verify_batch)
 from test_acceptance import _toy_hash
 
-PARAMS = CommitParams(k=32, n_msg=2)
+PARAMS = CommitParams(k=32)
+
+# com_bytes 7, 8, 9, 16, 17 (either side of a 64-bit word and of an AES
+# block); k = 32 and 64 give seeds of 4 and 8 bytes, and k = 64 two AES
+# blocks per commitment
+_KS = [16, 19, 22, 40, 43, 32, 64]
 
 
 # The scalar commitment path: one message at a time, the oracle for the
-# batch path the protocol uses.
+# batch path the protocol uses. A message is the code's two bits, (basis,
+# outcome), and bit i selects basis vector i.
 
 def owf_expand(data, out_bits):
     arr = np.frombuffer(data, dtype=np.uint8).reshape(1, -1)
@@ -30,9 +36,9 @@ class Opening:
 
 
 def commit_one(m, s, r, params):
-    if m.length != params.n_msg or s.length != params.n_s:
+    if m.length != 2 or s.length != params.n_s:
         raise CommitError("message or seed length mismatch")
-    basis = derive_basis(r, params.n_msg)
+    basis = derive_basis(r)
     com = owf_expand(s.payload, params.n_c)
     for i, bit in enumerate(m.bits()):
         if bit:
@@ -43,12 +49,35 @@ def commit_one(m, s, r, params):
 def verify(com, opening, r, params):
     """Recompute the commitment; returns the message, or None on reject."""
     try:
-        if opening.message.length != params.n_msg or opening.seed.length != params.n_s:
+        if opening.message.length != 2 or opening.seed.length != params.n_s:
             return None
         expected = commit_one(opening.message, opening.seed, r, params)
     except (CommitError, ValueError):
         return None
     return opening.message if expected == com else None
+
+
+# The general basis derivation, the oracle for derive_basis: n vectors, r1
+# first, then each PRNG draw that is independent of those before it
+# (incremental Gaussian elimination on integer encodings).
+
+def _to_int(b):
+    return int.from_bytes(b.payload, "big") >> (8 * len(b.payload) - b.length)
+
+
+def _eliminated_basis(r, n):
+    basis, pivots = [r.r1], [_to_int(r.r1)]
+    prng = Rng(hashlib.blake2b(b"qrot-basis" + r.r1.serialize(), digest_size=32).digest())
+    while len(basis) < n:
+        cand = prng.bits(r.r1.length)
+        x = _to_int(cand)
+        for p in pivots:
+            x = min(x, x ^ p)
+        if x:
+            basis.append(cand)
+            pivots.append(x)
+            pivots.sort(reverse=True)
+    return basis
 
 
 def _rng(i=0):
@@ -57,12 +86,12 @@ def _rng(i=0):
 
 class TestParams:
     def test_derived_lengths(self):
-        p = CommitParams(k=32, n_msg=2)
-        assert (p.n_r, p.n_c, p.n_s) == (98, 98, 32)
+        p = CommitParams(k=32)
+        assert (p.n_c, p.n_s, p.com_bytes, p.seed_bytes) == (98, 32, 13, 4)
 
     def test_small_k_rejected(self):
         with pytest.raises(CommitError):
-            CommitParams(k=4, n_msg=2)
+            CommitParams(k=4)
 
 
 class TestOwf:
@@ -77,7 +106,7 @@ class TestOwf:
     def test_unknown_id_rejected(self):
         rng = _rng()
         r = sample_challenge(rng, PARAMS)
-        msgs = np.zeros((1, 2), np.uint8)
+        msgs = np.zeros(1, np.uint8)
         seeds = np.frombuffer(rng.bytes(PARAMS.seed_bytes), np.uint8).reshape(1, -1)
         for hash_id in (0x01, 0x42, 0x7F):  # 0x01 and 0x7F were BLAKE2 and toy16
             with pytest.raises(CommitError):
@@ -92,20 +121,42 @@ class TestChallenge:
             assert sample_challenge(_rng(i), PARAMS).r1.popcount() > 0
 
     def test_basis_linearly_independent(self):
-        r = sample_challenge(_rng(), CommitParams(k=32, n_msg=8))
-        basis = derive_basis(r, 8)
-        # GF(2) rank check by elimination over integer encodings
-        pivots = []
-        for v in basis:
-            x = v.to_int()
-            for p in pivots:
-                x = min(x, x ^ p)
-            assert x != 0
-            pivots.append(x)
+        for i in range(20):
+            r = sample_challenge(_rng(i), PARAMS)
+            r1, r2 = derive_basis(r)
+            assert r1 == r.r1 and r2.length == r1.length
+            # over GF(2), two vectors are independent iff neither is zero
+            # and they differ
+            assert r2.popcount() and (r1 ^ r2).popcount()
 
     def test_basis_deterministic_in_challenge(self):
         r = sample_challenge(_rng(), PARAMS)
-        assert derive_basis(r, 2) == derive_basis(r, 2)
+        assert derive_basis(r) == derive_basis(r)
+
+    @pytest.mark.parametrize("k", _KS)
+    def test_basis_is_the_eliminations_first_two(self, k):
+        params = CommitParams(k=k)
+        for i in range(20):
+            r = sample_challenge(_rng(100 * k + i), params)
+            assert derive_basis(r) == tuple(_eliminated_basis(r, 2))
+
+    def test_basis_skips_zero_and_r1(self, monkeypatch):
+        # the rejection branch: draws of zero and of r1 itself are passed
+        # over, which a real PRNG at these widths all but never produces
+        r = sample_challenge(_rng(), PARAMS)
+        want = _rng(9).bits(PARAMS.n_c)
+        draws = [BitString.zeros(PARAMS.n_c), r.r1, r.r1, want]
+
+        class Scripted:
+            def __init__(self, key):
+                pass
+
+            def bits(self, n):
+                assert n == PARAMS.n_c
+                return draws.pop(0)
+
+        monkeypatch.setattr(commit, "Rng", Scripted)
+        assert derive_basis(r) == (r.r1, want) and not draws
 
 
 class TestCommitVerify:
@@ -150,12 +201,12 @@ class TestBatch:
         rng = _rng(6)
         r = sample_challenge(rng, PARAMS)
         n = 64
-        msgs = (np.frombuffer(rng.bytes(2 * n), np.uint8) & 1).reshape(n, 2)
+        msgs = np.frombuffer(rng.bytes(n), np.uint8) & 3
         seeds = np.frombuffer(rng.bytes(n * PARAMS.seed_bytes),
                               np.uint8).reshape(n, PARAMS.seed_bytes)
         coms = commit_batch(msgs, seeds, r, PARAMS, HASH_AES128)
         for i in range(n):
-            single = commit_one(BitString.from_bits(msgs[i]),
+            single = commit_one(BitString.from_bits([msgs[i] >> 1, msgs[i] & 1]),
                                 BitString(seeds[i], PARAMS.n_s), r, PARAMS)
             assert BitString(coms[i], PARAMS.n_c) == single
 
@@ -163,7 +214,7 @@ class TestBatch:
         rng = _rng(7)
         r = sample_challenge(rng, PARAMS)
         n = 32
-        msgs = (np.frombuffer(rng.bytes(2 * n), np.uint8) & 1).reshape(n, 2)
+        msgs = np.frombuffer(rng.bytes(n), np.uint8) & 3
         seeds = np.frombuffer(rng.bytes(n * PARAMS.seed_bytes),
                               np.uint8).reshape(n, PARAMS.seed_bytes)
         coms = commit_batch(msgs, seeds, r, PARAMS, HASH_AES128)
@@ -175,7 +226,7 @@ class TestBatch:
 
 # The per-bit batch commitment, the oracle for the table XOR: the hash of
 # each seed row (AES blocks encrypted one row at a time), then one masked
-# XOR of a basis vector per message bit.
+# XOR of a basis vector per code bit.
 
 def _owf_reference(seeds, out_bits):
     out_bytes = (out_bits + 7) // 8
@@ -212,17 +263,11 @@ def _blake2_reference(seeds, out_bits):
 
 def _commit_batch_reference(msgs, seeds, r, params, owf=_owf_reference):
     coms = owf(seeds, params.n_c)
-    basis = commit._basis_words(r, params)
-    for i in range(params.n_msg):
-        np.bitwise_xor(coms, basis[i][None, :], out=coms,
-                       where=msgs[:, i:i + 1].astype(bool))
+    for bit, vec in zip((2, 1), derive_basis(r)):
+        np.bitwise_xor(coms, np.frombuffer(vec.payload, np.uint8)[None, :],
+                       out=coms, where=(msgs & bit).astype(bool)[:, None])
     return coms
 
-
-# com_bytes 7, 8, 9, 16, 17 for every n_msg in 1..3 (either side of a
-# 64-bit word and of an AES block); k = 32 and 64 give seeds of 4 and 8
-# bytes, and k = 64 two AES blocks per commitment
-_KS = [16, 19, 22, 40, 43, 32, 64]
 
 # The hashes the table XOR is checked over, keyed by the ids commit gave
 # them when it offered all three: 2 is commit's own AES; BLAKE2b (1) and
@@ -242,24 +287,23 @@ def _layouts(seeds):
 
 class TestTableXor:
     def test_ks_cover_the_word_and_block_edges(self):
-        for n_msg in (1, 2, 3):
-            sizes = {CommitParams(k=k, n_msg=n_msg).com_bytes for k in _KS[:5]}
-            assert sizes == {7, 8, 9, 16, 17}
+        assert [CommitParams(k=k).com_bytes for k in _KS[:5]] == [7, 8, 9, 16, 17]
 
     @pytest.mark.parametrize("owf_id", sorted(_OWFS))
-    @pytest.mark.parametrize("n_msg", [1, 2, 3])
+    @pytest.mark.parametrize("draw", [1, 2, 3])
     @pytest.mark.parametrize("k", _KS)
-    def test_equals_per_bit_xor(self, k, n_msg, owf_id, monkeypatch):
+    def test_equals_per_bit_xor(self, k, draw, owf_id, monkeypatch):
+        # three seeded draws of challenge, codes and seeds at each k and hash
         owf = _OWFS[owf_id]
         if owf_id != HASH_AES128:
             monkeypatch.setattr(commit, "_owf_words", lambda seeds, out_bytes:
                                 owf(seeds, (out_bytes + 15) // 16 * 128))
-        params = CommitParams(k=k, n_msg=n_msg)
-        rng = _rng(k * 10 + n_msg)
+        params = CommitParams(k=k)
+        rng = _rng(k * 10 + draw)
         r = sample_challenge(rng, params)
-        n = 40  # every message value occurs
-        msgs = (np.frombuffer(rng.bytes(n * n_msg), np.uint8) & 1).reshape(n, n_msg)
-        msgs[:1 << n_msg] = (np.arange(1 << n_msg)[:, None] >> np.arange(n_msg)) & 1
+        n = 40
+        msgs = np.frombuffer(rng.bytes(n), np.uint8) & 3
+        msgs[:4] = np.arange(4)  # every code occurs
         seeds = np.frombuffer(rng.bytes(n * params.seed_bytes),
                               np.uint8).reshape(n, params.seed_bytes)
         expect = _commit_batch_reference(msgs, seeds, r, params, owf)
@@ -273,11 +317,11 @@ class TestTableXor:
 
     @pytest.mark.parametrize("k", _KS)
     def test_verify_rejects_one_flipped_bit_in_any_byte(self, k):
-        params = CommitParams(k=k, n_msg=2)
+        params = CommitParams(k=k)
         rng = _rng(200 + k)
         r = sample_challenge(rng, params)
         n = params.com_bytes
-        msgs = (np.frombuffer(rng.bytes(2 * n), np.uint8) & 1).reshape(n, 2)
+        msgs = np.frombuffer(rng.bytes(n), np.uint8) & 3
         seeds = np.frombuffer(rng.bytes(n * params.seed_bytes),
                               np.uint8).reshape(n, params.seed_bytes)
         coms = commit_batch(msgs, seeds, r, params, HASH_AES128)
@@ -294,12 +338,12 @@ class TestTableXor:
     def test_verify_rejects_a_row_tampered_in_any_byte_column(self, k):
         # verify compares 64-bit words: a change in any byte column, on
         # either side of a word boundary, and a set pad bit must all show
-        params = CommitParams(k=k, n_msg=2)
+        params = CommitParams(k=k)
         rng = _rng(300 + k)
         r = sample_challenge(rng, params)
         cols = params.com_bytes
         n = 3 * cols + 2
-        msgs = (np.frombuffer(rng.bytes(2 * n), np.uint8) & 1).reshape(n, 2)
+        msgs = np.frombuffer(rng.bytes(n), np.uint8) & 3
         seeds = np.frombuffer(rng.bytes(n * params.seed_bytes),
                               np.uint8).reshape(n, params.seed_bytes)
         coms = commit_batch(msgs, seeds, r, params, HASH_AES128)

@@ -351,7 +351,7 @@ class TestPadBits:
     ], ids=["challenge", "hash_seed", "syndromes", "bases"])
     def test_set_pad_bit_aborts(self, msg, cfg):
         p = cfg.params
-        bits = {Msg.CHALLENGE: cfg.commit_params.n_r,
+        bits = {Msg.CHALLENGE: cfg.commit_params.n_c,
                 Msg.HASH_SEED: p.n_raw + p.n - 1,
                 Msg.SYNDROMES: cfg.ir_params.syndrome_bits,
                 Msg.BASES: p.n0 - p.n_test}[msg]

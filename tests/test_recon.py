@@ -299,6 +299,7 @@ class TestGraph:
                 shift = recon._code_structure(b"\x09" * 32, n, ell)
                 nb = -(-n // z)
                 assert shift.shape == (3, nb) and not shift[0].any()
+                assert shift.shape[1] >= 4  # bp_decode needs two real slots per check
                 assert 0 <= shift.min() and shift.max() < z
                 for row in (shift[1], shift[2], (shift[1] - shift[2]) % z):
                     assert np.unique(row).size == nb
