@@ -1,9 +1,9 @@
 """Numpy implementations of the hot kernels: the partial Fisher-Yates shuffle
 (whole-array passes, no loop over the swaps; its result is that of the
-sequential swaps) and the normalized min-sum syndrome decoder of a
-quasi-cyclic code, read from its circulant shifts alone (each check-side
-step is an elementwise pass over contiguous rows, each variable-side step
-rolls them; its output is that of the edge-indexed decoder, bit for bit).
+sequential swaps), the syndrome of a quasi-cyclic code and its layered
+normalized min-sum syndrome decoder. Both read the code from its circulant
+shifts alone: rolling each block of variables by a band's shift puts them
+in that band's check order.
 
 Callers reach these through the module (``_kernels.bp_decode``) at call time,
 so an instrumenting wrapper set on the module attribute sees every call.
@@ -12,8 +12,6 @@ so an instrumenting wrapper set on the module attribute sees every call.
 from __future__ import annotations
 
 import numpy as np
-
-_INF = np.inf
 
 
 def fisher_yates_partial(perm: np.ndarray, j: np.ndarray) -> None:
@@ -95,99 +93,65 @@ def roll_rows(src: np.ndarray, shift: np.ndarray, out: np.ndarray) -> None:
         out[j, :s] = src[j, z - s:]
 
 
+def band_syndrome(blocks: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The (3 z,) syndrome of bits ``blocks`` (nb, z), variable j * z + t at
+    [j, t], under circulant shifts ``shift`` (3, nb): check i * z + r meets
+    variable j * z + (r + shift[i, j]) % z of each block j, so band i XORs
+    down the blocks rolled by -shift[i]."""
+    rolled = np.empty_like(blocks)
+    bands = []
+    for band_shift in shift:
+        roll_rows(blocks, -band_shift, rolled)
+        bands.append(np.bitwise_xor.reduce(rolled, axis=0))
+    return np.concatenate(bands)
+
+
 def bp_decode(shift: np.ndarray, n: int, synd: np.ndarray, llr0: float,
-              max_iter: int, norm: float,
-              clamp: float) -> tuple[np.ndarray, bool, int]:
-    """Normalized min-sum syndrome decoding on the quasi-cyclic code of
-    ``n`` variables and circulant shifts ``shift`` (3, nb), laid out as
-    ``recon._code_structure`` says; synd: (3 z,) target syndrome bits.
+              max_iter: int, norm: float) -> tuple[np.ndarray, bool, int]:
+    """Layered normalized min-sum syndrome decoding on the quasi-cyclic code
+    of ``n`` variables and shifts ``shift`` (3, nb), laid out as
+    ``band_syndrome`` says, toward the (3 z,) syndrome bits ``synd``.
     Returns (error_pattern, converged, iterations_used).
 
-    Messages live in a check-slot-major (nb, 3 z) array, so each check update
-    is a pass over nb contiguous rows. It keeps running minima ``min1 <=
-    min2`` of the magnitudes and sends ``norm * min2`` to a slot whose
-    magnitude equals ``min1``, else ``norm * min1``: exact on ties, where
-    ``min2 == min1``. The sign, the XOR of the check's negative inputs, its
-    syndrome bit and the slot's own sign, is set after the product, which
-    gives the same number as the +-1 factors applied first. Band i's slot
-    rows rolled by +shift[i] line up with the variables (j * z + t at row j,
-    column t), and rolled back by -shift[i] with its slots again. A
-    variable's total is ``llr0 + ((c0 + c1) + c2)`` over its bands in order,
-    as ``sum(axis=1)`` adds its edges. So every message and decision is that
-    of the plain edge-indexed decoder, bit for bit.
+    Posteriors (nb, z) and check messages (3, nb, z) are float32. Each
+    iteration updates band 0, 1, then 2 (Hocevar, SiPS 2004): the
+    posteriors, rolled into the band's check order, less its old messages
+    are its checks' inputs; a check sends each slot ``norm`` times the least
+    magnitude among its other inputs, signed by their XOR and its syndrome
+    bit; the new messages are added back. The hard decision is then tested
+    against the syndrome.
 
-    Every check needs at least two real slots: with one, ``min2`` stays
-    infinite, that slot is sent an infinite message, and the next messages
-    are ``inf - inf`` = NaN. Only the last block holds padding, so nb >= 3
-    suffices. ``recon``'s codes have nb >= 4: ``IrParams`` refuses
-    ``syndrome_bits >= n_raw``, so n > 3 z.
+    Padding variables hold +inf, so they never set a minimum or a sign and
+    decide 0. A check with one real slot would send it inf, and inf - inf
+    is NaN; only the last block pads, and ``recon``'s codes have nb >= 4
+    (``IrParams`` refuses ``syndrome_bits >= n_raw``).
     """
-    nb, m = shift.shape[1], synd.size
-    z = m // 3
+    nb, z = shift.shape[1], synd.size // 3
     synd = synd.astype(bool)
     if not synd.any():
         return np.zeros(n, dtype=np.uint8), True, 0
 
-    # padding slots, all in the last block, carry an infinite magnitude, so
-    # they never set a minimum or a sign; their outgoing message is never read
-    pad = ((np.arange(z) + shift[:, -1:]) % z >= n - (nb - 1) * z).ravel()
-    v2c = np.full((nb, m), min(llr0, clamp))
-    v2c[-1, pad] = _INF
-    neg = np.empty((nb, m), dtype=bool)
-    at_min = np.empty((nb, m), dtype=bool)
-    mag = np.empty((nb, m))
-    c2v = np.empty((nb, m))
-    c2v_bits = c2v.view(np.uint64)
-    min1, min2, tmp, low = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
-    tmp_bits, low_bits = tmp.view(np.uint64), low.view(np.uint64)
-    tot = np.zeros((nb, z))  # the decision when max_iter is 0
-    at_slot = np.empty((nb, m))
-    bands = [slice(i * z, (i + 1) * z) for i in range(3)]
+    post = np.full((nb, z), llr0, dtype=np.float32)
+    post.ravel()[n:] = np.inf
+    c2v = np.zeros((3, nb, z), dtype=np.float32)
+    v2c = np.empty((nb, z), dtype=np.float32)
     converged, it = False, 0
-    for it in range(1, max_iter + 1):
-        # check update: the sign sent out of a slot is the XOR of its own
-        # sign, every sign in its check and the check's syndrome bit
-        np.less(v2c, 0.0, out=neg)
-        neg ^= np.bitwise_xor.reduce(neg, axis=0) ^ synd
-        np.abs(v2c, out=mag)
-        min1[:] = mag[0]
-        min2.fill(_INF)
-        for row in mag[1:]:
-            np.maximum(min1, row, out=tmp)
-            np.minimum(min2, tmp, out=min2)
-            np.minimum(min1, row, out=min1)
-        # c2v = where(mag == min1, norm * min2, norm * min1), written into
-        # the preallocated c2v as a select on bit patterns:
-        # low ^ (mag == min1) * (low ^ high), low = norm * min1 and
-        # high = norm * min2 (in tmp)
-        np.multiply(norm, min1, out=low)
-        np.multiply(norm, min2, out=tmp)
-        np.bitwise_xor(low_bits, tmp_bits, out=tmp_bits)
-        np.equal(mag, min1, out=at_min)
-        np.multiply(at_min, tmp_bits, out=c2v_bits)
-        c2v_bits ^= low_bits
-        # negate by setting the sign bit (every magnitude is >= +0), built in
-        # the spent magnitude buffer
-        sign_bits = mag.view(np.uint64)
-        np.left_shift(neg, np.uint64(63), out=sign_bits)
-        c2v_bits |= sign_bits
+    while not converged and it < max_iter:
+        it += 1
+        for i, band_synd in enumerate(synd.reshape(3, z)):
+            roll_rows(post, -shift[i], v2c)
+            v2c -= c2v[i]
+            neg = v2c < 0.0
+            neg ^= np.bitwise_xor.reduce(neg, axis=0) ^ band_synd
+            mag = np.abs(v2c)
+            min1, min2 = mag[0].copy(), np.full(z, np.inf, np.float32)
+            for row in mag[1:]:  # the two least magnitudes
+                np.minimum(min2, np.maximum(min1, row), out=min2)
+                np.minimum(min1, row, out=min1)
+            msg = norm * np.where(mag == min1, min2, min1)
+            c2v[i] = np.where(neg, -msg, msg)
+            v2c += c2v[i]
+            roll_rows(v2c, shift[i], post)
+        converged = np.array_equal(band_syndrome(post < 0.0, shift), synd)
 
-        # variable update, in at_slot's band columns, then the hard decision's
-        # syndrome; padding variables hold 0, never a 1
-        for i, band in enumerate(bands):
-            roll_rows(c2v[:, band], shift[i], at_slot[:, band])
-        np.add(at_slot[:, bands[0]], at_slot[:, bands[1]], out=tot)
-        tot += at_slot[:, bands[2]]
-        tot += llr0  # added last, the same number as llr0 + sum
-        tot.ravel()[n:] = 0.0
-        for i, band in enumerate(bands):
-            roll_rows(tot, -shift[i], at_slot[:, band])
-        np.less(at_slot, 0.0, out=neg)
-        converged = np.array_equal(np.bitwise_xor.reduce(neg, axis=0), synd)
-        if converged or it == max_iter:
-            break
-        np.subtract(at_slot, c2v, out=v2c)
-        np.clip(v2c, -clamp, clamp, out=v2c)
-        v2c[-1, pad] = _INF
-
-    return (tot.ravel()[:n] < 0.0).astype(np.uint8), converged, it
+    return (post.ravel()[:n] < 0.0).astype(np.uint8), converged, it

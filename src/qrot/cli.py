@@ -161,7 +161,7 @@ def cmd_simulate(args) -> int:
     c_counts = [0, 0]
     bit_ones = np.zeros(config.params.n, dtype=np.int64)
     qbers = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     for i in range(args.sessions):
         res = protocol.run_session(config, model, args.seed + i)
         if res.qber_estimate is not None:
@@ -172,7 +172,7 @@ def cmd_simulate(args) -> int:
             bit_ones += res.output.sender.m0.bits()
         else:
             aborts[res.abort_reason.name] = aborts.get(res.abort_reason.name, 0) + 1
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     mean_qber = float(np.mean(qbers)) if qbers else math.nan
     data = {"sessions": args.sessions, "successes": successes, "aborts": aborts,
             "c_counts": c_counts, "mean_qber": mean_qber,

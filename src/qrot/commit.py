@@ -166,7 +166,7 @@ def commit_batch(msgs: np.ndarray, seeds: np.ndarray, r: Challenge,
     msgs: (N,) uint8 codes in 0..3; seeds: (N, seed_bytes) uint8.
     Returns (N, com_bytes) uint8.
     """
-    # hash_id is read only by perfbench's tracer; ROADMAP item 2 deletes it
+    # hash_id is read only by perfbench's tracer; ROADMAP item 6(c) deletes it
     if hash_id != HASH_AES128:
         raise CommitError(f"unknown hash id {hash_id}")
     coms = _commit_rows(msgs, seeds, r, params)[:, :params.com_bytes].copy()

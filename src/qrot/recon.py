@@ -1,11 +1,12 @@
 """Verifiable one-way information reconciliation.
 
 The sender transmits a syndrome of her raw string plus a short hash tag; the
-receiver runs belief-propagation syndrome decoding against his own noisy copy
+receiver runs layered min-sum syndrome decoding against his own noisy copy
 and accepts the candidate only if the tag matches. Decoding needs a margin
 below the design error rate: on 200 fixed flip patterns the desk code
-(n_raw 23,101, f 1.3, p_design 0.04) decodes all at 0.03 and below, fails 2
-at 0.035 and 160 at 0.04. A failed decode is a rejection, not a wrong key.
+(n_raw 23,101, f 1.3, p_design 0.04) decodes all at 0.035 and below, in at
+most 22 iterations, and fails 143 at 0.04. A failed decode is a rejection,
+not a wrong key.
 
 Two backends: a quasi-cyclic LDPC code of column weight 3 without 4-cycles,
 and a trivial zero-leak backend for noiseless end-to-end runs. The code is
@@ -31,7 +32,6 @@ BACKEND_LDPC = "LDPC"
 
 BP_MAX_ITER = 60
 BP_NORM = 0.8
-LLR_CLAMP = 25.0
 
 _TAG_LABEL = b"\x02"  # domain separation from the commitment hash
 _CODE_SEED = hashlib.blake2b(b"qrot-ldpc-code", digest_size=32).digest()
@@ -149,11 +149,7 @@ def _syndrome_bits_of(x_bits: np.ndarray, code_seed: bytes, n_raw: int,
     shift = _code_structure(code_seed, n_raw, ell)
     blocks = np.zeros((shift.shape[1], ell // 3), dtype=np.uint8)
     blocks.ravel()[:n_raw] = x_bits  # the padding variables are 0
-    rolled, bands = np.empty_like(blocks), []
-    for band_shift in shift:  # a band's checks: XOR down its rolled blocks
-        _kernels.roll_rows(blocks, -band_shift, rolled)
-        bands.append(np.bitwise_xor.reduce(rolled, axis=0))
-    return np.concatenate(bands)
+    return _kernels.band_syndrome(blocks, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +184,7 @@ def dec(s: Syndrome, y: BitString, params: IrParams) -> BitString | None:
         shift = _code_structure(_CODE_SEED, params.n_raw, params.syndrome_bits)
         llr0 = math.log((1.0 - params.p_design) / params.p_design)
         err, converged, _ = _kernels.bp_decode(
-            shift, params.n_raw, target.astype(np.uint8),
-            llr0, BP_MAX_ITER, BP_NORM, LLR_CLAMP)
+            shift, params.n_raw, target, llr0, BP_MAX_ITER, BP_NORM)
         if not converged:
             return None
         candidate = BitString.from_bits(y_bits ^ err)

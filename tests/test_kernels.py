@@ -22,24 +22,19 @@ def _shuffle_reference(perm, j):
     return out
 
 
-def _bp_decode_reference(chk_rows, var_of_edge, var_edges, synd, llr0,
-                         max_iter, norm, clamp):
-    """The edge-indexed decoder: padded (m, dmax) gathers of the messages,
-    argmin for the two minima, a product of signs and a scatter back."""
-    m, dmax = chk_rows.shape
-    n = var_edges.shape[0]
-    e_tot = var_of_edge.size - 1
-
-    synd_sign = 1.0 - 2.0 * synd.astype(np.float64)
-    rows = np.arange(m)
-    cols = np.arange(dmax)
-
-    v2c = np.full(e_tot + 1, min(llr0, clamp), dtype=np.float64)
-    v2c[e_tot] = np.inf
-    c2v = np.zeros(e_tot + 1, dtype=np.float64)
-
+def _bp_decode_reference(chk_rows, var_of_edge, synd, llr0, max_iter, norm):
+    """The edge-indexed layered decoder in float32: each iteration updates
+    band 0's checks, then band 1's, then band 2's, through padded (z, nb)
+    gathers of the posteriors and the band's messages, with argmin for the
+    two minima and a product of signs."""
+    m, nb = chk_rows.shape
+    z = m // 3
+    n = var_of_edge[-1]  # the variable of the padding edge E
+    post = np.full(n + 1, llr0, dtype=np.float32)
+    post[n] = np.inf  # padding slots, edge E, read variable n
+    c2v = np.zeros(var_of_edge.size, dtype=np.float32)
+    cols = np.arange(nb)
     hard = np.zeros(n + 1, dtype=np.uint8)
-    flat_var = var_edges.ravel()
 
     for it in range(max_iter + 1):
         parity = np.bitwise_xor.reduce(hard[var_of_edge[chk_rows]], axis=1)
@@ -48,24 +43,23 @@ def _bp_decode_reference(chk_rows, var_of_edge, var_edges, synd, llr0,
         if it == max_iter:
             break
 
-        msgs = v2c[chk_rows]
-        sgn = np.where(msgs < 0.0, -1.0, 1.0)
-        row_sign = synd_sign * sgn.prod(axis=1)
-        mag = np.abs(msgs)
-        i1 = np.argmin(mag, axis=1)
-        min1 = mag[rows, i1]
-        mag[rows, i1] = np.inf
-        min2 = mag.min(axis=1)
-        out_mag = np.where(cols[None, :] == i1[:, None], min2[:, None], min1[:, None])
-        vals = norm * row_sign[:, None] * sgn * out_mag
-        c2v[chk_rows.ravel()] = vals.ravel()
-        c2v[e_tot] = 0.0
-
-        inc = c2v[var_edges]
-        tot = llr0 + inc.sum(axis=1)
-        v2c[flat_var] = np.clip(tot[:, None] - inc, -clamp, clamp).ravel()
-        v2c[e_tot] = np.inf
-        hard[:n] = tot < 0.0
+        for band in range(3):
+            edges = chk_rows[band * z:(band + 1) * z]
+            var = var_of_edge[edges]
+            v2c = post[var] - c2v[edges]
+            sgn = np.where(v2c < 0.0, -1.0, 1.0)
+            row_sign = (1.0 - 2.0 * synd[band * z:(band + 1) * z]) * sgn.prod(axis=1)
+            mag = np.abs(v2c)
+            i1 = np.argmin(mag, axis=1)
+            min1 = mag[np.arange(z), i1]
+            mag[np.arange(z), i1] = np.inf
+            min2 = mag.min(axis=1)
+            out_mag = np.where(cols[None, :] == i1[:, None], min2[:, None],
+                               min1[:, None])
+            msg = (norm * row_sign[:, None] * sgn).astype(np.float32) * out_mag
+            c2v[edges] = msg
+            post[var] = v2c + msg
+        hard[:n] = post[:n] < 0.0
 
     return hard[:n].copy(), False, max_iter
 
@@ -86,11 +80,11 @@ def _noisy_target(code, rng, p):
     return np.bitwise_xor.reduce(flips[var_of_edge[chk_rows]], axis=1)
 
 
-def _assert_same_decode(code, synd, llr0, max_iter=60, norm=0.8, clamp=25.0):
+def _assert_same_decode(code, synd, llr0, max_iter=60, norm=0.8):
     shift, n, _ = code
-    got = _kernels.bp_decode(shift, n, synd, llr0, max_iter, norm, clamp)
-    want = _bp_decode_reference(*edge_form(*code), synd, llr0, max_iter,
-                                norm, clamp)
+    got = _kernels.bp_decode(shift, n, synd, llr0, max_iter, norm)
+    want = _bp_decode_reference(*edge_form(*code)[:2], synd, llr0, max_iter,
+                                norm)
     assert got[0].dtype == want[0].dtype == np.uint8
     assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
     return got
@@ -210,15 +204,30 @@ class TestBpKernel:
     def test_finds_error_pattern(self):
         shift, target, llr0, noise = self._instance(7)
         hard, conv, _ = _kernels.bp_decode(shift, 2048, target.astype(np.uint8),
-                                           llr0, 60, 0.8, 25.0)
+                                           llr0, 60, 0.8)
         assert conv and np.array_equal(hard, noise)
 
     def test_zero_syndrome_instant(self):
         shift, target, llr0, _ = self._instance(8, p=0.0)
         zero = np.zeros(target.size, np.uint8)
         hard, conv, iters = _kernels.bp_decode(shift, 2048, zero, llr0,
-                                               60, 0.8, 25.0)
+                                               60, 0.8)
         assert conv and iters == 0 and hard.sum() == 0
+
+    @pytest.mark.parametrize("p", [0.05, 0.07])
+    def test_failed_desk_decode_stays_finite(self, p):
+        # past the desk code's p_design every decode runs out of iterations
+        # with no clamp on the messages: none overflows float32, and no
+        # padding slot meets inf - inf
+        n, ell = _DESK.n_raw, _DESK.syndrome_bits
+        llr0 = math.log((1 - _DESK.p_design) / _DESK.p_design)
+        flips = (uniform(Rng.from_int(73), n) < p).astype(np.uint8)
+        shift = recon._code_structure(recon._CODE_SEED, n, ell)
+        target = recon._syndrome_bits_of(flips, recon._CODE_SEED, n, ell)
+        with np.errstate(invalid="raise", over="raise"):
+            _, conv, iters = _kernels.bp_decode(
+                shift, n, target, llr0, recon.BP_MAX_ITER, recon.BP_NORM)
+        assert (conv, iters) == (False, 60)
 
     @pytest.mark.parametrize("n, padded", [(30, True), (97, True),
                                            (256, False), (1000, True),
@@ -247,12 +256,13 @@ class TestBpKernel:
         assert (False, 60) in [r[1:] for r in results]
 
     @given(_random_decodes())
-    # llr0 = 0.3 is not dyadic, so the variable sums round: summing them as
-    # llr0 + (c0 + (c1 + c2)) instead converges in 6 iterations, not 7
-    @example((107, 30, 5, 1, 0.1, 0.3, 25, 1.0))
-    # the same at the desk decoder's llr0: after 3 unconverged iterations
-    # the two sum orders leave one hard decision different
-    @example((10, 26, 4, 10, 0.3, math.log(24.0), 3, 1.0))
+    # a draft that updates all three bands from one iteration's posteriors
+    # (a flooding schedule) fails both of these: here the layered schedule
+    # converges in 1 iteration and the draft does not in 2
+    @example((2310434878, 18, 3, 9, 0.03, math.log(24.0), 2, 0.75))
+    # and here, after 1 unconverged iteration, the draft's hard decision
+    # differs
+    @example((2415370207, 5, 6, 2, 0.3, math.log(24.0), 1, 0.8))
     # no iteration at all: every decision is 0
     @example((0, 38, 4, 3, 0.03, 0.5, 0, 0.75))
     @settings(max_examples=60, deadline=None)

@@ -168,10 +168,11 @@ class TestDecode:
             s = syn(x, IR)
             assert dec(s, y, IR) == x
 
-    @pytest.mark.parametrize("p", [0.02, 0.03])
+    @pytest.mark.parametrize("p", [0.02, 0.03, 0.035])
     def test_desk_code_margin(self, p):
         # the desk code's measured curve: every fixed pattern decodes at p_max
-        # (0.02) and at 0.03; at its p_design (0.04) about 3 in 4 fail
+        # (0.02), at 0.03 and at 0.035; at its p_design (0.04) 143 of these
+        # 200 fail
         assert _DESK.p_design == pytest.approx(0.04)
         fails = 0
         for seed in range(200):
